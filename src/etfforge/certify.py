@@ -17,7 +17,15 @@ where B = 16 d^2 * 12 * B_T packs the residual's coefficient-norm bound
 secant step.  Success proves a solution within eps of x0.
 
 All interval evaluation here uses direct O(d^2) correlation sums; the
-FFTs in the floating solver never enter the rigorous path.
+FFTs in the floating solver never enter the rigorous path.  S is not
+built from differences of residual values: each column is the exact
+difference quotient for the float step h_l = fl(fl(x0_l + delta) - x0_l),
+enclosed from its closed form as an interval slope (see
+secant_jacobian), so S costs O(d^2) and its entries are a few ulps
+wide.  Its product with T is a midpoint-radius product on BLAS (see
+rigor.iv_matmul).  The residual row layout is written once, in
+_row_spec, and f_eval_interval, secant_jacobian and
+_residual_polynomials all assemble their rows from it.
 
 Where that argument cannot close (at d = 4 every zero is singular beyond
 the gauge kernel), a dimension covered by a witnessed symplectic
@@ -52,7 +60,6 @@ from .rigor import (
     iv_norm_inf,
     iv_sub,
     vadd,
-    vdiv,
     vmul,
     vscale,
     vsqr,
@@ -85,6 +92,77 @@ def _correlation_block(s_lo, s_hi, t_lo, t_hi, idx):
     return _iv_sum_last(p_lo, p_hi)
 
 
+def _correlations_interval(lo, hi, d):
+    """Interval enclosures of u, v and c (see solver) over the box
+    [lo, hi] of packed points, each as (re, im) with re and im (lo, hi)
+    pairs over the lags 0..d-1."""
+    part = {k: (lo[i * d:(i + 1) * d], hi[i * d:(i + 1) * d]) for i, k in enumerate("abpq")}
+    m = np.arange(d)
+    idx = (m[None, :] + m[:, None]) % d  # idx[j, m] = m + j
+
+    def corr(s_name, t_name):
+        return _correlation_block(*part[s_name], *part[t_name], idx)
+
+    # u_j = sum x_m conj(x_{m+j});  Re: aa' + bb',  Im: ba' - ab'
+    u = (vadd(*corr("a", "a"), *corr("b", "b")), vsub(*corr("b", "a"), *corr("a", "b")))
+    v = (vadd(*corr("p", "p"), *corr("q", "q")), vsub(*corr("q", "p"), *corr("p", "q")))
+    # c_j = sum y_m conj(x_{m+j});  Re: pa' + qb',  Im: qa' - pb'
+    c = (vadd(*corr("p", "a"), *corr("q", "b")), vsub(*corr("q", "a"), *corr("p", "b")))
+    return u, v, c
+
+
+_QUANTITIES = ("u_re", "v_re", "s_re", "s_im", "mod_u", "mod_c")
+
+
+def _row_spec(d):
+    """The residual row layout of solver.residual as (quantity, lag)
+    pairs.  u_re, v_re, s_re and s_im are real and imaginary parts of
+    u_j, v_j and s_j = u_j + v_j; mod_u and mod_c stand for
+    |u_j|^2 - |c_0|^2 and |c_j|^2 - |c_0|^2.  Rows 0, 1 and 2 also carry
+    the constants -1, -1 and -4w, which callers add themselves."""
+    spec = [("u_re", 0), ("v_re", 0), ("s_re", 0)]
+    for j in range(1, (d + 1) // 2):
+        spec += [("s_re", j), ("s_im", j)]
+    if d % 2 == 0:
+        spec.append(("s_re", d // 2))
+    spec += [("mod_u", j) for j in range(1, d // 2 + 1)]
+    spec += [("mod_c", j) for j in range(1, d)]
+    return spec
+
+
+def _assemble_rows(u, v, abs2_u, abs2_c):
+    """Interval residual rows, without the constants of rows 0..2.
+
+    u and v are (re, im) pairs of (lo, hi) intervals, abs2_u and abs2_c
+    (lo, hi) intervals for |u_j|^2 and |c_j|^2, all with the lag on the
+    first axis.  f_eval_interval passes values; secant_jacobian passes
+    difference quotients with a column axis after the lag, which every
+    row is linear in.  Returns (lo, hi) with one row per entry of
+    _row_spec on the first axis.
+    """
+    (u_re, u_im), (v_re, v_im) = u, v
+    pivot = (abs2_c[0][0], abs2_c[1][0])
+    data = {
+        "u_re": u_re,
+        "v_re": v_re,
+        "s_re": vadd(*u_re, *v_re),
+        "s_im": vadd(*u_im, *v_im),
+        "mod_u": vsub(*abs2_u, *pivot),
+        "mod_c": vsub(*abs2_c, *pivot),
+    }
+    names, lags = zip(*_row_spec(u_re[0].shape[0]))
+    which = [_QUANTITIES.index(name) for name in names]
+    out = []
+    for end in (0, 1):
+        stack = np.stack([data[name][end] for name in _QUANTITIES])
+        out.append(stack[which, list(lags)])
+    return tuple(out)
+
+
+def _abs2(re, im):
+    return vadd(*vsqr(*re), *vsqr(*im))
+
+
 def f_eval_interval(z, d):
     """Residual system over interval inputs.
 
@@ -98,77 +176,48 @@ def f_eval_interval(z, d):
     d = int(d)
     if lo.shape != (4 * d + 1,) or hi.shape != (4 * d + 1,):
         raise InvalidArgumentError("interval input must have 4d+1 entries")
-    sl = {
-        "a": slice(0, d),
-        "b": slice(d, 2 * d),
-        "p": slice(2 * d, 3 * d),
-        "q": slice(3 * d, 4 * d),
-    }
-    part = {k: (lo[v], hi[v]) for k, v in sl.items()}
-    w = (lo[4 * d], hi[4 * d])
-    m = np.arange(d)
-    idx = (m[None, :] + m[:, None]) % d  # idx[j, m] = m + j
-
-    def corr(s_name, t_name):
-        s_lo, s_hi = part[s_name]
-        t_lo, t_hi = part[t_name]
-        return _correlation_block(s_lo, s_hi, t_lo, t_hi, idx)
-
-    # u_j = sum x_m conj(x_{m+j});  Re: aa' + bb',  Im: ba' - ab'
-    u_re = vadd(*corr("a", "a"), *corr("b", "b"))
-    u_im = vsub(*corr("b", "a"), *corr("a", "b"))
-    v_re = vadd(*corr("p", "p"), *corr("q", "q"))
-    v_im = vsub(*corr("q", "p"), *corr("p", "q"))
-    # c_j = sum y_m conj(x_{m+j});  Re: pa' + qb',  Im: qa' - pb'
-    c_re = vadd(*corr("p", "a"), *corr("q", "b"))
-    c_im = vsub(*corr("q", "a"), *corr("p", "b"))
-
-    rows_lo = np.empty(residual_count(d))
-    rows_hi = np.empty(residual_count(d))
-
-    def put(k, pair):
-        rows_lo[k], rows_hi[k] = pair
-
-    def at(arrpair, j):
-        return arrpair[0][j], arrpair[1][j]
-
-    put(0, vsub(*at(u_re, 0), 1.0, 1.0))
-    put(1, vsub(*at(v_re, 0), 1.0, 1.0))
-    s_re = vadd(*u_re, *v_re)
-    s_im = vadd(*u_im, *v_im)
-    k = 2
-    w4 = vscale(w[0], w[1], 4.0)
-    put(k, vsub(*at(s_re, 0), *w4))
-    k += 1
-    for j in range(1, (d + 1) // 2):
-        put(k, at(s_re, j))
-        put(k + 1, at(s_im, j))
-        k += 2
-    if d % 2 == 0:
-        put(k, at(s_re, d // 2))
-        k += 1
-
-    def abs2(re_pair, im_pair, j):
-        r = vsqr(*at(re_pair, j))
-        i = vsqr(*at(im_pair, j))
-        return vadd(*r, *i)
-
-    pivot = abs2(c_re, c_im, 0)
-    for j in range(1, d // 2 + 1):
-        put(k, vsub(*abs2(u_re, u_im, j), *pivot))
-        k += 1
-    for j in range(1, d):
-        put(k, vsub(*abs2(c_re, c_im, j), *pivot))
-        k += 1
+    u, v, c = _correlations_interval(lo, hi, d)
+    rows_lo, rows_hi = _assemble_rows(u, v, _abs2(*u), _abs2(*c))
+    w4_lo, w4_hi = vscale(lo[4 * d], hi[4 * d], 4.0)
+    rows_lo[:3], rows_hi[:3] = vsub(
+        rows_lo[:3], rows_hi[:3], np.array([1.0, 1.0, w4_lo]), np.array([1.0, 1.0, w4_hi])
+    )
     return rows_lo, rows_hi
+
+
+def _slope_abs2(z, dz, h):
+    """Enclosure of (|z + h dz|^2 - |z|^2) / h = 2 Re(conj(z) dz) + h |dz|^2,
+    for z over lags (first axis) and dz, h over lags x columns."""
+    (zr_lo, zr_hi), (zi_lo, zi_hi) = z
+    dz_re, dz_im = dz
+    cross = vadd(
+        *vmul(zr_lo[:, None], zr_hi[:, None], *dz_re),
+        *vmul(zi_lo[:, None], zi_hi[:, None], *dz_im),
+    )
+    return vadd(*vscale(*cross, 2.0), *vscale(*_abs2(dz_re, dz_im), h))
 
 
 def secant_jacobian(x0, delta, d):
     """Interval enclosure of the secant Jacobian at x0 with step delta.
 
-    Column l holds (f(x0 + step_l e_l) - f(x0)) / step_l where step_l is
-    the exactly representable float x0_l (+) delta - x0_l.  Returns the
-    matrix and the largest step actually taken.
+    Column l holds the slope (f(x0 + h_l e_l) - f(x0)) / h_l, where
+    h_l = fl(fl(x0_l + delta) - x0_l) is the float step; the slope is
+    enclosed for exactly this real h_l.  Returns the matrix and the
+    largest step, max h_l.
+
+    No f is evaluated at a moved point.  Each entry is enclosed from the
+    exact algebraic difference quotient (an interval slope, Neumaier,
+    Interval Methods for Systems of Equations, 1990): moving x_l by h e
+    (e = 1 for Re x_l, e = i for Im x_l) changes u_j by
+    h (e conj(x_(l+j)) + conj(e) x_(l-j)), plus h^2 when j = 0, and c_j
+    by h conj(e) y_(l-j); moving y_l changes v_j likewise and c_j by
+    h e conj(x_(l+j)).  A modulus row |z|^2 has the slope
+    2 Re(conj(z) D) + h |D|^2 with D = (change of z) / h, and the w
+    column is exactly -4 in the lag-0 tightness row and 0 elsewhere.
+    These are evaluated for all lags and columns at once on one interval
+    enclosure of u, v and c at x0, and assembled by the same row helper
+    as f_eval_interval, so the cost is O(d^2) and the entries are a few
+    ulps wide: nothing nearly equal is subtracted.
     """
     x0 = np.asarray(x0, dtype=float)
     d = int(d)
@@ -177,24 +226,43 @@ def secant_jacobian(x0, delta, d):
         raise InvalidArgumentError("x0 must have 4d+1 entries")
     if not np.all(np.isfinite(x0)) or not 0 < delta < 1:
         raise InvalidArgumentError("x0 must be finite and 0 < delta < 1")
-    f0_lo, f0_hi = f_eval_interval((x0, x0), d)
-    rows = residual_count(d)
-    s_lo = np.empty((rows, n_var))
-    s_hi = np.empty((rows, n_var))
-    step_max = 0.0
-    for l in range(n_var):
-        xp = x0.copy()
-        xp[l] = x0[l] + delta
-        step = xp[l] - x0[l]
-        if step <= 0.0:
-            raise NumericFailureError("secant step vanished at coordinate %d" % l)
-        step_max = max(step_max, step)
-        fp_lo, fp_hi = f_eval_interval((xp, xp), d)
-        diff_lo, diff_hi = vsub(fp_lo, fp_hi, f0_lo, f0_hi)
-        col_lo, col_hi = vdiv(diff_lo, diff_hi, np.full(rows, step), np.full(rows, step))
-        s_lo[:, l] = col_lo
-        s_hi[:, l] = col_hi
-    return IntervalMatrix(s_lo, s_hi), step_max
+    steps = (x0 + delta) - x0
+    if np.any(steps <= 0.0):
+        raise NumericFailureError(
+            "secant step vanished at coordinate %d" % int(np.argmax(steps <= 0.0))
+        )
+    x = x0[:d] + 1j * x0[d:2 * d]
+    y = x0[2 * d:3 * d] + 1j * x0[3 * d:4 * d]
+    u, v, c = _correlations_interval(x0, x0, d)
+    h = steps[None, :4 * d]
+    lag = np.arange(d)[:, None]
+    col = np.arange(4 * d)[None, :]
+    plus, minus = (col + lag) % d, (col - lag) % d  # (lag, column) index tables
+    # direction e of each column (Re x, Im x, Re y, Im y blocks); multiplying
+    # by e or conj(e) only permutes and negates real and imaginary parts
+    e = np.tile(np.repeat([1.0, 1j], d), 2)[None, :]
+    x_col = col < 2 * d
+
+    def moved(z, mine):
+        """Enclosure of D = e conj(z_(l+j)) + conj(e) z_(l-j) + h [j = 0]
+        in the columns that move z, 0 elsewhere."""
+        t1 = np.where(mine, e * np.conj(z[plus]), 0.0)
+        t2 = np.where(mine, np.conj(e) * z[minus], 0.0)
+        re = vadd(t1.real, t1.real, t2.real, t2.real)
+        im = vadd(t1.imag, t1.imag, t2.imag, t2.imag)
+        h0 = np.where(mine[0], h[0], 0.0)
+        re[0][0], re[1][0] = vadd(re[0][0], re[1][0], h0, h0)
+        return re, im
+
+    du = moved(x, x_col)
+    dv = moved(y, ~x_col)
+    dc_point = np.where(x_col, np.conj(e) * y[minus], e * np.conj(x[plus]))
+    dc = ((dc_point.real, dc_point.real), (dc_point.imag, dc_point.imag))
+    rows_lo, rows_hi = _assemble_rows(du, dv, _slope_abs2(u, du, h), _slope_abs2(c, dc, h))
+    w_col = np.zeros((rows_lo.shape[0], 1))
+    w_col[2] = -4.0
+    s_mat = IntervalMatrix(np.hstack([rows_lo, w_col]), np.hstack([rows_hi, w_col]))
+    return s_mat, float(np.max(steps))
 
 
 METHOD_NK = "newton-kantorovich"
@@ -678,29 +746,26 @@ def _residual_polynomials(d):
         im = _poly_sum((1.0, corr(q, a, j)), (-1.0, corr(p, b, j)))
         return re, im
 
-    rows = []
     u = [u_parts(a, b, j) for j in range(d)]
     v = [u_parts(p, q, j) for j in range(d)]
     c = [c_parts(j) for j in range(d)]
-    rows.append(_poly_sum((1.0, u[0][0]), (1.0, {(): -1.0})))
-    rows.append(_poly_sum((1.0, v[0][0]), (1.0, {(): -1.0})))
-    rows.append(_poly_sum((1.0, u[0][0]), (1.0, v[0][0]), (1.0, {(w_idx,): -4.0})))
-    for j in range(1, (d + 1) // 2):
-        rows.append(_poly_sum((1.0, u[j][0]), (1.0, v[j][0])))
-        rows.append(_poly_sum((1.0, u[j][1]), (1.0, v[j][1])))
-    if d % 2 == 0:
-        h = d // 2
-        rows.append(_poly_sum((1.0, u[h][0]), (1.0, v[h][0])))
 
     def abs2(parts):
         re, im = parts
         return _poly_sum((1.0, _poly_mul(re, re)), (1.0, _poly_mul(im, im)))
 
     pivot = abs2(c[0])
-    for j in range(1, d // 2 + 1):
-        rows.append(_poly_sum((1.0, abs2(u[j])), (-1.0, pivot)))
-    for j in range(1, d):
-        rows.append(_poly_sum((1.0, abs2(c[j])), (-1.0, pivot)))
+    quantity = {
+        "u_re": lambda j: u[j][0],
+        "v_re": lambda j: v[j][0],
+        "s_re": lambda j: _poly_sum((1.0, u[j][0]), (1.0, v[j][0])),
+        "s_im": lambda j: _poly_sum((1.0, u[j][1]), (1.0, v[j][1])),
+        "mod_u": lambda j: _poly_sum((1.0, abs2(u[j])), (-1.0, pivot)),
+        "mod_c": lambda j: _poly_sum((1.0, abs2(c[j])), (-1.0, pivot)),
+    }
+    rows = [quantity[name](j) for name, j in _row_spec(d)]
+    for k, constant in enumerate(({(): -1.0}, {(): -1.0}, {(w_idx,): -4.0})):
+        rows[k] = _poly_sum((1.0, rows[k]), (1.0, constant))
     return rows
 
 

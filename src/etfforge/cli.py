@@ -78,6 +78,10 @@ class Run:
             obj = read_json(path)
         except (OSError, ValueError) as exc:
             raise InvalidArgumentError("cannot read %s: %s" % (path, exc)) from exc
+        if not isinstance(obj, dict):
+            raise InvalidArgumentError(
+                "%s: top-level JSON value must be an object, got %s" % (path, type(obj).__name__)
+            )
         self.inputs[str(path)] = sha256_file(path)
         return obj
 
@@ -366,9 +370,12 @@ def _parse_d_range(text):
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         try:
-            return int(lo_text), int(hi_text)
+            lo, hi = int(lo_text), int(hi_text)
         except ValueError as exc:
             raise InvalidArgumentError("--d range must be lo..hi integers") from exc
+        if lo > hi:
+            raise InvalidArgumentError("--d range %s is empty (lo > hi)" % text)
+        return lo, hi
     d = _parse_single_d(text)
     return d, d
 
@@ -492,16 +499,20 @@ def cmd_circulantize(args, argv):
     return EXIT_OK
 
 
-def _default_jobs():
-    env = os.environ.get("ETFFORGE_THREADS")
-    if env is None:
-        return 1
-    try:
-        jobs = int(env)
-    except ValueError as exc:
-        raise InvalidArgumentError("ETFFORGE_THREADS must be an integer") from exc
+def _resolve_jobs(flag):
+    """--jobs when given, else ETFFORGE_THREADS, else 1; either must be >= 1."""
+    if flag is not None:
+        source, jobs = "--jobs", flag
+    else:
+        source, env = "ETFFORGE_THREADS", os.environ.get("ETFFORGE_THREADS")
+        if env is None:
+            return 1
+        try:
+            jobs = int(env)
+        except ValueError as exc:
+            raise InvalidArgumentError("ETFFORGE_THREADS must be an integer") from exc
     if jobs < 1:
-        raise InvalidArgumentError("ETFFORGE_THREADS must be >= 1")
+        raise InvalidArgumentError("%s must be >= 1" % source)
     return jobs
 
 
@@ -571,8 +582,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "jobs", "absent") is None:
-            args.jobs = _default_jobs()
+        if hasattr(args, "jobs"):
+            args.jobs = _resolve_jobs(args.jobs)
         return args.func(args, argv)
     except InvalidArgumentError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -9,6 +9,25 @@ portable and safe under numpy's vectorized kernels.
 
 Absolute value and negation are exact in binary64 and are not nudged.
 Infinities may appear only as the result of overflow; NaN is rejected.
+
+The two matrix reductions do not nudge term by term.  They evaluate in
+round-to-nearest, with any summation order, and inflate the result by an
+a-priori error bound: iv_matmul is a midpoint-radius product on BLAS
+(Rump, "Fast and parallel interval arithmetic", BIT 39, 1999; Rump,
+"Fast interval matrix multiplication", Numer. Algorithms 61, 2012), and
+iv_norm_inf sums each row with np.sum.  Both rest on the classical bound
+for a length-k dot product in any order, with or without FMA (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., chapter 3):
+
+    |fl(x . y) - x . y| <= gamma_k |x| . |y| + k eta,
+    gamma_k = k u / (1 - k u),  u = 2^-53,  eta = 2^-1074.
+
+The k eta term covers underflow: a product or FMA whose result is
+subnormal is off by at most eta / 2 in absolute terms, and each of the
+at most k such errors grows by less than a factor 2 through the later
+roundings.
+Additions alone are exact in the subnormal range, so a sum of m terms
+needs only gamma_(m-1).
 """
 
 import numpy as np
@@ -17,6 +36,8 @@ from .errors import IntervalDivisionError, InvalidArgumentError
 
 _NEG_INF = -np.inf
 _POS_INF = np.inf
+_UNIT_ROUNDOFF = 2.0 ** -53
+_ETA = 2.0 ** -1074  # smallest positive subnormal
 
 
 def _down(a):
@@ -239,11 +260,22 @@ def iv_mat_abs_upper(a):
     return np.maximum(np.abs(a.lo), np.abs(a.hi))
 
 
+def _gamma(k):
+    """A float upper bound on gamma_k = k u / (1 - k u)."""
+    ku = k * _UNIT_ROUNDOFF  # exact: an integer times a power of two
+    if ku >= 0.5:
+        raise InvalidArgumentError("reduction length %d is too long for the error bound" % k)
+    return float(_up(ku / _down(1.0 - ku)))
+
+
 def iv_norm_inf(a):
     """Enclosure of the max absolute row sum of an interval matrix.
 
     The hi endpoint is a certified upper bound for the infinity operator
-    norm of every point matrix contained in `a`.
+    norm of every point matrix contained in `a`.  Each row of |a| is summed
+    once by np.sum; a sum s of m nonnegative terms computed in any order
+    satisfies |fl(s) - s| <= gamma_(m-1) s, so the exact row sum lies in
+    [fl(s) (1 - g), fl(s) (1 + 2 g)] for any g >= gamma_m <= 1/2.
     """
     if not isinstance(a, IntervalMatrix):
         raise InvalidArgumentError("iv_norm_inf expects an IntervalMatrix")
@@ -251,10 +283,9 @@ def iv_norm_inf(a):
     if n == 0 or m == 0:
         return Interval(0.0)
     abs_lo, abs_hi = vabs(a.lo, a.hi)
-    row_lo = np.zeros(n)
-    row_hi = np.zeros(n)
-    for j in range(m):
-        row_lo, row_hi = vadd(row_lo, row_hi, abs_lo[:, j], abs_hi[:, j])
+    g = _gamma(m)
+    row_lo = _down(np.sum(abs_lo, axis=1) * _down(1.0 - g))
+    row_hi = _up(np.sum(abs_hi, axis=1) * _up(1.0 + 2.0 * g))
     # max of intervals: both endpoints are componentwise maxima, exactly.
     return Interval(float(np.max(row_lo)), float(np.max(row_hi)))
 
@@ -262,22 +293,47 @@ def iv_norm_inf(a):
 def iv_matmul(a, b):
     """Product of an interval matrix with a pointwise float matrix.
 
-    Accumulates one nudged interval addition per inner-dimension step, so
-    the result rigorously contains A@B for every point matrix A in `a`.
+    Midpoint-radius form on two BLAS products (Rump 1999, 2012; see the
+    module docstring).  With k the inner dimension, g >= gamma_k, M and R
+    a float midpoint and radius of `a` (|A - M| <= R for every point
+    matrix A in `a`) and C = fl(M @ b), for every such A
+
+        |A b - C| <= R |b| + gamma_k |M| |b| + k eta <= X |b| + k eta,
+
+    where X >= R + g |M| entrywise is formed with outward nudges.  The
+    nonnegative product P = fl(X @ |b|) has |P - X |b|| <= gamma_k X |b|
+    + k eta, so X |b| <= (P + k eta) / (1 - g), and the radius
+
+        rad = (P + k eta) / (1 - g) + k eta,
+
+    each operation nudged upward, bounds |A b - C|.  The result is
+    [C - rad, C + rad], nudged outward.  This holds for any summation
+    order the BLAS chooses, with or without FMA, in round-to-nearest
+    (it assumes only that each entry is a sum of the k products, not a
+    Strassen-like scheme).  Entries where C or rad overflow become
+    [-inf, inf].
     """
     if not isinstance(a, IntervalMatrix):
         raise InvalidArgumentError("iv_matmul expects an IntervalMatrix left factor")
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise InvalidArgumentError("inner dimensions disagree")
-    n, k = a.shape
-    m = b.shape[1]
-    acc_lo = np.zeros((n, m))
-    acc_hi = np.zeros((n, m))
-    for j in range(k):
-        col_lo = a.lo[:, j][:, None]
-        col_hi = a.hi[:, j][:, None]
-        row = b[j][None, :]
-        p_lo, p_hi = vscale(col_lo, col_hi, row)
-        acc_lo, acc_hi = vadd(acc_lo, acc_hi, p_lo, p_hi)
-    return IntervalMatrix(acc_lo, acc_hi)
+    k = a.shape[1]
+    if k == 0:
+        return IntervalMatrix.from_point(np.zeros((a.shape[0], b.shape[1])))
+    g = _gamma(k)
+    under = k * _ETA
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is mapped below
+        mid = 0.5 * a.lo + 0.5 * a.hi
+        # a float difference rounds to <= 0 only when it is exactly <= 0,
+        # so point entries get radius 0
+        radius = np.maximum(a.hi - mid, mid - a.lo)
+        radius = np.where(radius > 0.0, _up(radius), 0.0)
+        x = _up(radius + _up(g * np.abs(mid)))
+        rad = _up(_up(_up(x @ np.abs(b) + under) / _down(1.0 - g)) + under)
+        c = mid @ b
+        lo, hi = _down(c - rad), _up(c + rad)
+    bad = ~(np.isfinite(c) & np.isfinite(rad))
+    lo[bad] = _NEG_INF
+    hi[bad] = _POS_INF
+    return IntervalMatrix(lo, hi)

@@ -174,10 +174,6 @@ def test_certificate_survives_one_ulp_widening():
 
 def test_certificate_monotone_in_residual_bound():
     # a smaller residual bound C0 only raises the right side
-    result = solve(4, max_iter=500)
-    if not result.converged:
-        pytest.skip("no converged d=4 point for this seed")
-    # d=4 never certifies; use d=3 for the monotonicity statement
     result = solve(3)
     cert = certify(result.pair, delta=1e-10, seed=0)
     bt = Interval(cert.bound_T_norm)
@@ -334,3 +330,63 @@ def test_residual_polynomials_evaluate_to_residual():
                     term *= vec[idx]
                 val += term
             assert abs(val - r[row]) < 1e-9
+
+
+def _exact_residual(vec, d):
+    """solver.residual in exact rational arithmetic, from a packed point
+    of Fractions."""
+    x = [(vec[m], vec[d + m]) for m in range(d)]
+    y = [(vec[2 * d + m], vec[3 * d + m]) for m in range(d)]
+
+    def corr(s, t, j):  # sum_m s_m conj(t_(m+j))
+        re = sum(s[m][0] * t[(m + j) % d][0] + s[m][1] * t[(m + j) % d][1] for m in range(d))
+        im = sum(s[m][1] * t[(m + j) % d][0] - s[m][0] * t[(m + j) % d][1] for m in range(d))
+        return re, im
+
+    u = [corr(x, x, j) for j in range(d)]
+    v = [corr(y, y, j) for j in range(d)]
+    c = [corr(y, x, j) for j in range(d)]
+    rows = [u[0][0] - 1, v[0][0] - 1, u[0][0] + v[0][0] - 4 * vec[4 * d]]
+    for j in range(1, (d + 1) // 2):
+        rows += [u[j][0] + v[j][0], u[j][1] + v[j][1]]
+    if d % 2 == 0:
+        rows.append(u[d // 2][0] + v[d // 2][0])
+    pivot = c[0][0] ** 2 + c[0][1] ** 2
+    rows += [u[j][0] ** 2 + u[j][1] ** 2 - pivot for j in range(1, d // 2 + 1)]
+    rows += [c[j][0] ** 2 + c[j][1] ** 2 - pivot for j in range(1, d)]
+    return rows
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_secant_jacobian_contains_exact_rational_secant(d):
+    delta = 1e-10
+    rng = np.random.default_rng(500 + d)
+    n_var = 4 * d + 1
+    x0 = rng.standard_normal(n_var) * 0.4
+    picks = rng.permutation(n_var)
+    x0[picks[:2]] = 0.0
+    # 0 < |x0_l| < delta: here fl(x0_l + delta) - x0_l is often inexact
+    x0[picks[2:5]] = rng.choice([-1.0, 1.0], size=3) * delta * rng.uniform(0.01, 1.0, size=3)
+    s, step_max = secant_jacobian(x0, delta, d)
+    steps = (x0 + delta) - x0
+    assert step_max == np.max(steps)
+    assert np.max(s.width()) <= 1e-12
+    base = [Fraction(float(v)) for v in x0]
+    f0 = _exact_residual(base, d)
+    for col in range(n_var):
+        h = Fraction(float(steps[col]))
+        moved = list(base)
+        moved[col] += h
+        f1 = _exact_residual(moved, d)
+        for row, (a, b) in enumerate(zip(f1, f0)):
+            assert Fraction(s.lo[row, col]) <= (a - b) / h <= Fraction(s.hi[row, col])
+
+
+@pytest.mark.parametrize("d", [100, 150])
+def test_certify_verifies_large_dimensions(d):
+    result = solve(d, seed=0)
+    assert result.converged
+    cert = certify(result.pair, seed=0)
+    assert cert.verified and cert.method == "newton-kantorovich"
+    assert cert.bound_ST_minus_I < 1e-6
+    assert cert.lhs_upper < cert.rhs_lower

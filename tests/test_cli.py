@@ -268,3 +268,28 @@ def test_check_accepts_generator_documents(tmp_path):
     solved = tmp_path / "s6.json"
     run_cli("solve", "--d", 6, "--out", solved)
     assert run_cli("check", "--in", solved, "--tol", "1e-10") == 0
+
+
+@pytest.mark.parametrize("command", ["check", "certify", "detect", "circulantize"])
+def test_non_object_json_exits_2_without_traceback(tmp_path, capsys, command):
+    doc = tmp_path / "list.json"
+    doc.write_text("[1, 2]")
+    extra = ["--out", tmp_path / "out.json"] if command == "circulantize" else []
+    assert run_cli(command, "--in", doc, *extra) == 2
+    err = capsys.readouterr().err
+    assert "must be an object" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_nonpositive_jobs_exits_2(tmp_path, capsys, jobs):
+    out_dir = tmp_path / "s"
+    assert run_cli("sweep", "--d", "2..2", "--jobs", jobs, "--out-dir", out_dir) == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_sweep_empty_range_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "s"
+    assert run_cli("sweep", "--d", "5..3", "--out-dir", out_dir) == 2
+    assert "empty" in capsys.readouterr().err
+    assert not out_dir.exists()

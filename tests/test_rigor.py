@@ -284,3 +284,71 @@ def test_iv_matmul_contains_rational_product():
         iv_matmul(a, rng.standard_normal((3, 3)))
     with pytest.raises(InvalidArgumentError):
         iv_matmul(a_mid, b)
+
+
+def _log_uniform(rng, shape, lo_exp, hi_exp):
+    signs = rng.choice([-1.0, 1.0], size=shape)
+    return signs * 10.0 ** rng.uniform(lo_exp, hi_exp, size=shape)
+
+
+def _exact_hull(lo, hi, b):
+    """Exact rational hull of {A b : lo <= A <= hi} entrywise."""
+    n, k = lo.shape
+    m = b.shape[1]
+    flo = [[Fraction(float(v)) for v in row] for row in lo]
+    fhi = [[Fraction(float(v)) for v in row] for row in hi]
+    fb = [[Fraction(float(v)) for v in row] for row in b]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            ends = [(flo[i][t] * fb[t][j], fhi[i][t] * fb[t][j]) for t in range(k)]
+            row.append((sum(min(e) for e in ends), sum(max(e) for e in ends)))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 7, 64, 400])
+def test_iv_matmul_encloses_exact_product_across_magnitudes(k):
+    # entries span 1e-200..1e200; the 1e-200 x 1e-200 products underflow,
+    # and the second case puts every product in the subnormal range
+    rng = np.random.default_rng(1000 + k)
+    cases = [
+        (_log_uniform(rng, (3, k), -200, 200), _log_uniform(rng, (k, 4), -200, 100)),
+        (_log_uniform(rng, (3, k), -162, -155), _log_uniform(rng, (k, 4), -162, -155)),
+    ]
+    for mid, b in cases:
+        rad = np.abs(mid) * 10.0 ** rng.uniform(-16, -3, size=mid.shape)
+        rad[0] = 0.0  # one row of point entries inside an interval factor
+        for lo, hi in ((mid, mid), (mid - rad, mid + rad)):
+            out = iv_matmul(IntervalMatrix(lo, hi), b)
+            hull = _exact_hull(lo, hi, b)
+            for i in range(3):
+                for j in range(4):
+                    lo_x, hi_x = hull[i][j]
+                    assert Fraction(out.lo[i, j]) <= lo_x
+                    assert hi_x <= Fraction(out.hi[i, j])
+
+
+def test_iv_matmul_is_tight_and_maps_overflow_to_the_real_line():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((5, 300))
+    b = rng.standard_normal((300, 6))
+    out = iv_matmul(IntervalMatrix.from_point(a), b)
+    assert np.all(out.hi - out.lo <= 1e-12 * (np.abs(a) @ np.abs(b)))
+    big = IntervalMatrix.from_point(np.full((1, 2), 1e200))
+    out = iv_matmul(big, np.array([[1e200], [1.0]]))
+    assert out.lo[0, 0] == -np.inf and out.hi[0, 0] == np.inf
+
+
+def test_iv_norm_inf_encloses_exact_row_sums():
+    rng = np.random.default_rng(11)
+    mid = _log_uniform(rng, (4, 1000), -20, 20)
+    rad = np.abs(mid) * 1e-3
+    out = iv_norm_inf(IntervalMatrix(mid - rad, mid + rad))
+    upper = max(sum(Fraction(float(max(abs(l), abs(h)))) for l, h in zip(lo, hi))
+                for lo, hi in zip(mid - rad, mid + rad))
+    lower = max(sum(Fraction(float(min(abs(l), abs(h)))) for l, h in zip(lo, hi))
+                for lo, hi in zip(mid - rad, mid + rad))
+    assert Fraction(out.lo) <= lower and upper <= Fraction(out.hi)
+    assert out.hi <= float(upper) * (1 + 1e-12)
