@@ -23,9 +23,9 @@ difference quotient for the float step h_l = fl(fl(x0_l + delta) - x0_l),
 enclosed from its closed form as an interval slope (see
 secant_jacobian), so S costs O(d^2) and its entries are a few ulps
 wide.  Its product with T is a midpoint-radius product on BLAS (see
-rigor.iv_matmul).  The residual row layout is written once, in
-_row_spec, and f_eval_interval, secant_jacobian and
-_residual_polynomials all assemble their rows from it.
+rigor.iv_matmul).  The residual row layout is solver's (solver.row_spec):
+f_eval_interval and secant_jacobian gather their rows with
+solver.gather_rows, and _residual_polynomials iterates the spec.
 
 Where that argument cannot close (at d = 4 every zero is singular beyond
 the gauge kernel), a dimension covered by a witnessed symplectic
@@ -65,7 +65,7 @@ from .rigor import (
     vsqr,
     vsub,
 )
-from .solver import residual_count
+from .solver import gather_rows, pack, residual_count, row_spec, unpack
 
 
 def _iv_sum_last(lo, hi):
@@ -111,25 +111,6 @@ def _correlations_interval(lo, hi, d):
     return u, v, c
 
 
-_QUANTITIES = ("u_re", "v_re", "s_re", "s_im", "mod_u", "mod_c")
-
-
-def _row_spec(d):
-    """The residual row layout of solver.residual as (quantity, lag)
-    pairs.  u_re, v_re, s_re and s_im are real and imaginary parts of
-    u_j, v_j and s_j = u_j + v_j; mod_u and mod_c stand for
-    |u_j|^2 - |c_0|^2 and |c_j|^2 - |c_0|^2.  Rows 0, 1 and 2 also carry
-    the constants -1, -1 and -4w, which callers add themselves."""
-    spec = [("u_re", 0), ("v_re", 0), ("s_re", 0)]
-    for j in range(1, (d + 1) // 2):
-        spec += [("s_re", j), ("s_im", j)]
-    if d % 2 == 0:
-        spec.append(("s_re", d // 2))
-    spec += [("mod_u", j) for j in range(1, d // 2 + 1)]
-    spec += [("mod_c", j) for j in range(1, d)]
-    return spec
-
-
 def _assemble_rows(u, v, abs2_u, abs2_c):
     """Interval residual rows, without the constants of rows 0..2.
 
@@ -137,8 +118,7 @@ def _assemble_rows(u, v, abs2_u, abs2_c):
     (lo, hi) intervals for |u_j|^2 and |c_j|^2, all with the lag on the
     first axis.  f_eval_interval passes values; secant_jacobian passes
     difference quotients with a column axis after the lag, which every
-    row is linear in.  Returns (lo, hi) with one row per entry of
-    _row_spec on the first axis.
+    row is linear in.  Returns (lo, hi) gathered by solver.gather_rows.
     """
     (u_re, u_im), (v_re, v_im) = u, v
     pivot = (abs2_c[0][0], abs2_c[1][0])
@@ -150,13 +130,7 @@ def _assemble_rows(u, v, abs2_u, abs2_c):
         "mod_u": vsub(*abs2_u, *pivot),
         "mod_c": vsub(*abs2_c, *pivot),
     }
-    names, lags = zip(*_row_spec(u_re[0].shape[0]))
-    which = [_QUANTITIES.index(name) for name in names]
-    out = []
-    for end in (0, 1):
-        stack = np.stack([data[name][end] for name in _QUANTITIES])
-        out.append(stack[which, list(lags)])
-    return tuple(out)
+    return tuple(gather_rows(len(u_re[0]), {k: q[end] for k, q in data.items()}) for end in (0, 1))
 
 
 def _abs2(re, im):
@@ -231,8 +205,7 @@ def secant_jacobian(x0, delta, d):
         raise NumericFailureError(
             "secant step vanished at coordinate %d" % int(np.argmax(steps <= 0.0))
         )
-    x = x0[:d] + 1j * x0[d:2 * d]
-    y = x0[2 * d:3 * d] + 1j * x0[3 * d:4 * d]
+    pair, _ = unpack(x0, d)
     u, v, c = _correlations_interval(x0, x0, d)
     h = steps[None, :4 * d]
     lag = np.arange(d)[:, None]
@@ -254,9 +227,9 @@ def secant_jacobian(x0, delta, d):
         re[0][0], re[1][0] = vadd(re[0][0], re[1][0], h0, h0)
         return re, im
 
-    du = moved(x, x_col)
-    dv = moved(y, ~x_col)
-    dc_point = np.where(x_col, np.conj(e) * y[minus], e * np.conj(x[plus]))
+    du = moved(pair.x, x_col)
+    dv = moved(pair.y, ~x_col)
+    dc_point = np.where(x_col, np.conj(e) * pair.y[minus], e * np.conj(pair.x[plus]))
     dc = ((dc_point.real, dc_point.real), (dc_point.imag, dc_point.imag))
     rows_lo, rows_hi = _assemble_rows(du, dv, _slope_abs2(u, du, h), _slope_abs2(c, dc, h))
     w_col = np.zeros((rows_lo.shape[0], 1))
@@ -351,19 +324,13 @@ class Certificate:
         }
 
 
-def _pack_point(pair, w):
-    return np.concatenate(
-        [pair.x.real, pair.x.imag, pair.y.real, pair.y.imag, [float(w)]]
-    )
-
-
 def certify(pair, delta=1e-10, w=0.5, seed=-1):
     """Produce a Certificate for a near-solution pair, or raise
     CertificationError (reason "rank" or "infeasible")."""
     if not isinstance(pair, CirculantPair):
         raise InvalidArgumentError("certify expects a CirculantPair")
     d = pair.d
-    x0 = _pack_point(pair, w)
+    x0 = pack(pair, w)
     norm_x0 = float(np.max(np.abs(x0)))
     cap = 1.0 - norm_x0
     if cap <= 0.0:
@@ -574,7 +541,7 @@ def certify_exact(sig_re, sig_im, witness):
     gram = gram_of_signature(ComplexMatrix(re + 1j * im, "signature"), d)
     block, _, _ = circulantize(gram, witness)
     gens = generators_from_blockgram(block)
-    x0 = _pack_point(CirculantPair(d, gens[0], gens[1]), 0.5)
+    x0 = pack(CirculantPair(d, gens[0], gens[1]), 0.5)
     rows = residual_count(d)
     return Certificate(
         d=d,
@@ -763,7 +730,7 @@ def _residual_polynomials(d):
         "mod_u": lambda j: _poly_sum((1.0, abs2(u[j])), (-1.0, pivot)),
         "mod_c": lambda j: _poly_sum((1.0, abs2(c[j])), (-1.0, pivot)),
     }
-    rows = [quantity[name](j) for name, j in _row_spec(d)]
+    rows = [quantity[name](j) for name, j in row_spec(d)]
     for k, constant in enumerate(({(): -1.0}, {(): -1.0}, {(w_idx,): -4.0})):
         rows[k] = _poly_sum((1.0, rows[k]), (1.0, constant))
     return rows

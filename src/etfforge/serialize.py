@@ -122,10 +122,12 @@ def matrix_from_obj(obj):
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
         kind = str(obj.get("kind", "generic"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError("malformed matrix JSON: %s" % exc) from exc
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise InvalidArgumentError("matrix JSON shape mismatch")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise InvalidArgumentError("matrix JSON has non-finite entries")
     return re + 1j * im, kind
 
 
@@ -156,10 +158,12 @@ def pair_from_obj(obj):
             raise InvalidArgumentError("only 2-generator documents supported")
         x = np.asarray(obj["x_re"], dtype=float) + 1j * np.asarray(obj["x_im"], dtype=float)
         y = np.asarray(obj["y_re"], dtype=float) + 1j * np.asarray(obj["y_im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError("malformed generator JSON: %s" % exc) from exc
     if x.shape != (d,) or y.shape != (d,):
         raise InvalidArgumentError("generator length disagrees with d")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InvalidArgumentError("generator JSON has non-finite entries")
     return d, x, y
 
 
@@ -181,7 +185,7 @@ def witness_from_obj(obj):
         c_re = np.asarray(obj["c_re"], dtype=float)
         c_im = np.asarray(obj["c_im"], dtype=float)
         m, t = int(obj["m"]), int(obj["t"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError("malformed witness JSON: %s" % exc) from exc
     if c_re.shape != c_im.shape:
         raise InvalidArgumentError("witness scalar parts disagree in length")

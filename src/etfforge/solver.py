@@ -11,10 +11,15 @@ satisfy unit norms (u_0 = v_0 = 1), tightness (u_j + v_j = 0 for j != 0)
 and equal moduli (|u_j| = |c_j| = |c_0| for j != 0).  The residual below
 lists one real equation per independent constraint; a Levenberg-Marquardt
 loop with the exact Jacobian drives it to zero.
+
+The row layout of that residual is written once, in row_spec.  residual,
+analytic_jacobian and the interval and polynomial forms in certify all
+take their rows from it (gather_rows picks them out of per-lag arrays).
 """
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,111 +41,106 @@ def residual_count(d):
     return 2 * d + d // 2 + 1
 
 
-def residual(pair, w):
-    """Real residual vector of length 2d + floor(d/2) + 1.
+QUANTITIES = ("u_re", "v_re", "s_re", "s_im", "mod_u", "mod_c")
 
-    Layout: [0] |x|^2-1; [1] |y|^2-1; d tightness rows (lag 0 pinned to
-    4w, lags 0<j<d/2 real and imaginary parts, lag d/2 real only when d
-    is even); floor(d/2) equal-modulus rows |u_j|^2 - |c_0|^2; d-1 rows
-    |c_j|^2 - |c_0|^2.
-    """
+
+def row_spec(d):
+    """The residual row layout as (quantity, lag) pairs.  u_re, v_re, s_re
+    and s_im are real and imaginary parts of u_j, v_j and s_j = u_j + v_j;
+    mod_u and mod_c stand for |u_j|^2 - |c_0|^2 and |c_j|^2 - |c_0|^2.
+    Rows 0, 1 and 2 also carry the constants -1, -1 and -4w, which callers
+    add themselves."""
+    spec = [("u_re", 0), ("v_re", 0), ("s_re", 0)]
+    for j in range(1, (d + 1) // 2):
+        spec += [("s_re", j), ("s_im", j)]
+    if d % 2 == 0:
+        spec.append(("s_re", d // 2))
+    spec += [("mod_u", j) for j in range(1, d // 2 + 1)]
+    spec += [("mod_c", j) for j in range(1, d)]
+    return spec
+
+
+@lru_cache(maxsize=32)
+def _row_index(d):
+    """(quantity, rows, lags) for each quantity of row_spec(d); cached, so read only."""
+    names, lags = map(np.array, zip(*row_spec(d)))
+    return tuple((q, np.flatnonzero(names == q), lags[names == q]) for q in QUANTITIES)
+
+
+def gather_rows(d, quantities):
+    """The residual rows of row_spec(d), picked out of quantities, a dict
+    from each name in QUANTITIES to a real array with the lag on axis 0
+    and any trailing axes (the same for all six).  u_re, v_re, s_re,
+    s_im and mod_u are only read at lags 0..d/2."""
+    out = np.empty((residual_count(d),) + np.shape(quantities["u_re"])[1:])
+    for name, rows, lags in _row_index(d):
+        out[rows] = quantities[name][lags]
+    return out
+
+
+def residual(pair, w):
+    """Real residual vector of length 2d + floor(d/2) + 1, in the layout
+    of row_spec."""
     d = pair.d
     u, v, c = correlations(pair.x, pair.y)
-    rows = np.empty(residual_count(d))
-    rows[0] = u[0].real - 1.0
-    rows[1] = v[0].real - 1.0
-    k = 2
     s = u + v
-    rows[k] = s[0].real - 4.0 * w
-    k += 1
-    for j in range(1, (d + 1) // 2):
-        rows[k] = s[j].real
-        rows[k + 1] = s[j].imag
-        k += 2
-    if d % 2 == 0:
-        rows[k] = s[d // 2].real
-        k += 1
-    pivot = abs(c[0]) ** 2
-    for j in range(1, d // 2 + 1):
-        rows[k] = abs(u[j]) ** 2 - pivot
-        k += 1
-    for j in range(1, d):
-        rows[k] = abs(c[j]) ** 2 - pivot
-        k += 1
+    # hypot then pow matches scalar abs(z) ** 2 bit for bit, so a seed's solve path is stable
+    abs2_u = np.float_power(np.hypot(u.real, u.imag), 2.0)
+    abs2_c = np.float_power(np.hypot(c.real, c.imag), 2.0)
+    rows = gather_rows(d, {
+        "u_re": u.real,
+        "v_re": v.real,
+        "s_re": s.real,
+        "s_im": s.imag,
+        "mod_u": abs2_u - abs2_c[0],
+        "mod_c": abs2_c - abs2_c[0],
+    })
+    rows[:3] -= (1.0, 1.0, 4.0 * w)
     return rows
 
 
 def analytic_jacobian(pair, w):
     """Exact Jacobian of `residual` in the variables
-    (Re x, Im x, Re y, Im y, w), shape (2d + floor(d/2) + 1, 4d + 1)."""
+    (Re x, Im x, Re y, Im y, w), shape (2d + floor(d/2) + 1, 4d + 1).
+
+    The derivative of each quantity is a (lag x variable) table, gathered
+    into rows like the residual; u, v and s are read at lags 0..d/2 only,
+    so their tables stop there.
+    """
     d = pair.d
     x, y = pair.x, pair.y
     u, v, c = correlations(x, y)
-    idx = np.arange(d)
-    m1 = (idx[None, :] - idx[:, None]) % d  # (l - j) mod d
-    m2 = (idx[None, :] + idx[:, None]) % d  # (l + j) mod d
-    xm1, xm2c = x[m1], np.conj(x)[m2]
-    ym1, ym2c = y[m1], np.conj(y)[m2]
-    du_da = xm1 + xm2c
-    du_db = 1j * (xm2c - xm1)
-    dv_dp = ym1 + ym2c
-    dv_dq = 1j * (ym2c - ym1)
-    dc_da = ym1
-    dc_db = -1j * ym1
-    dc_dp = xm2c
-    dc_dq = 1j * xm2c
-    rows = residual_count(d)
-    jac = np.zeros((rows, 4 * d + 1))
-    a_sl, b_sl = slice(0, d), slice(d, 2 * d)
-    p_sl, q_sl = slice(2 * d, 3 * d), slice(3 * d, 4 * d)
-    jac[0, a_sl] = 2.0 * x.real
-    jac[0, b_sl] = 2.0 * x.imag
-    jac[1, p_sl] = 2.0 * y.real
-    jac[1, q_sl] = 2.0 * y.imag
-    k = 2
-    jac[k, a_sl] = du_da[0].real
-    jac[k, b_sl] = du_db[0].real
-    jac[k, p_sl] = dv_dp[0].real
-    jac[k, q_sl] = dv_dq[0].real
-    jac[k, 4 * d] = -4.0
-    k += 1
-    for j in range(1, (d + 1) // 2):
-        jac[k, a_sl] = du_da[j].real
-        jac[k, b_sl] = du_db[j].real
-        jac[k, p_sl] = dv_dp[j].real
-        jac[k, q_sl] = dv_dq[j].real
-        jac[k + 1, a_sl] = du_da[j].imag
-        jac[k + 1, b_sl] = du_db[j].imag
-        jac[k + 1, p_sl] = dv_dp[j].imag
-        jac[k + 1, q_sl] = dv_dq[j].imag
-        k += 2
-    if d % 2 == 0:
-        h = d // 2
-        jac[k, a_sl] = du_da[h].real
-        jac[k, b_sl] = du_db[h].real
-        jac[k, p_sl] = dv_dp[h].real
-        jac[k, q_sl] = dv_dq[h].real
-        k += 1
-    # d|z|^2 = 2 Re(conj(z) dz); the pivot |c_0|^2 enters every modulus row
-    c0 = np.conj(c[0])
-    piv_a = 2.0 * (c0 * dc_da[0]).real
-    piv_b = 2.0 * (c0 * dc_db[0]).real
-    piv_p = 2.0 * (c0 * dc_dp[0]).real
-    piv_q = 2.0 * (c0 * dc_dq[0]).real
-    for j in range(1, d // 2 + 1):
-        uj = np.conj(u[j])
-        jac[k, a_sl] = 2.0 * (uj * du_da[j]).real - piv_a
-        jac[k, b_sl] = 2.0 * (uj * du_db[j]).real - piv_b
-        jac[k, p_sl] = -piv_p
-        jac[k, q_sl] = -piv_q
-        k += 1
-    for j in range(1, d):
-        cj = np.conj(c[j])
-        jac[k, a_sl] = 2.0 * (cj * dc_da[j]).real - piv_a
-        jac[k, b_sl] = 2.0 * (cj * dc_db[j]).real - piv_b
-        jac[k, p_sl] = 2.0 * (cj * dc_dp[j]).real - piv_p
-        jac[k, q_sl] = 2.0 * (cj * dc_dq[j]).real - piv_q
-        k += 1
+    half = d // 2 + 1
+    lag = np.arange(d)[:, None]
+    back = np.arange(d, 2 * d) - lag  # [j, l] -> l - j, into z written out twice
+    ahead = np.arange(d) + lag  # l + j, likewise
+    x2, y2 = np.concatenate([x, x]), np.concatenate([y, y])
+    xb, yb = x2[back[:half]], y2[back[:half]]  # z_(l-j)
+    xa, ya = np.conj(x2)[ahead[:half]], np.conj(y2)[ahead[:half]]  # conj(z_(l+j))
+    # du_j / d(Re x_l, Im x_l) beside dv_j / d(Re y_l, Im y_l); dw = 0
+    ds = np.concatenate(
+        [xb + xa, 1j * (xa - xb), yb + ya, 1j * (ya - yb), np.zeros((half, 1))], axis=1
+    )
+    # d|z|^2 = 2 Re(conj(z) dz).  dc_j / d(Re x_l, Im x_l, Re y_l, Im y_l)
+    # is (y_(l-j), -i y_(l-j), conj(x_(l+j)), i conj(x_(l+j))), and as
+    # multiplying by -+i is exact, Re(conj(c_j) (-+i z)) = +-Im(conj(c_j) z)
+    cy = np.conj(c)[:, None] * y2[back]
+    cx = np.conj(c)[:, None] * np.conj(x2)[ahead]
+    abs2_c = 2.0 * np.concatenate([cy.real, cy.imag, cx.real, -cx.imag, np.zeros((d, 1))], axis=1)
+    abs2_u = 2.0 * (np.conj(u[:half])[:, None] * ds[:, :2 * d]).real
+    # the pivot |c_0|^2 enters every modulus row; u_j does not move with y
+    pivot = abs2_c[0]
+    x_vars = np.arange(4 * d + 1) < 2 * d
+    norm = 2.0 * pack(pair, 0.0)[None, :]  # d|x|^2 beside d|y|^2
+    jac = gather_rows(d, {
+        "u_re": np.where(x_vars, norm, 0.0),
+        "v_re": np.where(x_vars, 0.0, norm),
+        "s_re": ds.real,
+        "s_im": ds.imag,
+        "mod_u": np.concatenate([abs2_u, np.zeros((half, 2 * d + 1))], axis=1) - pivot,
+        "mod_c": abs2_c - pivot,
+    })
+    jac[2, 4 * d] = -4.0  # the -4w of the lag-0 tightness row
     return jac
 
 
@@ -163,13 +163,15 @@ class SolveResult:
         return obj
 
 
-def _pack(pair, w):
+def pack(pair, w):
+    """The point (Re x, Im x, Re y, Im y, w) as one real vector."""
     return np.concatenate(
         [pair.x.real, pair.x.imag, pair.y.real, pair.y.imag, [w]]
     )
 
 
-def _unpack(vec, d):
+def unpack(vec, d):
+    """Inverse of pack: (CirculantPair, w)."""
     x = vec[0:d] + 1j * vec[d : 2 * d]
     y = vec[2 * d : 3 * d] + 1j * vec[3 * d : 4 * d]
     return CirculantPair(d=d, x=x, y=y), float(vec[4 * d])
@@ -191,8 +193,8 @@ def solve(d, seed=0, tol=1e-12, max_iter=500):
     x /= np.linalg.norm(x)
     y /= np.linalg.norm(y)
     w = 0.5
-    vec = _pack(CirculantPair(d=d, x=x, y=y), w)
-    pair, _ = _unpack(vec, d)
+    vec = pack(CirculantPair(d=d, x=x, y=y), w)
+    pair, _ = unpack(vec, d)
     r = residual(pair, w)
     cost = float(r @ r)
     lam = 1e-3
@@ -214,7 +216,7 @@ def solve(d, seed=0, tol=1e-12, max_iter=500):
                 continue
             trial_vec = vec.copy()
             trial_vec[:n_var] += step
-            trial_pair, _ = _unpack(trial_vec, d)
+            trial_pair, _ = unpack(trial_vec, d)
             trial_r = residual(trial_pair, w)
             trial_cost = float(trial_r @ trial_r)
             if trial_cost < cost:
@@ -251,9 +253,8 @@ def alternating_projections_gram(d, n, seed=0, iterations=2000):
     a /= np.linalg.norm(a, axis=0, keepdims=True)
     g = a.conj().T @ a
     off = ~np.eye(n, dtype=bool)
-    prev = None
-    for _ in range(iterations):
-        # structural step
+
+    def structural(g):
         h = g.copy()
         np.fill_diagonal(h, 1.0)
         mods = np.abs(h)
@@ -261,6 +262,11 @@ def alternating_projections_gram(d, n, seed=0, iterations=2000):
         safe = np.where(mods > 0, mods, 1.0)
         h[off] = (h / safe * gamma)[off]
         h[zeros] = gamma
+        return h
+
+    prev = None
+    for _ in range(iterations):
+        h = structural(g)
         # spectral step
         vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
         top = vecs[:, -d:]
@@ -268,14 +274,7 @@ def alternating_projections_gram(d, n, seed=0, iterations=2000):
         if prev is not None and float(np.max(np.abs(g - prev))) < 1e-14:
             break
         prev = g
-    h = g.copy()
-    np.fill_diagonal(h, 1.0)
-    mods = np.abs(h)
-    zeros = off & (mods < 1e-300)
-    safe = np.where(mods > 0, mods, 1.0)
-    h[off] = (h / safe * gamma)[off]
-    h[zeros] = gamma
-    return h
+    return structural(g)
 
 
 @dataclass(frozen=True)
@@ -303,7 +302,6 @@ def d4_uniqueness_experiment(trials=1000, iterations=2000, seed=0, csv_path=None
     7 I over the integers.
     """
     records = []
-    eye7 = np.eye(7, dtype=np.int64)
     for trial in range(int(trials)):
         g = alternating_projections_gram(4, 8, seed=[int(seed), trial], iterations=iterations)
         gamma = welch_gamma(4, 8)

@@ -357,6 +357,23 @@ def _exact_residual(vec, d):
     return rows
 
 
+@pytest.mark.parametrize("d", list(range(2, 10)))
+def test_residual_layout_matches_exact_reference(d):
+    # _exact_residual writes the layout out by hand, so this checks the
+    # row spec that residual, analytic_jacobian, f_eval_interval and
+    # _residual_polynomials all share against an independent copy
+    rng = np.random.default_rng(700 + d)
+    for _ in range(3):
+        vec = rng.standard_normal(4 * d + 1) * 0.4
+        vec[4 * d] = rng.uniform(-1.0, 1.0)
+        pair = CirculantPair(d, vec[:d] + 1j * vec[d:2 * d], vec[2 * d:3 * d] + 1j * vec[3 * d:4 * d])
+        rows = residual(pair, vec[4 * d])
+        exact = _exact_residual([Fraction(float(v)) for v in vec], d)
+        assert len(rows) == len(exact) == residual_count(d)
+        for got, want in zip(rows, exact):
+            assert abs(Fraction(float(got)) - want) <= 1e-12
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_secant_jacobian_contains_exact_rational_secant(d):
     delta = 1e-10

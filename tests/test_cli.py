@@ -293,3 +293,57 @@ def test_sweep_empty_range_exits_2(tmp_path, capsys):
     assert run_cli("sweep", "--d", "5..3", "--out-dir", out_dir) == 2
     assert "empty" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def _generator_doc():
+    from etfforge.solver import solve
+
+    return solve(3, seed=0).to_obj()
+
+
+def _gram_only_construction_doc():
+    payload, _ = cli._build_construction("paley-plus", 5, None, None, None)
+    return dict(payload, frame=None, pair=None)
+
+
+MALFORMED_DOCUMENTS = {
+    # JSON 1e400 parses to inf, and int(inf) overflows
+    "d_1e400": (_generator_doc, {"d": "1e400"}, "malformed generator JSON"),
+    "w_text": (_generator_doc, {"w": '"q"'}, "'w'"),
+    "w_null": (_generator_doc, {"w": "null"}, "'w'"),
+    "seed_text": (_generator_doc, {"seed": '"s"'}, "'seed'"),
+    "gram_d_text": (_gram_only_construction_doc, {"d": '"x"'}, "'d'"),
+    "nan_entry": (_generator_doc, {"x_re": "[NaN, 0.5, 0.5]"}, "non-finite"),
+    # finite entries whose Gram overflows when it is formed
+    "huge_entries": (_generator_doc, {"x_re": "[1e308, 1e308, 1e308]",
+                                      "y_re": "[1e308, 1e308, 1e308]"}, "overflows"),
+}
+
+
+@pytest.mark.parametrize("case, command", [
+    ("d_1e400", "check"),
+    ("d_1e400", "certify"),
+    ("d_1e400", "detect"),
+    ("d_1e400", "circulantize"),
+    ("w_text", "certify"),
+    ("w_null", "certify"),
+    ("seed_text", "certify"),
+    ("gram_d_text", "check"),
+    ("nan_entry", "detect"),
+    ("huge_entries", "detect"),
+])
+def test_malformed_document_exits_2_without_traceback(tmp_path, capsys, case, command):
+    build, fields, message = MALFORMED_DOCUMENTS[case]
+    doc = build()
+    # each field is spliced in as raw JSON text, which json.dumps cannot write
+    doc.update({key: "@%s@" % key for key in fields})
+    text = json.dumps(doc)
+    for key, raw in fields.items():
+        text = text.replace('"@%s@"' % key, raw)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    extra = {"detect": ["--m", 1], "circulantize": ["--out", tmp_path / "out.json"]}
+    assert run_cli(command, "--in", path, *extra.get(command, [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
