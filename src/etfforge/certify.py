@@ -30,7 +30,8 @@ solver.gather_rows, and _residual_polynomials iterates the spec.
 Where that argument cannot close (at d = 4 every zero is singular beyond
 the gauge kernel), a dimension covered by a witnessed symplectic
 construction is proved instead by exact Gaussian-integer identities; see
-Certificate and certify_exact.
+Certificate and certify_exact, which takes its signature and witness from
+harmonic.family_signature.
 """
 
 import math
@@ -437,40 +438,6 @@ def exact_constructions(d):
     return out
 
 
-def gaussian_signature(family, q):
-    """Exact signature of a symplectic family as int64 arrays (re, im),
-    with the family's shift witness.
-
-    paley_plus: omega C of order q+1, with C the halfturn conference
-    matrix and omega = 1 (q = 1 mod 4) or i (q = 3 mod 4).
-    double_paley_plus: the fullturn signature S doubled to
-    [[S, S + iI], [S - iI, -S]], of order 2(q+1).
-    """
-    from . import galois
-    from .constructions import line_system_conference
-    from .harmonic import _fullturn_witness, _halfturn_witness
-
-    q = int(q)
-    if family == "paley_plus":
-        system = galois.build_line_system(q, "halfturn")
-        witness = _halfturn_witness(system)
-    elif family == "double_paley_plus":
-        system = galois.build_line_system(q, "fullturn")
-        witness = _fullturn_witness(system)
-    else:
-        raise InvalidArgumentError(
-            "family must be 'paley_plus' or 'double_paley_plus'"
-        )
-    conf = line_system_conference(system).data
-    zero = np.zeros_like(conf)
-    re, im = (conf, zero) if q % 4 == 1 else (zero, conf)
-    if family == "double_paley_plus":
-        eye = np.eye(q + 1, dtype=np.int64)
-        re = np.block([[re, re], [re, -re]])
-        im = np.block([[im, im + eye], [im - eye, -im]])
-    return re, im, witness
-
-
 def _require_zero(identity, re, im=0):
     if np.any(re) or np.any(im):
         raise CertificationError("infeasible", "%s fails exactly over Z[i]" % identity)
@@ -621,9 +588,11 @@ def _certify_dimension(args):
             list(seeds),
             best_residual,
         )
+    from .harmonic import family_signature
+
     for family, q in exact_constructions(d):
         try:
-            cert = certify_exact(*gaussian_signature(family, q))
+            cert = certify_exact(*family_signature(family, q))
         except ToolkitError as exc:
             message += "; exact route via %s q=%d: %s" % (family, q, exc)
             continue

@@ -158,9 +158,8 @@ def _build_construction(family, q, v, m, epsilon):
         _require(q is not None, "--q is required for %s" % family)
         key = "paley_plus" if family == "paley-plus" else "double_paley_plus"
         gram_mat, wit = harmonic.family_automorphism(key, q)
-        gram = np.asarray(gram_mat.data if hasattr(gram_mat, "data") else gram_mat)
-        d = (q + 1) // 2 if family == "paley-plus" else q + 1
-        frame = frame_from_gram(gram, d).data
+        gram = gram_mat.data
+        frame = frame_from_gram(gram, gram.shape[0] // 2).data
         witness = witness_to_obj(wit.sigma, wit.c, m=len(wit.cycles()[0]), t=len(wit.cycles()))
         params = {"q": int(q)}
     elif family == "double-paley":
@@ -266,14 +265,21 @@ def _frame_from_payload(obj):
     raise InvalidArgumentError("unsupported document kind %r" % kind)
 
 
-def _gram_from_payload(obj):
-    if obj.get("kind") == "construction" and obj.get("gram"):
-        return matrix_from_obj(obj["gram"])[0]
+def _checked_frame(obj):
+    """The document's frame a and its Gram a^H a.  Bad input when either
+    product that check_etf forms, a^H a or a a^H, overflows."""
     phi = _frame_from_payload(obj)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = phi.conj().T @ phi
-    _require(np.all(np.isfinite(gram)), "the Gram of the input frame overflows")
-    return gram
+        finite = np.all(np.isfinite(gram)) and np.all(np.isfinite(phi @ phi.conj().T))
+    _require(finite, "the Gram or frame operator of the input frame overflows")
+    return phi, gram
+
+
+def _gram_from_payload(obj):
+    if obj.get("kind") == "construction" and obj.get("gram"):
+        return matrix_from_obj(obj["gram"])[0]
+    return _checked_frame(obj)[1]
 
 
 def _pair_from_payload(obj):
@@ -293,7 +299,7 @@ def cmd_check(args, argv):
 
     run = Run(argv)
     obj = run.read(args.in_path)
-    phi = _frame_from_payload(obj)
+    phi, _ = _checked_frame(obj)
     report = check_etf(phi, tol=args.tol)
     _print_report(report)
     return EXIT_OK if report.verdict else EXIT_FAIL
@@ -319,7 +325,7 @@ def cmd_solve(args, argv):
 
 
 def cmd_certify(args, argv):
-    from .certify import certify
+    from .certify import METHOD_EXACT, certify, exact_constructions
 
     run = Run(argv)
     obj = run.read(args.in_path)
@@ -330,7 +336,12 @@ def cmd_certify(args, argv):
     try:
         cert = certify(pair, delta=args.delta, w=w, seed=seed)
     except CertificationError as exc:
-        print("certification failed: reason=%s %s" % (exc.reason, exc))
+        message = str(exc)
+        if exact_constructions(pair.d):
+            # the exact route proves a constructed point, not this one
+            message += "; d=%d is proved by %s: etfforge sweep --d %d" % (
+                pair.d, METHOD_EXACT, pair.d)
+        print("certification failed: reason=%s %s" % (exc.reason, message))
         if args.out:
             run.stage(
                 args.out,
@@ -339,7 +350,7 @@ def cmd_certify(args, argv):
                     "d": pair.d,
                     "verified": False,
                     "reason": exc.reason,
-                    "message": str(exc),
+                    "message": message,
                 },
             )
             run.flush()

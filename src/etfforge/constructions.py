@@ -230,29 +230,6 @@ def line_system_conference(system):
     return ConferenceMatrix(n=n, data=c, symmetry=symmetry)
 
 
-def _omega(q):
-    return 1.0 + 0.0j if q % 4 == 1 else 1.0j
-
-
-def symplectic_halfturn_signature(q):
-    """Signature of the (q+1)/2 x (q+1) ETF carried by the halfturn line
-    system: omega times its conference matrix."""
-    system = galois.build_line_system(q, "halfturn")
-    conf = line_system_conference(system)
-    s = _omega(q) * conf.data.astype(complex)
-    return system, ComplexMatrix(s, "signature")
-
-
-def symplectic_fullturn_signature(q):
-    """Signature of the (q+1) x 2(q+1) ETF from the fullturn line system:
-    the halfsize signature doubled with beta = i."""
-    system = galois.build_line_system(q, "fullturn")
-    conf = line_system_conference(system)
-    s_base = _omega(q) * conf.data.astype(complex)
-    doubled = double_signature(s_base, (q + 1) // 2, q + 1, +1)
-    return system, doubled
-
-
 def double_signature(sig, d, n, epsilon):
     """Blow a d x n ETF signature up to a 2n-vector signature in dimension n.
 

@@ -5,6 +5,11 @@ splits into t x t blocks of m x m circulants.  Such a Gram is the Gram of
 t generator vectors and their m cyclic translates.  The tools here detect
 that structure, recover generators, straighten a scaled permutation
 symmetry into honest block circulance, and search for such symmetries.
+
+The two witnessed symplectic families are built here once, as exact
+Gaussian-integer signatures with their shift witnesses
+(family_signature); family_automorphism and certify's exact route both
+start from them.
 """
 
 import itertools
@@ -14,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import galois
-from .constructions import (
-    double_signature,
-    line_system_conference,
-)
+# double_signature is unused here; perfbench/spans.py patches it on this module
+from .constructions import double_signature, line_system_conference  # noqa: F401
 from .errors import (
     InconsistentWitnessError,
     InvalidArgumentError,
@@ -26,8 +29,6 @@ from .errors import (
 )
 from .frames import circulant, gram_of_signature
 from .linalg import ComplexMatrix, as_array, dft_matrix
-
-_OMEGA = {1: 1.0 + 0.0j, 3: 1.0j}
 
 
 @dataclass(frozen=True)
@@ -308,33 +309,43 @@ def _fullturn_witness(system):
     return AutomorphismWitness(sigma=tuple(sigma), c=c)
 
 
-def family_automorphism(family, q):
-    """Gram and its shift symmetry for the symplectic families.
+def family_signature(family, q):
+    """Exact signature of a symplectic family as int64 arrays (re, im),
+    with the family's shift witness.
 
-    family "paley_plus": the (q+1)/2 x (q+1) system; the witness advances
-    each halfturn orbit, scalars chi of the wrap signs.
-    family "double_paley_plus": the doubled (q+1) x 2(q+1) system; the
-    witness advances the fullturn orbit while swapping the two copies.
-    Verified here to 1e-10.
+    family "paley_plus": omega C of order q+1, with C the halfturn
+    conference matrix and omega = 1 (q = 1 mod 4) or i (q = 3 mod 4); the
+    witness advances each halfturn orbit, scalars chi of the wrap signs.
+    family "double_paley_plus": the fullturn signature S doubled to
+    [[S, S + iI], [S - iI, -S]], of order 2(q+1); the witness advances
+    the fullturn orbit while swapping the two copies.
     """
     q = int(q)
     if family == "paley_plus":
         system = galois.build_line_system(q, "halfturn")
-        conf = line_system_conference(system)
-        s = _OMEGA[q % 4] * conf.data.astype(complex)
-        gram = gram_of_signature(ComplexMatrix(s, "signature"), (q + 1) // 2)
         witness = _halfturn_witness(system)
     elif family == "double_paley_plus":
         system = galois.build_line_system(q, "fullturn")
-        conf = line_system_conference(system)
-        s_base = _OMEGA[q % 4] * conf.data.astype(complex)
-        doubled = double_signature(s_base, (q + 1) // 2, q + 1, +1)
-        gram = gram_of_signature(doubled, q + 1)
         witness = _fullturn_witness(system)
     else:
         raise InvalidArgumentError(
             "family must be 'paley_plus' or 'double_paley_plus'"
         )
+    conf = line_system_conference(system).data
+    zero = np.zeros_like(conf)
+    re, im = (conf, zero) if q % 4 == 1 else (zero, conf)
+    if family == "double_paley_plus":
+        eye = np.eye(q + 1, dtype=np.int64)
+        re = np.block([[re, re], [re, -re]])
+        im = np.block([[im, im + eye], [im - eye, -im]])
+    return re, im, witness
+
+
+def family_automorphism(family, q):
+    """Gram of family_signature's signature, in dimension half its order,
+    with the family's shift witness, verified here to 1e-10."""
+    re, im, witness = family_signature(family, q)
+    gram = gram_of_signature(ComplexMatrix(re + 1j * im, "signature"), re.shape[0] // 2)
     res = verify_automorphism(gram, witness)
     if res > 1e-10:
         raise NumericFailureError(

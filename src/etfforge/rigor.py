@@ -196,21 +196,6 @@ def iv_div(a, b):
     return _wrap1(*vdiv(a.lo, a.hi, b.lo, b.hi))
 
 
-def iv_abs(a):
-    a = _coerce(a)
-    return _wrap1(*vabs(a.lo, a.hi))
-
-
-def iv_sqr(a):
-    a = _coerce(a)
-    return _wrap1(*vsqr(a.lo, a.hi))
-
-
-def iv_neg(a):
-    a = _coerce(a)
-    return _wrap1(a.hi * -1.0, a.lo * -1.0)
-
-
 class IntervalMatrix:
     """A rectangular matrix of intervals stored as lo/hi endpoint arrays."""
 
@@ -253,11 +238,6 @@ class IntervalMatrix:
 def iv_mat_sub(a, b):
     lo, hi = vsub(a.lo, a.hi, b.lo, b.hi)
     return IntervalMatrix(lo, hi)
-
-
-def iv_mat_abs_upper(a):
-    """Pointwise upper bound on |entry| (exact, no rounding)."""
-    return np.maximum(np.abs(a.lo), np.abs(a.hi))
 
 
 def _gamma(k):

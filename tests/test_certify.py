@@ -14,13 +14,12 @@ from etfforge.certify import (
     coefficient_norms,
     exact_constructions,
     f_eval_interval,
-    gaussian_signature,
     secant_jacobian,
     _residual_polynomials,
 )
 from etfforge.errors import CertificationError, InvalidArgumentError
 from etfforge.frames import CirculantPair, assemble_2circulant, check_etf
-from etfforge.harmonic import AutomorphismWitness
+from etfforge.harmonic import AutomorphismWitness, family_signature
 from etfforge.rigor import Interval, iv_add, iv_div, iv_mul, iv_sub
 from etfforge.serialize import dumps
 from etfforge.solver import analytic_jacobian, residual, residual_count, solve
@@ -252,7 +251,7 @@ def _frame_of_x0(cert):
 @pytest.mark.parametrize("family, q", [("paley_plus", 7), ("double_paley_plus", 3)])
 def test_certify_exact_proves_d4_from_both_families(family, q):
     assert (family, q) in exact_constructions(4)
-    cert = certify_exact(*gaussian_signature(family, q))
+    cert = certify_exact(*family_signature(family, q))
     assert cert.verified and cert.method == "exact-construction"
     assert cert.d == 4 and cert.seed == -1
     assert cert.kernel_dim == 6 and cert.rows == 11 and cert.variables == 17
@@ -265,7 +264,7 @@ def test_certify_exact_proves_d4_from_both_families(family, q):
 
 
 def test_certify_exact_refuses_flipped_signature_entry():
-    re, im, witness = gaussian_signature("paley_plus", 7)  # S = i C
+    re, im, witness = family_signature("paley_plus", 7)  # S = i C
     assert im[0, 1] != 0
     im = im.copy()
     im[0, 1] = -im[0, 1]
@@ -275,13 +274,30 @@ def test_certify_exact_refuses_flipped_signature_entry():
 
 
 def test_certify_exact_refuses_negated_witness_scalar():
-    re, im, witness = gaussian_signature("double_paley_plus", 3)
+    re, im, witness = family_signature("double_paley_plus", 3)
     c = witness.c.copy()
     c[0] = -c[0]
     with pytest.raises(CertificationError) as err:
         certify_exact(re, im, AutomorphismWitness(sigma=witness.sigma, c=c))
     assert err.value.reason == "infeasible"
     assert "witness identity" in str(err.value)
+
+
+LISTED_CONSTRUCTIONS = [(d, family, q) for d in range(2, 31)
+                        for family, q in exact_constructions(d)]
+
+
+def test_exact_constructions_cover_2_to_30_but_four():
+    assert len(LISTED_CONSTRUCTIONS) == 32
+    assert {d for d, _, _ in LISTED_CONSTRUCTIONS} == set(range(2, 31)) - {11, 17, 23, 29}
+
+
+@pytest.mark.parametrize("d, family, q", LISTED_CONSTRUCTIONS)
+def test_certify_exact_proves_every_listed_construction(d, family, q):
+    # q runs over prime fields and over GF(25), GF(27) and GF(49)
+    cert = certify_exact(*family_signature(family, q))
+    assert cert.verified and cert.method == "exact-construction"
+    assert (cert.d, cert.kernel_dim) == (d, 4 * d + 1 - residual_count(d))
 
 
 def test_certify_exact_has_no_construction_at_d11():
@@ -295,7 +311,7 @@ def test_certify_exact_agrees_with_newton_kantorovich(d):
     routes = exact_constructions(d)
     assert routes
     for family, q in routes:
-        cert = certify_exact(*gaussian_signature(family, q))
+        cert = certify_exact(*family_signature(family, q))
         assert cert.verified
         assert (cert.kernel_dim, cert.rows, cert.variables) == (
             nk.kernel_dim, nk.rows, nk.variables)

@@ -115,6 +115,21 @@ def test_certify_corrupted_generators_fails(tmp_path):
     assert fdoc["reason"] == "infeasible"
 
 
+def test_certify_at_d4_fails_and_names_the_exact_route(tmp_path, capsys):
+    solved = tmp_path / "s4.json"
+    failed = tmp_path / "f4.json"
+    assert run_cli("solve", "--d", 4, "--out", solved) == 0
+    capsys.readouterr()
+    # Newton-Kantorovich cannot close at the stored point; the exact route
+    # proves a constructed point, so certify still fails
+    assert run_cli("certify", "--in", solved, "--out", failed) == 1
+    hint = "d=4 is proved by exact-construction: etfforge sweep --d 4"
+    out = capsys.readouterr().out
+    assert out.startswith("certification failed: reason=infeasible") and hint in out
+    fdoc = read_json(failed)
+    assert fdoc["verified"] is False and hint in fdoc["message"]
+
+
 def test_solve_then_detect_two_circulant_structure(tmp_path):
     solved = tmp_path / "s4.json"
     assert run_cli("solve", "--d", 4, "--out", solved) == 0
@@ -331,6 +346,7 @@ MALFORMED_DOCUMENTS = {
     ("gram_d_text", "check"),
     ("nan_entry", "detect"),
     ("huge_entries", "detect"),
+    ("huge_entries", "check"),
 ])
 def test_malformed_document_exits_2_without_traceback(tmp_path, capsys, case, command):
     build, fields, message = MALFORMED_DOCUMENTS[case]

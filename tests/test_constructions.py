@@ -20,8 +20,6 @@ from etfforge.constructions import (
     renes_strohmer_gram,
     steiner_circulant,
     symplectic_conference,
-    symplectic_fullturn_signature,
-    symplectic_halfturn_signature,
     synthesize_doubled_frame,
     table_dispatch,
     zauner_2x4_signature,
@@ -34,6 +32,7 @@ from etfforge.frames import (
     frame_from_gram,
     gram_of_signature,
 )
+from etfforge.harmonic import family_signature
 from etfforge.linalg import ComplexMatrix, dft_matrix
 
 
@@ -135,9 +134,9 @@ def test_symplectic_conference_rejects_dependent_reps():
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_halfturn_signature_square_identity(q):
-    system, sig = symplectic_halfturn_signature(q)
+    re, im, _ = family_signature("paley_plus", q)
     n = q + 1
-    s = sig.data
+    s = re + 1j * im
     assert s.shape == (n, n)
     assert np.max(np.abs(s @ s - q * np.eye(n))) < 1e-10
     if q % 4 == 1:
@@ -151,9 +150,9 @@ def test_halfturn_signature_square_identity(q):
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_fullturn_signature_square_identity(q):
-    system, sig = symplectic_fullturn_signature(q)
+    re, im, _ = family_signature("double_paley_plus", q)
     n = 2 * (q + 1)
-    s = sig.data
+    s = re + 1j * im
     assert s.shape == (n, n)
     assert np.max(np.abs(s @ s - (n - 1) * np.eye(n))) < 1e-9
     gram = gram_of_signature(s, (q + 1))
