@@ -265,21 +265,17 @@ def _frame_from_payload(obj):
     raise InvalidArgumentError("unsupported document kind %r" % kind)
 
 
-def _checked_frame(obj):
-    """The document's frame a and its Gram a^H a.  Bad input when either
-    product that check_etf forms, a^H a or a a^H, overflows."""
+def _gram_from_payload(obj):
+    """The document's Gram, or a^H a of its frame a.  Bad input when a^H a
+    or a a^H overflows."""
+    if obj.get("kind") == "construction" and obj.get("gram"):
+        return matrix_from_obj(obj["gram"])[0]
     phi = _frame_from_payload(obj)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = phi.conj().T @ phi
         finite = np.all(np.isfinite(gram)) and np.all(np.isfinite(phi @ phi.conj().T))
     _require(finite, "the Gram or frame operator of the input frame overflows")
-    return phi, gram
-
-
-def _gram_from_payload(obj):
-    if obj.get("kind") == "construction" and obj.get("gram"):
-        return matrix_from_obj(obj["gram"])[0]
-    return _checked_frame(obj)[1]
+    return gram
 
 
 def _pair_from_payload(obj):
@@ -299,8 +295,7 @@ def cmd_check(args, argv):
 
     run = Run(argv)
     obj = run.read(args.in_path)
-    phi, _ = _checked_frame(obj)
-    report = check_etf(phi, tol=args.tol)
+    report = check_etf(_frame_from_payload(obj), tol=args.tol)
     _print_report(report)
     return EXIT_OK if report.verdict else EXIT_FAIL
 

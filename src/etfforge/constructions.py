@@ -96,31 +96,11 @@ class ConferenceMatrix:
             raise ConstructionError("C^T C = (n-1) I fails exactly")
 
 
-def _field_tables(q):
-    """Field, (q, k) coefficient array, index weights, and chi lookup table."""
+def _odd_field(q):
     decomp = galois.prime_power_decomposition(q)
     if decomp is None or decomp[0] == 2:
         raise InvalidArgumentError("q must be an odd prime power")
-    p, k = decomp
-    field = galois.make_field(p, k)
-    coeffs = np.zeros((q, k), dtype=np.int64)
-    n = np.arange(q)
-    rem = n.copy()
-    for i in range(k):
-        coeffs[:, i] = rem % p
-        rem //= p
-    weights = p ** np.arange(k, dtype=np.int64)
-    chi = np.zeros(q, dtype=np.int64)
-    if k == 1:
-        sq = np.unique((n[1:] * n[1:]) % q)
-        chi[1:] = -1
-        chi[sq] = 1
-    else:
-        chi[1:] = -1
-        for idx in range(1, q):
-            e = field.from_index(idx)
-            chi[field.index_of(e * e)] = 1
-    return field, coeffs, weights, chi
+    return galois.make_field(*decomp)
 
 
 def paley_graph(q):
@@ -131,13 +111,11 @@ def paley_graph(q):
         raise InvalidArgumentError("q exceeds the Paley construction cap")
     if q % 4 != 1:
         raise InvalidArgumentError("Paley graphs need q = 1 mod 4")
-    field, coeffs, weights, chi = _field_tables(q)
-    p = field.p
+    field = _odd_field(q)
+    elements = np.arange(q)
     a = np.zeros((q, q), dtype=np.int64)
     for i in range(q):
-        diff = (coeffs[i][None, :] - coeffs) % p
-        idx = diff @ weights
-        a[i] = chi[idx] == 1
+        a[i] = field.chi(field.sub(i, elements)) == 1
     return ConferenceGraph(v=q, adjacency=a)
 
 
@@ -150,84 +128,60 @@ def paley_conference(q):
     q = int(q)
     if q > _MAX_PALEY_Q:
         raise InvalidArgumentError("q exceeds the Paley construction cap")
-    field, coeffs, weights, chi = _field_tables(q)
-    p = field.p
+    field = _odd_field(q)
+    elements = np.arange(q)
     n = q + 1
     c = np.zeros((n, n), dtype=np.int64)
-    chi_minus_one = int(chi[field.index_of(field.minus_one())])
     c[0, 1:] = 1
-    c[1:, 0] = chi_minus_one
+    c[1:, 0] = field.chi(field.sub(0, 1))
     for i in range(q):
-        diff = (coeffs - coeffs[i][None, :]) % p
-        idx = diff @ weights
-        c[i + 1, 1:] = chi[idx]
+        c[i + 1, 1:] = field.chi(field.sub(elements, i))
     symmetry = "symmetric" if q % 4 == 1 else "skew"
     return ConferenceMatrix(n=n, data=c, symmetry=symmetry)
 
 
 def appendix_line_reps(field):
     """Projective line representatives (alpha, 1) for alpha in GF(q), then
-    the infinite point (1, 0)."""
-    reps = [(e, field.one) for e in field.elements()]
-    reps.append((field.one, field.zero))
-    return reps
+    the infinite point (1, 0), as pairs of element indices."""
+    return [(alpha, 1) for alpha in range(field.q)] + [(1, 0)]
 
 
 def symplectic_conference(q, reps):
     """Conference matrix chi(det(t_i, t_j)) from projective line
-    representatives over GF(q)^2 with the determinant pairing."""
+    representatives over GF(q)^2, pairs of element indices in 0..q-1,
+    with the determinant pairing."""
     q = int(q)
-    field, _, _, chi = _field_tables(q)
-    pairs = []
-    for t in reps:
-        a, b = t
-        a, b = field.element(a), field.element(b)
-        if a.is_zero() and b.is_zero():
-            raise InvalidArgumentError("the zero vector is not a line representative")
-        pairs.append((a, b))
-    n = len(pairs)
+    field = _odd_field(q)
+    t = np.array(reps, dtype=np.int64)
+    if t.ndim != 2 or t.shape[1] != 2:
+        raise InvalidArgumentError("line representatives must be pairs")
+    if np.any((t < 0) | (t >= q)):
+        raise InvalidArgumentError("representative entries must lie in 0..q-1")
+    if np.any(np.all(t == 0, axis=1)):
+        raise InvalidArgumentError("the zero vector is not a line representative")
+    a, b = t[:, 0], t[:, 1]
+    n = len(t)
     c = np.zeros((n, n), dtype=np.int64)
-    chi_minus_one = int(chi[field.index_of(field.minus_one())])
     for i in range(n):
-        ai, bi = pairs[i]
-        for j in range(i + 1, n):
-            aj, bj = pairs[j]
-            det = ai * bj - aj * bi
-            if det.is_zero():
-                raise InvalidArgumentError(
-                    "representatives %d and %d span the same line" % (i, j)
-                )
-            val = int(chi[field.index_of(det)])
-            c[i, j] = val
-            c[j, i] = chi_minus_one * val
+        det = field.sub(field.mul(a[i], b), field.mul(a, b[i]))
+        zero = np.flatnonzero(det[i + 1 :] == 0)
+        if len(zero):
+            raise InvalidArgumentError(
+                "representatives %d and %d span the same line" % (i, i + 1 + zero[0])
+            )
+        c[i] = field.chi(det)
     symmetry = "symmetric" if q % 4 == 1 else "skew"
     return ConferenceMatrix(n=n, data=c, symmetry=symmetry)
 
 
 def line_system_conference(system):
     """Conference matrix chi([t_i, t_j]) over a symplectic line system."""
-    reps = system.representatives
-    n = len(reps)
-    q = system.q
-    tq = [t**q for t in reps]
-    scale = system.form_scale
-    chi_cache = {}
-
-    def chi_of(z):
-        key = z.coeffs
-        if key not in chi_cache:
-            chi_cache[key] = system.chi(z)
-        return chi_cache[key]
-
-    chi_minus_one = chi_of(system.ext.minus_one())
-    c = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = chi_of(scale * (reps[i] * tq[j] - reps[j] * tq[i]))
-            c[i, j] = val
-            c[j, i] = chi_minus_one * val
-    symmetry = "symmetric" if q % 4 == 1 else "skew"
-    return ConferenceMatrix(n=n, data=c, symmetry=symmetry)
+    logs = system.form_logs()
+    off = logs >= 0
+    c = np.zeros(logs.shape, dtype=np.int64)
+    c[off] = system.chi(logs[off])
+    symmetry = "symmetric" if system.q % 4 == 1 else "skew"
+    return ConferenceMatrix(n=len(c), data=c, symmetry=symmetry)
 
 
 def double_signature(sig, d, n, epsilon):

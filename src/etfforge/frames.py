@@ -84,19 +84,25 @@ def check_etf(phi, tol=1e-10):
 
     Deviations: column norms vs 1, frame operator vs (n/d) I, off-diagonal
     Gram moduli vs the Welch constant.  A single unit vector (d = n) passes
-    vacuously with gamma = 0.
+    vacuously with gamma = 0.  Raises InvalidArgumentError when a^H a or
+    a a^H is not finite, as when finite entries overflow.
     """
     a = as_array(phi)
     d, n = a.shape
     if d < 1 or n < d:
         raise InvalidArgumentError("check_etf expects d x n with n >= d >= 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        frame_op = a @ a.conj().T
+        gram = a.conj().T @ a
+    if not (np.all(np.isfinite(frame_op)) and np.all(np.isfinite(gram))):
+        raise InvalidArgumentError(
+            "the Gram or frame operator of the frame overflows or is not finite"
+        )
     norms = np.linalg.norm(a, axis=0)
     max_norm_dev = float(np.max(np.abs(norms - 1.0)))
-    tight = a @ a.conj().T - (n / d) * np.eye(d)
-    max_tight_dev = float(np.max(np.abs(tight)))
+    max_tight_dev = float(np.max(np.abs(frame_op - (n / d) * np.eye(d))))
     gamma = 0.0 if n == d else welch_gamma(d, n)
     if n > 1:
-        gram = a.conj().T @ a
         off = np.abs(gram[~np.eye(n, dtype=bool)])
         max_equi_dev = float(np.max(np.abs(off - gamma)))
     else:

@@ -1,18 +1,35 @@
-"""Finite fields GF(p^k), quadratic characters, and symplectic line systems.
+"""Finite fields GF(p^k) as index tables, and symplectic line systems.
 
-Field elements are polynomial residues stored as little-endian coefficient
-tuples modulo the lexicographically least monic irreducible of degree k.
-Everything here is exact integer arithmetic; no floats.
+An element of GF(p^k) is an int n in 0..q-1.  Its base-p digits are the
+little-endian coefficients of a polynomial residue modulo the
+lexicographically least monic irreducible of degree k, so n counts the
+field in coefficient-lex order.  make_field returns the field as three
+tables: digits[n] (those coefficients), exp[e] = g^e for the first
+generator g in coefficient-lex order, and log, the inverse of exp.
+Addition and subtraction act digit-wise mod p, multiplication adds logs
+mod q-1, and the quadratic character is the parity of log.  Everything
+is exact integer arithmetic; no floats.
+
+A symplectic line system over GF(q^2) stores each representative
+t_i = zeta^(a_i) by its exponent a_i, with zeta the generator.  The form
+[x, y] = zeta^((q+1)/2) (x y^q - y x^q) is then
+
+    [t_i, t_j] = zeta^((q+1)/2 + a_i + a_j q) (1 - zeta^((a_j - a_i)(1 - q))),
+
+one log lookup of 1 - zeta^e for the q+1 multiples e of q-1 (a Zech
+logarithm).  It vanishes exactly when a_i = a_j mod q+1, that is, when
+t_i and t_j span one line.  Its value lies in the subfield GF(q) exactly
+when its log is a multiple of q+1, because zeta^(q+1) generates GF(q)*,
+and the quadratic character of GF(q) there is (-1)^(log/(q+1)).
 """
 
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .errors import InvalidArgumentError, NumericFailureError
 
-_MAX_PRIME = 2**31
-_MAX_ORDER = 2**63
-_MAX_GENERATOR_ORDER = 10**6
-_MAX_LINE_SYSTEM_Q2 = 10**6
+_MAX_FIELD_ORDER = 10**6
 
 
 def is_prime(n):
@@ -131,33 +148,6 @@ def _poly_divmod(a, b, p):
     return _poly_trim(quot), _poly_trim(a)
 
 
-def _poly_invmod(a, f, p):
-    # Extended Euclid: find u with a*u = 1 mod f.
-    r0, r1 = list(f), _poly_trim(list(a))
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        qs = _poly_mulmod_plain(q, s1, p)
-        s_next = _poly_sub(s0, qs, p)
-        s0, s1 = s1, s_next
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    scale = pow(r0[0], p - 2, p)
-    return _poly_trim([(c * scale) % p for c in s0])
-
-
-def _poly_mulmod_plain(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_sub(a, b, p):
     n = max(len(a), len(b))
     out = [0] * n
@@ -183,283 +173,151 @@ def _is_irreducible(f, p):
     return True
 
 
+
+
+def _padded(poly, k):
+    return list(poly) + [0] * (k - len(poly))
+
+
+def _first_generator(f, p, q):
+    """First multiplicative generator of GF(p)[x]/f in coefficient-lex order,
+    as a coefficient list."""
+    k = len(f) - 1
+    order = q - 1
+    prime_divisors = factor_into_primes(order)
+    for n in range(1, q):
+        g = [n // p**i % p for i in range(k)]
+        if all(_poly_powmod(g, order // r, f, p) != [1] for r in prime_divisors):
+            return g
+    raise NumericFailureError("no generator found")  # pragma: no cover
+
+
 class GaloisField:
-    """GF(p^k) with a fixed lex-least irreducible modulus."""
+    """GF(p^k) as digit, exp and log tables over element indices 0..q-1.
+
+    Arithmetic takes ints or integer arrays of element indices and
+    broadcasts.  log[0] is -1: zero has no logarithm.
+    """
 
     def __init__(self, p, k, modulus):
         self.p = p
         self.k = k
-        self.q = p**k
+        self.q = q = p**k
         self.modulus = tuple(modulus)
-        # reduction rows: x^(k+i) mod f for i = 0..k-2, used in multiplication.
-        rows = []
-        rem = [0] * self.k + [1]
-        for _ in range(max(0, k - 1)):
-            rem = _poly_modred(rem, list(self.modulus), p)
-            row = list(rem) + [0] * (k - len(rem))
-            rows.append(tuple(row))
-            rem = [0] + row
-        self._red_rows = rows
-        self.zero = FieldElement(self, (0,) * k)
-        one = [1] + [0] * (k - 1)
-        self.one = FieldElement(self, tuple(one))
+        f = list(self.modulus)
+        self.weights = p ** np.arange(k, dtype=np.int64)
+        self.digits = np.arange(q, dtype=np.int64)[:, None] // self.weights % p
+        # exp by doubling: powers g^(m..2m-1) are powers g^(0..m-1) times
+        # g^m, a linear map on digit vectors whose row j is g^m x^j mod f.
+        powers = np.zeros((q - 1, k), dtype=np.int64)
+        powers[0, 0] = 1
+        h, m = _first_generator(f, p, q), 1
+        while m < q - 1:
+            times_h = np.array(
+                [_padded(_poly_mulmod(h, [0] * j + [1], f, p), k) for j in range(k)],
+                dtype=np.int64,
+            )
+            r = min(m, q - 1 - m)
+            powers[m : m + r] = powers[:r] @ times_h % p
+            h = _poly_mulmod(h, h, f, p)
+            m *= 2
+        self.exp = powers @ self.weights
+        self.log = np.full(q, -1, dtype=np.int64)
+        self.log[self.exp] = np.arange(q - 1)
+        if np.any(self.log[1:] < 0):
+            raise NumericFailureError("log table misses a nonzero element")
 
     def __repr__(self):
         return "GaloisField(p=%d, k=%d)" % (self.p, self.k)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GaloisField)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
+    def add(self, a, b):
+        return (self.digits[a] + self.digits[b]) % self.p @ self.weights
 
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+    def sub(self, a, b):
+        return (self.digits[a] - self.digits[b]) % self.p @ self.weights
 
-    def element(self, coeffs):
-        """Build an element from an int (constant) or coefficient iterable."""
-        if isinstance(coeffs, FieldElement):
-            if coeffs.field != self:
-                raise InvalidArgumentError("element belongs to a different field")
-            return coeffs
-        if isinstance(coeffs, int):
-            c = [coeffs % self.p] + [0] * (self.k - 1)
-            return FieldElement(self, tuple(c))
-        c = [int(v) % self.p for v in coeffs]
-        if len(c) > self.k:
-            c = _poly_modred(c, list(self.modulus), self.p)
-        c = c + [0] * (self.k - len(c))
-        return FieldElement(self, tuple(c[: self.k]))
+    def mul(self, a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        prod = self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return np.where((a == 0) | (b == 0), 0, prod)
 
-    def from_index(self, n):
-        """Element number n in coefficient-lex (base-p counting) order."""
-        if not 0 <= n < self.q:
-            raise InvalidArgumentError("element index out of range")
-        c = []
-        for _ in range(self.k):
-            c.append(n % self.p)
-            n //= self.p
-        return FieldElement(self, tuple(c))
-
-    def index_of(self, e):
-        n = 0
-        for c in reversed(e.coeffs):
-            n = n * self.p + c
-        return n
-
-    def elements(self):
-        for n in range(self.q):
-            yield self.from_index(n)
-
-    def minus_one(self):
-        return self.element(self.p - 1)
-
-
-class FieldElement:
-    """An immutable element of a GaloisField."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
-
-    def __repr__(self):
-        return "FieldElement(%r in GF(%d^%d))" % (
-            list(self.coeffs),
-            self.field.p,
-            self.field.k,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.field.p, self.field.k))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def _check_same(self, other):
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise InvalidArgumentError("operands belong to different fields")
-
-    def __add__(self, other):
-        self._check_same(other)
-        p = self.field.p
-        return FieldElement(
-            self.field,
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other):
-        self._check_same(other)
-        p = self.field.p
-        return FieldElement(
-            self.field,
-            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check_same(other)
-        f = self.field
-        p = f.p
-        k = f.k
-        a, b = self.coeffs, other.coeffs
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = [c % p for c in prod[:k]]
-        for i in range(k - 1):
-            c = prod[k + i] % p
-            if c:
-                row = f._red_rows[i]
-                for j in range(k):
-                    out[j] = (out[j] + c * row[j]) % p
-        return FieldElement(f, tuple(out))
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no inverse")
-        f = self.field
-        inv = _poly_invmod(list(self.coeffs), list(f.modulus), f.p)
-        return f.element(inv)
-
-    def __truediv__(self, other):
-        self._check_same(other)
-        return self * other.inverse()
-
-    def __pow__(self, e):
-        f = self.field
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = f.one
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+    def chi(self, a):
+        """Quadratic character: 0 at zero, +1 on nonzero squares (even
+        logs), -1 otherwise.  Odd characteristic only."""
+        if self.p == 2:
+            raise InvalidArgumentError("quadratic character undefined in characteristic 2")
+        a = np.asarray(a)
+        return np.where(a == 0, 0, 1 - 2 * (self.log[a] % 2))
 
 
 def make_field(p, k=1):
-    """Construct GF(p^k) with the lex-least monic irreducible modulus."""
+    """Construct GF(p^k), q = p^k <= 10^6, with the lex-least monic
+    irreducible modulus (found by Rabin's test) and its index tables."""
     p, k = int(p), int(k)
     if k < 1:
         raise InvalidArgumentError("extension degree must be >= 1")
-    if p >= _MAX_PRIME:
-        raise InvalidArgumentError("prime exceeds 2^31")
+    # 2^20 > 10^6, so capping the exponent at 20 decides every order
+    if p ** min(k, 20) > _MAX_FIELD_ORDER:
+        raise InvalidArgumentError("field order exceeds 10^6")
     if not is_prime(p):
         raise InvalidArgumentError("%d is not prime" % p)
-    if p**k >= _MAX_ORDER:
-        raise InvalidArgumentError("field order exceeds 2^63")
     if k == 1:
         return GaloisField(p, 1, (0, 1))
     for n in range(p**k):
-        coeffs = []
-        m = n
-        for _ in range(k):
-            coeffs.append(m % p)
-            m //= p
-        f = coeffs + [1]
+        f = [n // p**i % p for i in range(k)] + [1]
         if _is_irreducible(f, p):
             return GaloisField(p, k, tuple(f))
     raise NumericFailureError("no irreducible polynomial found")  # pragma: no cover
 
 
-def quadratic_character(x):
-    """0 at zero, +1 on nonzero squares, -1 otherwise. Odd fields only."""
-    if not isinstance(x, FieldElement):
-        raise InvalidArgumentError("quadratic_character expects a FieldElement")
-    f = x.field
-    if f.p == 2:
-        raise InvalidArgumentError("quadratic character undefined in characteristic 2")
-    if x.is_zero():
-        return 0
-    e = x ** ((f.q - 1) // 2)
-    if e == f.one:
-        return 1
-    if e == f.minus_one():
-        return -1
-    raise NumericFailureError("character power landed outside {-1, 1}")
-
-
-def find_generator(field):
-    """First multiplicative generator in coefficient-lex order."""
-    if field.q > _MAX_GENERATOR_ORDER:
-        raise InvalidArgumentError("field order exceeds generator search cap")
-    order = field.q - 1
-    prime_divisors = factor_into_primes(order)
-    for n in range(1, field.q):
-        g = field.from_index(n)
-        if all(g ** (order // r) != field.one for r in prime_divisors):
-            return g
-    raise NumericFailureError("no generator found")  # pragma: no cover
-
-
 @dataclass(frozen=True, eq=False)
 class SymplecticLineSystem:
-    """Projective line representatives over GF(q^2) with a symplectic form.
-
-    The form is [x, y] = zeta^((q+1)/2) (x y^q - y x^q); it is alternating,
-    scales as [cx, cy] = c^(q+1) [x, y], and takes values in the subfield
-    GF(q) embedded in GF(q^2).
+    """Projective line representatives over GF(q^2) with the symplectic
+    form of the module docstring, stored as exponents of the generator
+    zeta = ext.exp[1].
 
     variant "halfturn": q+1 representatives L^j(zeta^eps) for
     j < (q+1)/2 and eps in {0, 1}, with L(x) = zeta^(1-q) x, stored at
     index eps*(q+1)/2 + j.  L advances j by one; wrapping past the orbit
-    end multiplies by the sign alpha_signs[j].
+    end multiplies by the sign zeta^alpha_signs[j].
 
     variant "fullturn": q+1 representatives zeta^j for j <= q; the map
-    x -> zeta x advances j, wrapping with scalar alpha_signs[q] = zeta^(q+1).
+    x -> zeta x advances j, wrapping with scalar zeta^alpha_signs[q] =
+    zeta^(q+1).
     """
 
     q: int
     variant: str
-    base: GaloisField
     ext: GaloisField
-    zeta: FieldElement
-    representatives: list = dc_field(repr=False)
-    alpha_signs: list = dc_field(repr=False)
+    representatives: np.ndarray = dc_field(repr=False)
+    alpha_signs: np.ndarray = dc_field(repr=False)
     cycle_len: int = 0
-    form_scale: FieldElement = None
 
-    def form(self, x, y):
-        """Symplectic pairing; result lies in the subfield GF(q)."""
-        q = self.q
-        scale = self.form_scale
-        if scale is None:
-            scale = self.zeta ** ((q + 1) // 2)
-        val = scale * (x * (y**q) - y * (x**q))
-        if val**q != val:
-            raise NumericFailureError("form value escaped the subfield")
-        return val
+    def form_logs(self):
+        """log_zeta [t_i, t_j] for every pair, -1 on the diagonal, where
+        the form vanishes.  Raises when two representatives span one line."""
+        q, ext = self.q, self.ext
+        order = q * q - 1
+        a = self.representatives
+        e = (a[None, :] - a[:, None]) * (1 - q) % order
+        # log(1 - zeta^e) for the q+1 multiples e of q-1; -1 at e = 0
+        zech = ext.log[ext.sub(1, ext.exp[(q - 1) * np.arange(q + 1)])]
+        logs = ((q + 1) // 2 + a[:, None] + q * a[None, :] + zech[e // (q - 1)]) % order
+        same = (e == 0) & ~np.eye(len(a), dtype=bool)
+        if np.any(same):
+            i, j = np.argwhere(np.triu(same))[0]
+            raise InvalidArgumentError(
+                "representatives %d and %d span the same line" % (i, j)
+            )
+        return np.where(e == 0, -1, logs)
 
-    def chi(self, z):
-        """Quadratic character of the subfield GF(q) evaluated inside GF(q^2)."""
-        if z.is_zero():
-            return 0
-        if z**self.q != z:
-            raise InvalidArgumentError("chi argument must lie in the subfield")
-        e = z ** ((self.q - 1) // 2)
-        if e == self.ext.one:
-            return 1
-        if e == self.ext.minus_one():
-            return -1
-        raise NumericFailureError("subfield character power outside {-1, 1}")
+    def chi(self, e):
+        """Quadratic character of the subfield GF(q) at zeta^e; each e
+        must be a multiple of q+1."""
+        e = np.asarray(e)
+        if np.any(e % (self.q + 1)):
+            raise NumericFailureError("value escaped the subfield GF(q)")
+        return 1 - 2 * (e // (self.q + 1) % 2)
 
 
 def build_line_system(q, variant):
@@ -471,46 +329,24 @@ def build_line_system(q, variant):
     decomp = prime_power_decomposition(q)
     if decomp is None or decomp[0] == 2:
         raise InvalidArgumentError("q must be an odd prime power")
-    if q * q > _MAX_LINE_SYSTEM_Q2:
-        raise InvalidArgumentError("q^2 exceeds the line-system cap")
     p, k = decomp
-    base = make_field(p, k)
     ext = make_field(p, 2 * k)
-    zeta = find_generator(ext)
-
+    order = q * q - 1
     if variant == "halfturn":
         m = (q + 1) // 2
-        step = zeta ** ((q * q - q) % (q * q - 1))  # zeta^(1-q)
-        reps = [None] * (q + 1)
-        for eps in (0, 1):
-            t = ext.one if eps == 0 else zeta
-            for j in range(m):
-                reps[eps * m + j] = t
-                t = step * t
-        alphas = [ext.one] * (m - 1) + [ext.minus_one()]
+        j = np.arange(m)
+        reps = np.concatenate([eps + j * (1 - q) for eps in (0, 1)]) % order
+        alphas = np.array([0] * (m - 1) + [order // 2])
         cycle_len = m
     else:
-        reps = [zeta**j for j in range(q + 1)]
-        alphas = [ext.one] * q + [zeta ** (q + 1)]
+        reps = np.arange(q + 1)
+        alphas = np.array([0] * q + [q + 1])
         cycle_len = q + 1
-
-    system = SymplecticLineSystem(
+    return SymplecticLineSystem(
         q=q,
         variant=variant,
-        base=base,
         ext=ext,
-        zeta=zeta,
         representatives=reps,
         alpha_signs=alphas,
         cycle_len=cycle_len,
-        form_scale=zeta ** ((q + 1) // 2),
     )
-    for i, t in enumerate(reps):
-        if not system.form(t, t).is_zero():
-            raise NumericFailureError("form is not alternating on representative %d" % i)
-        for j in range(i):
-            if system.form(reps[j], t).is_zero():
-                raise InvalidArgumentError(
-                    "representatives %d and %d span the same line" % (j, i)
-                )
-    return system

@@ -285,28 +285,18 @@ def circulantize(gram, witness, tol=1e-8):
 
 
 def _halfturn_witness(system):
-    q = system.q
-    m = (q + 1) // 2
-    n = q + 1
-    sigma = [0] * n
-    c = np.empty(n, dtype=complex)
-    for eps in (0, 1):
-        for j in range(m):
-            sigma[eps * m + j] = eps * m + (j + 1) % m
-            c[eps * m + j] = float(system.chi(system.alpha_signs[j]))
-    return AutomorphismWitness(sigma=tuple(sigma), c=c)
+    m = system.cycle_len
+    j = np.arange(2 * m) % m
+    sigma = np.arange(2 * m) - j + (j + 1) % m
+    return AutomorphismWitness(sigma=tuple(sigma), c=system.chi(system.alpha_signs[j]))
 
 
 def _fullturn_witness(system):
-    q = system.q
-    n = q + 1
-    sigma = [0] * (2 * n)
-    c = np.empty(2 * n, dtype=complex)
-    for eps in (0, 1):
-        for i in range(n):
-            sigma[eps * n + i] = (1 - eps) * n + (i + 1) % n
-            c[eps * n + i] = (-1.0) ** eps * float(system.chi(system.alpha_signs[i]))
-    return AutomorphismWitness(sigma=tuple(sigma), c=c)
+    n = system.cycle_len
+    i = np.arange(n)
+    sigma = np.concatenate([n + (i + 1) % n, (i + 1) % n])
+    chi = system.chi(system.alpha_signs)
+    return AutomorphismWitness(sigma=tuple(sigma), c=np.concatenate([chi, -chi]))
 
 
 def family_signature(family, q):

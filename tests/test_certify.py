@@ -292,9 +292,16 @@ def test_exact_constructions_cover_2_to_30_but_four():
     assert {d for d, _, _ in LISTED_CONSTRUCTIONS} == set(range(2, 31)) - {11, 17, 23, 29}
 
 
-@pytest.mark.parametrize("d, family, q", LISTED_CONSTRUCTIONS)
+@pytest.mark.parametrize("d, family, q", LISTED_CONSTRUCTIONS + [
+    (41, "paley_plus", 81),
+    (82, "double_paley_plus", 81),
+    (122, "paley_plus", 243),
+    (126, "double_paley_plus", 125),
+])
 def test_certify_exact_proves_every_listed_construction(d, family, q):
-    # q runs over prime fields and over GF(25), GF(27) and GF(49)
+    # q runs over prime fields, GF(25), GF(27) and GF(49), then GF(3^4),
+    # GF(3^5) and GF(5^3), whose line systems live in GF(q^2)
+    assert (family, q) in exact_constructions(d)
     cert = certify_exact(*family_signature(family, q))
     assert cert.verified and cert.method == "exact-construction"
     assert (cert.d, cert.kernel_dim) == (d, 4 * d + 1 - residual_count(d))

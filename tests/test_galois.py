@@ -1,13 +1,17 @@
+import numpy as np
 import pytest
 
 from etfforge.errors import InvalidArgumentError
 from etfforge.galois import (
+    _poly_mulmod,
+    _poly_powmod,
+    _poly_sub,
+    _poly_trim,
     build_line_system,
-    find_generator,
+    factor_into_primes,
     is_prime,
     make_field,
     prime_power_decomposition,
-    quadratic_character,
 )
 
 
@@ -31,27 +35,26 @@ def test_prime_power_decomposition():
 
 def test_prime_field_arithmetic():
     f = make_field(7)
-    a = f.from_index(3)
-    b = f.from_index(5)
-    assert f.index_of(a + b) == 1  # 3+5 = 8 = 1 mod 7
-    assert f.index_of(a * b) == 1  # 15 = 1 mod 7
-    assert f.index_of(-a) == 4
-    assert f.index_of(a / b) == f.index_of(a * b.inverse())
-    assert a * b.inverse() * b == a
-    assert f.from_index(0).is_zero()
-    assert a**6 == f.one  # Fermat
+    assert f.add(3, 5) == 1  # 3+5 = 8 = 1 mod 7
+    assert f.mul(3, 5) == 1  # 15 = 1 mod 7
+    assert f.sub(0, 3) == 4
+    assert f.sub(3, 5) == 5
+    inv5 = f.exp[-f.log[5] % 6]
+    assert f.mul(5, inv5) == 1
+    assert f.mul(f.mul(3, inv5), 5) == 3  # (3 / 5) * 5 = 3
+    assert f.mul(0, 3) == 0 and f.mul(3, 0) == 0
+    assert f.exp[6 * f.log[3] % 6] == 1  # Fermat
 
 
 def test_extension_field_fermat():
-    # every element of GF(25) satisfies x^25 = x
+    # every element of GF(25) satisfies x^25 = x, and g^e runs over GF(25)*
     f = make_field(5, 2)
     assert f.q == 25
+    assert sorted(f.exp) == list(range(1, 25))
+    assert np.array_equal(f.digits @ f.weights, np.arange(25))
     for n in range(25):
-        x = f.from_index(n)
-        assert x**25 == x
-    # index round trip
-    for n in range(25):
-        assert f.index_of(f.from_index(n)) == n
+        x = _poly_trim(list(f.digits[n]))
+        assert _poly_powmod(x, 25, list(f.modulus), 5) == x
 
 
 def test_make_field_validates():
@@ -61,17 +64,25 @@ def test_make_field_validates():
         make_field(5, 0)
 
 
+def test_make_field_caps_order_at_10_6():
+    assert make_field(999983).q == 999983
+    assert make_field(2, 19).q == 2**19
+    for p, k in [(1000003, 1), (2, 20), (3, 13), (1009, 2), (2**31 - 1, 1), (3, 10**9)]:
+        with pytest.raises(InvalidArgumentError, match="10\\^6"):
+            make_field(p, k)
+
+
 def test_quadratic_character_gf7():
     f = make_field(7)
     squares = {1, 2, 4}
     for n in range(7):
-        x = f.from_index(n)
         if n == 0:
-            assert quadratic_character(x) == 0
+            assert f.chi(n) == 0
         elif n in squares:
-            assert quadratic_character(x) == 1
+            assert f.chi(n) == 1
         else:
-            assert quadratic_character(x) == -1
+            assert f.chi(n) == -1
+    assert list(f.chi(np.arange(7))) == [0, 1, 1, -1, 1, -1, -1]
 
 
 def test_character_of_minus_one_by_residue():
@@ -79,42 +90,74 @@ def test_character_of_minus_one_by_residue():
     for q, expect in [(5, 1), (9, 1), (13, 1), (3, -1), (7, -1), (11, -1), (27, -1)]:
         p, k = prime_power_decomposition(q)
         f = make_field(p, k)
-        assert quadratic_character(f.minus_one()) == expect
+        assert f.chi(f.sub(0, 1)) == expect
     f2 = make_field(2)
     with pytest.raises(InvalidArgumentError):
-        quadratic_character(f2.one)
+        f2.chi(1)
 
 
 def test_find_generator_has_full_order():
     for q in [7, 9, 13, 25]:
         p, k = prime_power_decomposition(q)
         f = make_field(p, k)
-        g = find_generator(f)
-        seen = set()
-        x = f.one
-        for _ in range(q - 1):
-            seen.add(f.index_of(x))
-            x = x * g
-        assert len(seen) == q - 1
-        assert x == f.one
+        assert sorted(f.exp) == list(range(1, q))
+        assert f.exp[0] == 1 and f.mul(f.exp[q - 2], f.exp[1]) == 1
+        g = _poly_trim(list(f.digits[f.exp[1]]))
+        for r in factor_into_primes(q - 1):
+            assert _poly_powmod(g, (q - 1) // r, list(f.modulus), p) != [1]
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3)])
+def test_table_mul_matches_polynomial_product(p, k):
+    f = make_field(p, k)
+    a, b = np.meshgrid(np.arange(f.q), np.arange(f.q), indexing="ij")
+    table = f.mul(a, b)
+    for x in range(f.q):
+        for y in range(f.q):
+            prod = _poly_mulmod(_poly_trim(list(f.digits[x])), _poly_trim(list(f.digits[y])),
+                                list(f.modulus), p)
+            assert table[x, y] == sum(c * p**i for i, c in enumerate(prod))
+
+
+def _form_by_polynomials(system, x, y):
+    """zeta^((q+1)/2) (x y^q - y x^q) for exponents x, y of zeta, evaluated
+    with polynomial arithmetic; returns the element index."""
+    ext, q = system.ext, system.q
+    f, p = list(ext.modulus), ext.p
+    zeta = _poly_trim(list(ext.digits[ext.exp[1]]))
+    tx, ty = _poly_powmod(zeta, x, f, p), _poly_powmod(zeta, y, f, p)
+    diff = _poly_sub(_poly_mulmod(tx, _poly_powmod(ty, q, f, p), f, p),
+                     _poly_mulmod(ty, _poly_powmod(tx, q, f, p), f, p), p)
+    val = _poly_mulmod(_poly_powmod(zeta, (q + 1) // 2, f, p), diff, f, p)
+    return sum(c * p**i for i, c in enumerate(val))
+
+
+@pytest.mark.parametrize("variant", ["halfturn", "fullturn"])
+@pytest.mark.parametrize("q", [3, 5, 9, 27])
+def test_form_logs_match_polynomial_form(q, variant):
+    sys = build_line_system(q, variant)
+    logs = sys.form_logs()
+    reps = sys.representatives
+    for i in range(q + 1):
+        for j in range(q + 1):
+            got = 0 if logs[i, j] < 0 else sys.ext.exp[logs[i, j]]
+            assert got == _form_by_polynomials(sys, int(reps[i]), int(reps[j]))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 13])
 def test_line_system_halfturn_shape(q):
     sys = build_line_system(q, "halfturn")
     m = (q + 1) // 2
+    order = q * q - 1
     assert len(sys.representatives) == q + 1
     assert sys.cycle_len == m
     assert len(sys.alpha_signs) == m
-    # orbit closure: applying the step m times returns the start up to the
-    # recorded wrap sign
-    step = sys.zeta ** ((q * q - q) % (q * q - 1))
+    # orbit closure: applying the step zeta^(1-q) m times returns the start
+    # up to the recorded wrap sign
     for eps in (0, 1):
-        t = sys.representatives[eps * m]
-        for j in range(m):
-            t = step * t
-        wrap = sys.alpha_signs[m - 1]
-        assert t == wrap * sys.representatives[eps * m]
+        start = sys.representatives[eps * m]
+        assert (start + m * (1 - q)) % order == (sys.alpha_signs[m - 1] + start) % order
+    assert sys.chi(sys.alpha_signs[m - 1]) == (1 if q % 4 == 1 else -1)
 
 
 @pytest.mark.parametrize("q", [3, 5, 9])
@@ -124,21 +167,33 @@ def test_line_system_fullturn_shape(q):
     assert len(sys.representatives) == n
     assert sys.cycle_len == n
     # zeta times the last representative equals zeta^(q+1) times the first
-    assert sys.zeta * sys.representatives[n - 1] == sys.alpha_signs[n - 1] * sys.representatives[0]
+    assert (1 + sys.representatives[n - 1]) % (q * q - 1) == (
+        sys.alpha_signs[n - 1] + sys.representatives[0]) % (q * q - 1)
 
 
 def test_line_system_form_properties():
     sys = build_line_system(5, "halfturn")
-    reps = sys.representatives
-    for i in range(len(reps)):
-        assert sys.form(reps[i], reps[i]).is_zero()
+    logs = sys.form_logs()
+    n = len(sys.representatives)
+    half = (5 * 5 - 1) // 2  # -1 = zeta^half
+    for i in range(n):
+        assert logs[i, i] == -1  # zero on the diagonal
         for j in range(i):
-            v = sys.form(reps[j], reps[i])
-            assert not v.is_zero()
+            assert logs[j, i] >= 0  # nonzero off it
             # alternating: [x,y] = -[y,x]
-            assert sys.form(reps[i], reps[j]) == -v
+            assert logs[i, j] == (logs[j, i] + half) % 24
             # value lies in the subfield, so chi is defined
-            assert sys.chi(v) in (-1, 1)
+            assert sys.chi(logs[j, i]) in (-1, 1)
+
+
+def test_line_system_rejects_same_line():
+    sys = build_line_system(5, "fullturn")
+    reps = sys.representatives.copy()
+    reps[4] = reps[1] + 6  # zeta^6 lies in GF(5)*, so the same line
+    dup = type(sys)(q=5, variant="fullturn", ext=sys.ext, representatives=reps,
+                    alpha_signs=sys.alpha_signs, cycle_len=6)
+    with pytest.raises(InvalidArgumentError, match="1 and 4"):
+        dup.form_logs()
 
 
 def test_line_system_rejects_bad_q():
@@ -148,3 +203,5 @@ def test_line_system_rejects_bad_q():
         build_line_system(15, "halfturn")
     with pytest.raises(InvalidArgumentError):
         build_line_system(5, "sideways")
+    with pytest.raises(InvalidArgumentError):
+        build_line_system(1009, "fullturn")  # q^2 past the field cap
