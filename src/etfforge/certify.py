@@ -449,8 +449,12 @@ def certify_exact(sig_re, sig_im, witness):
     witness, by the Gaussian-integer argument stated on Certificate.
 
     Raises CertificationError (reason "infeasible") naming the first
-    identity that fails.  Only x0 is computed in floating point: the
-    generators recovered by circulantize and generators_from_blockgram.
+    identity that fails.  S^2 is formed in float64 BLAS and is still
+    exact: the entries of re and im are checked to lie in {-1, 0, 1}
+    first, so every partial sum is an integer of size at most 2n < 2^53,
+    whatever order the sum is taken in.  Otherwise only x0 is computed in
+    floating point: the generators recovered by circulantize and
+    generators_from_blockgram.
     """
     from .harmonic import circulantize, generators_from_blockgram
 
@@ -464,12 +468,15 @@ def certify_exact(sig_re, sig_im, witness):
         raise InvalidArgumentError("witness length disagrees with the signature")
     d = n // 2
     eye = np.eye(n, dtype=np.int64)
-    # for integers |re| + |im| = 1 is exactly re^2 + im^2 = 1; this also
-    # bounds every entry by 1, so no product below can overflow
+    # entries in {-1, 0, 1} (np.abs would wrap at -2^63); for those
+    # |re| + |im| = 1 is exactly re^2 + im^2 = 1
+    _require_zero("entries in {-1, 0, 1}", (re < -1) | (re > 1), (im < -1) | (im > 1))
     _require_zero("zero diagonal and unimodular entries",
                   np.abs(re) + np.abs(im) - (1 - eye))
     _require_zero("hermiticity", re - re.T, im + im.T)
-    _require_zero("S^2 = (n-1) I", re @ re - im @ im - (n - 1) * eye, re @ im + im @ re)
+    fre, fim = re.astype(np.float64), im.astype(np.float64)
+    _require_zero("S^2 = (n-1) I",
+                  fre @ fre - fim @ fim - (n - 1) * eye, fre @ fim + fim @ fre)
 
     units = {1, -1, 1j, -1j}
     if not all(complex(v) in units for v in witness.c):

@@ -40,7 +40,10 @@ def is_odd_prime_power(n):
 class ConferenceGraph:
     """Strongly regular graph with parameters (v, (v-1)/2, (v-5)/4, (v-1)/4).
 
-    Validated exactly over the integers at construction.
+    Validated exactly over the integers at construction.  The product
+    a @ a runs in float64 BLAS and is still exact: the entries are checked
+    to be 0 or 1 first, so every partial sum is an integer of size at most
+    v < 2^53, whatever order the sum is taken in.
     """
 
     v: int
@@ -62,7 +65,8 @@ class ConferenceGraph:
         k, lam, mu = (v - 1) // 2, (v - 5) // 4, (v - 1) // 4
         eye = np.eye(v, dtype=np.int64)
         other = np.ones((v, v), dtype=np.int64) - eye - a
-        if not np.array_equal(a @ a, k * eye + lam * a + mu * other):
+        af = a.astype(np.float64)
+        if not np.array_equal(af @ af, k * eye + lam * a + mu * other):
             raise InvalidArgumentError(
                 "adjacency fails the (v, %d, %d, %d) strong regularity identity"
                 % (k, lam, mu)
@@ -71,7 +75,12 @@ class ConferenceGraph:
 
 @dataclass(frozen=True)
 class ConferenceMatrix:
-    """n x n matrix over {0, +1, -1} with zero diagonal and C^T C = (n-1) I."""
+    """n x n matrix over {0, +1, -1} with zero diagonal and C^T C = (n-1) I.
+
+    C^T C is formed in float64 BLAS and is still exact: the entries are
+    checked to lie in {-1, 0, 1} first, so every partial sum is an integer
+    of size at most n < 2^53, whatever order the sum is taken in.
+    """
 
     n: int
     data: np.ndarray
@@ -84,7 +93,7 @@ class ConferenceMatrix:
         object.__setattr__(self, "data", c)
         if c.shape != (n, n):
             raise InvalidArgumentError("conference matrix shape disagrees with n")
-        if np.any(np.abs(c) > 1) or np.any(np.diag(c) != 0):
+        if np.any((c < -1) | (c > 1)) or np.any(np.diag(c) != 0):
             raise InvalidArgumentError("entries must be 0/+-1 with zero diagonal")
         if self.symmetry not in ("symmetric", "skew", "none"):
             raise InvalidArgumentError("unknown symmetry tag")
@@ -92,7 +101,8 @@ class ConferenceMatrix:
             raise InvalidArgumentError("matrix is not symmetric")
         if self.symmetry == "skew" and not np.array_equal(c, -c.T):
             raise InvalidArgumentError("matrix is not skew-symmetric")
-        if not np.array_equal(c.T @ c, (n - 1) * np.eye(n, dtype=np.int64)):
+        cf = c.astype(np.float64)
+        if not np.array_equal(cf.T @ cf, (n - 1) * np.eye(n)):
             raise ConstructionError("C^T C = (n-1) I fails exactly")
 
 

@@ -75,7 +75,7 @@ class AutomorphismWitness:
             raise InvalidArgumentError("sigma is not a permutation")
         if c.shape != (n,):
             raise InvalidArgumentError("scalar vector length disagrees with sigma")
-        if float(np.max(np.abs(np.abs(c) - 1.0))) > 1e-10:
+        if not np.all(np.abs(np.abs(c) - 1.0) <= 1e-10):  # NaN fails too
             raise InvalidArgumentError("witness scalars must be unimodular to 1e-10")
 
     @property

@@ -115,8 +115,15 @@ def matrix_to_obj(data, kind="generic"):
     }
 
 
+def _require_object(obj, what):
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError("malformed %s JSON: expected an object, got %s"
+                                   % (what, type(obj).__name__))
+
+
 def matrix_from_obj(obj):
     """Inverse of matrix_to_obj; returns (ndarray, kind)."""
+    _require_object(obj, "matrix")
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         re = np.asarray(obj["re"], dtype=float)
@@ -150,21 +157,23 @@ def pair_to_obj(d, x, y):
 
 def pair_from_obj(obj):
     """Inverse of pair_to_obj; returns (d, x, y)."""
+    _require_object(obj, "generator")
     try:
         if obj.get("kind") != "circulant-generators":
             raise InvalidArgumentError("not a circulant-generators document")
         d = int(obj["d"])
         if int(obj.get("t", 2)) != 2:
             raise InvalidArgumentError("only 2-generator documents supported")
-        x = np.asarray(obj["x_re"], dtype=float) + 1j * np.asarray(obj["x_im"], dtype=float)
-        y = np.asarray(obj["y_re"], dtype=float) + 1j * np.asarray(obj["y_im"], dtype=float)
+        parts = [np.asarray(obj[key], dtype=float) for key in ("x_re", "x_im", "y_re", "y_im")]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError("malformed generator JSON: %s" % exc) from exc
-    if x.shape != (d,) or y.shape != (d,):
+    # each part on its own: a length-1 list would broadcast against the other
+    if any(part.shape != (d,) for part in parts):
         raise InvalidArgumentError("generator length disagrees with d")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not all(np.all(np.isfinite(part)) for part in parts):
         raise InvalidArgumentError("generator JSON has non-finite entries")
-    return d, x, y
+    x_re, x_im, y_re, y_im = parts
+    return d, x_re + 1j * x_im, y_re + 1j * y_im
 
 
 def witness_to_obj(sigma, c, m, t):
@@ -180,6 +189,7 @@ def witness_to_obj(sigma, c, m, t):
 
 def witness_from_obj(obj):
     """Returns (sigma, c, m, t)."""
+    _require_object(obj, "witness")
     try:
         sigma = [int(v) for v in obj["sigma"]]
         c_re = np.asarray(obj["c_re"], dtype=float)

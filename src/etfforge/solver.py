@@ -15,6 +15,14 @@ loop with the exact Jacobian drives it to zero.
 The row layout of that residual is written once, in row_spec.  residual,
 analytic_jacobian and the interval and polynomial forms in certify all
 take their rows from it (gather_rows picks them out of per-lag arrays).
+
+The d = 4 experiment (d4_uniqueness_experiment) runs alternating
+projections from many random starts.  alternating_projections_grams
+keeps the starts as one (k, n, n) stack, so each pass is one eigh over
+the stack rather than one per start; a start whose Gram has settled
+(moved by less than 1e-14 in every entry) leaves the stack at that pass,
+which is where a run from that start alone stops.  Every Gram is bit for
+bit the one-start result, alternating_projections_gram.
 """
 
 import csv
@@ -238,43 +246,69 @@ def solve(d, seed=0, tol=1e-12, max_iter=500):
     )
 
 
-def alternating_projections_gram(d, n, seed=0, iterations=2000):
-    """Alternate the spectral projection (top d eigenvalues set to n/d,
-    the rest to zero) with the structural one (unit diagonal, off-diagonal
-    phases kept but moduli forced to the equiangular value).  Ends on the
-    structural step, so the output has exact diagonal and moduli.
+def _structural(g, gamma):
+    """Unit diagonal, off-diagonal phases kept but moduli set to gamma
+    (gamma itself where an entry is zero), on a stack of Grams."""
+    off = ~np.eye(g.shape[-1], dtype=bool)
+    mods = np.abs(g)
+    safe = np.where(mods > 0, mods, 1.0)
+    h = np.where(off, g / safe * gamma, 1.0)
+    return np.where(off & (mods < 1e-300), gamma, h)
+
+
+def alternating_projections_grams(d, n, seeds, iterations=2000):
+    """alternating_projections_gram for every seed in seeds at once: a
+    (len(seeds), n, n) stack whose k-th Gram is bit for bit the one-start
+    result for seeds[k].
+
+    Each pass runs the structural step, one eigh over the whole stack and
+    the spectral product on every trial still running.  A trial stops at
+    the pass where its Gram moves by less than 1e-14 in every entry; it
+    then leaves the stack, so a long run costs only the trials that have
+    not settled.
     """
     d, n = int(d), int(n)
     if not 1 <= d < n:
         raise InvalidArgumentError("need 1 <= d < n")
     gamma = welch_gamma(d, n)
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
-    a /= np.linalg.norm(a, axis=0, keepdims=True)
-    g = a.conj().T @ a
-    off = ~np.eye(n, dtype=bool)
-
-    def structural(g):
-        h = g.copy()
-        np.fill_diagonal(h, 1.0)
-        mods = np.abs(h)
-        zeros = off & (mods < 1e-300)
-        safe = np.where(mods > 0, mods, 1.0)
-        h[off] = (h / safe * gamma)[off]
-        h[zeros] = gamma
-        return h
-
-    prev = None
+    starts = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
+        a /= np.linalg.norm(a, axis=0, keepdims=True)
+        starts.append(a.conj().T @ a)
+    if not starts:
+        return np.empty((0, n, n), dtype=complex)
+    out = np.stack(starts)
+    g, live, prev = out, np.arange(len(starts)), None
     for _ in range(iterations):
-        h = structural(g)
-        # spectral step
-        vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
-        top = vecs[:, -d:]
-        g = (n / d) * (top @ top.conj().T)
-        if prev is not None and float(np.max(np.abs(g - prev))) < 1e-14:
+        if not live.size:
             break
+        h = _structural(g, gamma)
+        _, vecs = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2.0)
+        top = vecs[..., -d:]
+        g = (n / d) * (top @ top.conj().swapaxes(-1, -2))
+        if prev is not None:
+            done = np.max(np.abs(g - prev), axis=(1, 2)) < 1e-14
+            out[live[done]] = g[done]
+            g, live = g[~done], live[~done]
         prev = g
-    return structural(g)
+    out[live] = g
+    return _structural(out, gamma)
+
+
+def alternating_projections_gram(d, n, seed=0, iterations=2000):
+    """Alternate the spectral projection (top d eigenvalues set to n/d,
+    the rest to zero) with the structural one (unit diagonal, off-diagonal
+    phases kept but moduli forced to the equiangular value), from a random
+    start drawn with default_rng(seed).  Stops early once a pass moves the
+    Gram by less than 1e-14 in every entry.  Ends on the structural step,
+    so the output has exact diagonal and moduli.
+
+    This is the one-start case of alternating_projections_grams, which
+    runs many starts as one stack with a stop per trial.
+    """
+    return alternating_projections_grams(d, n, [seed], iterations)[0]
 
 
 @dataclass(frozen=True)
@@ -301,10 +335,11 @@ def d4_uniqueness_experiment(trials=1000, iterations=2000, seed=0, csv_path=None
     the exact Gaussian-integer signature, which is checked to square to
     7 I over the integers.
     """
+    seeds = [[int(seed), trial] for trial in range(int(trials))]
+    grams = alternating_projections_grams(4, 8, seeds, iterations=iterations)
+    gamma = welch_gamma(4, 8)
     records = []
-    for trial in range(int(trials)):
-        g = alternating_projections_gram(4, 8, seed=[int(seed), trial], iterations=iterations)
-        gamma = welch_gamma(4, 8)
+    for trial, g in enumerate(grams):
         s = (g - np.eye(8)) / gamma
         np.fill_diagonal(s, 0.0)
         dvec = np.conj(s[0]).copy()

@@ -273,6 +273,15 @@ def test_certify_exact_refuses_flipped_signature_entry():
     assert err.value.reason == "infeasible"
 
 
+def test_certify_exact_refuses_entries_where_abs_wraps():
+    # np.abs(-2^63) is -2^63, so |re| + |im| alone would pass this diagonal
+    re, im, witness = family_signature("paley_plus", 7)
+    re, im = re.copy(), im.copy()
+    re[2, 2] = im[2, 2] = np.iinfo(np.int64).min
+    with pytest.raises(CertificationError, match="entries in"):
+        certify_exact(re, im, witness)
+
+
 def test_certify_exact_refuses_negated_witness_scalar():
     re, im, witness = family_signature("double_paley_plus", 3)
     c = witness.c.copy()

@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from etfforge import certify as certify_module
 from etfforge import cli
@@ -332,6 +340,13 @@ MALFORMED_DOCUMENTS = {
     # finite entries whose Gram overflows when it is formed
     "huge_entries": (_generator_doc, {"x_re": "[1e308, 1e308, 1e308]",
                                       "y_re": "[1e308, 1e308, 1e308]"}, "overflows"),
+    # a length-1 part would broadcast against its length-d partner
+    "x_re_length_1": (_generator_doc, {"x_re": "[0.5]"}, "length disagrees"),
+    "pair_text": (_gram_only_construction_doc, {"pair": '"a"'}, "expected an object"),
+    # NaN compares false against the unimodularity tolerance
+    "witness_nan": (_gram_only_construction_doc, {"witness": (
+        '{"sigma": [1, 2, 0, 4, 5, 3], "c_re": [NaN, 1, 1, 1, 1, 1],'
+        ' "c_im": [0, 0, 0, 0, 0, 0], "m": 3, "t": 2}')}, "unimodular"),
 }
 
 
@@ -347,6 +362,11 @@ MALFORMED_DOCUMENTS = {
     ("nan_entry", "detect"),
     ("huge_entries", "detect"),
     ("huge_entries", "check"),
+    ("x_re_length_1", "certify"),
+    ("pair_text", "check"),
+    ("pair_text", "certify"),
+    ("witness_nan", "detect"),
+    ("witness_nan", "circulantize"),
 ])
 def test_malformed_document_exits_2_without_traceback(tmp_path, capsys, case, command):
     build, fields, message = MALFORMED_DOCUMENTS[case]
@@ -363,3 +383,161 @@ def test_malformed_document_exits_2_without_traceback(tmp_path, capsys, case, co
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+# Malformed-document fuzzing.  A mutation is (path, value): value replaces
+# the entry at path (dict keys and list indices), or _DROP deletes it.  A
+# case is a valid document, mutations that spoil fields the listed
+# commands must read, and a little noise on other top-level keys; each
+# listed command has to refuse it with exit 1 or 2, never a traceback.
+_DROP = object()
+_LETTERS = st.text(alphabet="abcxyz", max_size=4)  # never int()- or float()-able
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_JUNK = st.one_of(
+    st.none(),
+    _LETTERS,
+    _NON_FINITE,
+    st.lists(_LETTERS, min_size=1, max_size=3),
+    st.dictionaries(_LETTERS, st.integers(-3, 3), min_size=1, max_size=2),
+)
+_JUNK_OR_DROP = st.one_of(st.just(_DROP), _JUNK)
+ALL_COMMANDS = ("check", "detect", "circulantize", "certify")
+
+
+def _not_int(value):
+    """A value int() rejects or reads as an integer other than value,
+    huge and negative ones included; or the key dropped."""
+    return st.one_of(
+        _JUNK_OR_DROP,
+        st.integers(-10 ** 30, 10 ** 30).filter(lambda k: k != value),
+        st.just(10 ** 400),
+    )
+
+
+def _bad_vector(length):
+    """Junk, a list of the wrong length, or one with a non-finite entry."""
+    wrong_length = st.lists(_FLOATS, max_size=2 * length).filter(lambda v: len(v) != length)
+    non_finite = st.tuples(
+        st.lists(_FLOATS, min_size=length, max_size=length),
+        st.integers(0, length - 1),
+        _NON_FINITE,
+    ).map(lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])
+    return st.one_of(_JUNK_OR_DROP, wrong_length, non_finite)
+
+
+def _bad_matrix(name, mat):
+    """One mutation that breaks the matrix payload doc[name]."""
+    rows, cols = mat["rows"], mat["cols"]
+    grid = st.sampled_from(["re", "im"])
+    return st.one_of(
+        st.tuples(st.just((name,)), _JUNK_OR_DROP),
+        st.tuples(st.sampled_from([(name, "rows"), (name, "cols")]), _not_int(rows)),
+        st.tuples(grid.map(lambda g: (name, g)), _bad_vector(rows)),
+        st.tuples(st.tuples(st.just(name), grid, st.integers(0, rows - 1)), _bad_vector(cols)),
+    )
+
+
+def _generator_doc_pair_broken(doc):
+    d = doc["d"]
+    return st.one_of(
+        st.tuples(st.just(("kind",)), _JUNK_OR_DROP),
+        st.tuples(st.just(("d",)), _not_int(d)),
+        st.tuples(st.just(("t",)), _not_int(2).filter(lambda v: v is not _DROP)),
+        st.tuples(st.sampled_from([("x_re",), ("x_im",), ("y_re",), ("y_im",)]), _bad_vector(d)),
+    ).map(lambda m: [m])
+
+
+def _construction_doc_frame_broken(doc):
+    # check reads the frame first and detect the Gram, each falling back
+    # on the other, so both are broken
+    kind = st.tuples(st.just(("kind",)), _JUNK_OR_DROP).map(lambda m: [m])
+    both = st.tuples(_bad_matrix("frame", doc["frame"]), _bad_matrix("gram", doc["gram"]))
+    return st.one_of(kind, both.map(list))
+
+
+def _construction_doc_rank_broken(doc):
+    # with no frame, check factors the Gram at the document's d
+    return _not_int(doc["d"]).map(lambda v: [(("frame",), _DROP), (("d",), v)])
+
+
+def _construction_doc_witness_broken(doc):
+    n = len(doc["witness"]["sigma"])
+    sigma = doc["witness"]["sigma"]
+    return st.one_of(
+        st.tuples(st.just(("witness",)), _JUNK_OR_DROP),
+        st.tuples(st.just(("witness", "sigma")), st.one_of(
+            _JUNK_OR_DROP,
+            st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=n + 2).filter(lambda s: s != sigma),
+        )),
+        st.tuples(st.sampled_from([("witness", "c_re"), ("witness", "c_im")]), _bad_vector(n)),
+        st.tuples(st.sampled_from([("witness", "m"), ("witness", "t")]), _JUNK_OR_DROP),
+    ).map(lambda m: [m])
+
+
+def _generator_doc_scalars_broken(doc):
+    return st.tuples(st.sampled_from([("w",), ("seed",)]), _JUNK).map(lambda m: [m])
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_bases():
+    from etfforge.certify import certify
+
+    generators = _generator_doc()
+    construction, _ = cli._build_construction("paley-plus", 5, None, None, None)
+    construction = json.loads(json.dumps(construction))
+    pair, _ = cli._pair_from_payload(generators)
+    certificate = json.loads(json.dumps(certify(pair, seed=0).to_obj()))
+    return [
+        (generators, _generator_doc_pair_broken, ALL_COMMANDS),
+        (construction, _construction_doc_frame_broken, ALL_COMMANDS),
+        (construction, _construction_doc_rank_broken, ("check",)),
+        (construction, _construction_doc_witness_broken, ("circulantize",)),
+        (generators, _generator_doc_scalars_broken, ("certify",)),
+        # no command reads a certificate, whatever its fields hold
+        (certificate, lambda doc: st.just([]), ALL_COMMANDS),
+    ]
+
+
+def _mutate(doc, mutations):
+    doc = copy.deepcopy(doc)
+    for path, value in mutations:
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            if value is _DROP:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation already replaced the parent
+    return doc
+
+
+@st.composite
+def _malformed_cases(draw):
+    base, breaker, commands = draw(st.sampled_from(_fuzz_bases()))
+    mutations = draw(breaker(base))
+    spoiled = {path[0] for path, _ in mutations}
+    others = sorted(key for key in base if key not in spoiled)
+    noise = draw(st.lists(st.tuples(st.sampled_from(others).map(lambda k: (k,)), _JUNK_OR_DROP),
+                          max_size=2))
+    return _mutate(base, mutations + noise), commands
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_malformed_cases())
+def test_fuzzed_malformed_documents_exit_1_or_2_without_traceback(case):
+    doc, commands = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        extra = {"detect": ["--m", "3"], "circulantize": ["--out", os.path.join(tmp, "out.json")]}
+        for command in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--in", path, *extra.get(command, [])])
+            assert code in (1, 2), (command, code, out.getvalue(), err.getvalue())
+            assert "Traceback" not in err.getvalue()

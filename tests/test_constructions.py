@@ -6,6 +6,8 @@ import pytest
 
 from etfforge import galois
 from etfforge.constructions import (
+    ConferenceGraph,
+    ConferenceMatrix,
     appendix_line_reps,
     double_conference_graph,
     double_renes_strohmer_signature,
@@ -386,3 +388,33 @@ def test_table_dispatch_frozen_rows():
         table_dispatch(0)
     with pytest.raises(InvalidArgumentError):
         table_dispatch(1001)
+
+
+@pytest.mark.parametrize("n", [5, 64, 301])
+def test_float64_products_of_sign_matrices_match_int64(n):
+    # the conference and S^2 checks multiply {-1, 0, 1} matrices in
+    # float64 BLAS; the int64 product is the oracle
+    rng = np.random.default_rng(n)
+    ones = np.ones((n, n), dtype=np.int64)  # partial sums reach n
+    for a in (rng.integers(-1, 2, size=(n, n)), ones, -ones):
+        b = rng.integers(-1, 2, size=(n, n))
+        af, bf = a.astype(np.float64), b.astype(np.float64)
+        assert np.array_equal(af.T @ af, a.T @ a)
+        assert np.array_equal(af @ af, a @ a)
+        assert np.array_equal(af @ bf - bf @ af, a @ b - b @ a)
+
+
+def test_conference_checks_reject_one_changed_entry():
+    c = paley_conference(13).data.copy()
+    ConferenceMatrix(n=14, data=c, symmetry="none")
+    c[3, 5] = -c[3, 5]
+    with pytest.raises(ConstructionError):
+        ConferenceMatrix(n=14, data=c, symmetry="none")
+    c[3, 5] = np.iinfo(np.int64).min  # np.abs wraps here; the bound check must not
+    with pytest.raises(InvalidArgumentError, match="entries"):
+        ConferenceMatrix(n=14, data=c, symmetry="none")
+    a = paley_graph(13).adjacency.copy()
+    ConferenceGraph(v=13, adjacency=a)
+    a[2, 7] = a[7, 2] = 1 - a[2, 7]
+    with pytest.raises(InvalidArgumentError, match="strong regularity"):
+        ConferenceGraph(v=13, adjacency=a)

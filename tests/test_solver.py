@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ from etfforge.frames import (
 )
 from etfforge.solver import (
     alternating_projections_gram,
+    alternating_projections_grams,
     analytic_jacobian,
     correlations,
+    D4Report,
     d4_uniqueness_experiment,
     residual,
     residual_count,
@@ -202,6 +205,33 @@ def test_alternating_projections_2x4():
     assert np.max(np.abs(ev[:2])) < 1e-6
     with pytest.raises(InvalidArgumentError):
         alternating_projections_gram(4, 4)
+
+
+def test_stacked_projections_match_one_start_runs():
+    full = alternating_projections_grams(3, 6, range(6), iterations=10000)
+    assert full.shape == (6, 6, 6)
+    for seed in range(6):
+        solo = alternating_projections_gram(3, 6, seed=seed, iterations=10000)
+        assert full[seed].tobytes() == solo.tobytes()
+    # seeds 1, 2, 4 and 5 settle within 200 passes and leave the stack
+    # while 0 and 3 run on, so the per-trial stop is exercised
+    short = alternating_projections_grams(3, 6, range(6), iterations=200)
+    settled = [short[k].tobytes() == full[k].tobytes() for k in range(6)]
+    assert settled == [False, True, True, False, True, True]
+
+
+def test_d4_experiment_records_match_pinned_digest():
+    # sha256 computed with the one-start-at-a-time loop this stack replaced
+    rep = d4_uniqueness_experiment(trials=4, iterations=2000, seed=0)
+    text = "".join("%s %s;" % (rec.max_abs_re.hex(), rec.rounding_ok) for rec in rep.records)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "58611dc29fc93d8d387a09f2dc9f5fda54d8677b0060fe26c2c797da2f5b8874")
+
+
+def test_d4_experiment_zero_trials():
+    rep = d4_uniqueness_experiment(trials=0, iterations=10, seed=0)
+    assert rep == D4Report(trials=0, worst_re=0.0, all_rounded=True, records=())
+    assert alternating_projections_grams(4, 8, [], iterations=10).shape == (0, 8, 8)
 
 
 def test_d4_experiment_zero_iterations_well_formed():
