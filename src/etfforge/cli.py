@@ -237,7 +237,6 @@ def cmd_construct(args, argv):
     payload, report = _build_construction(
         args.family, args.q, args.v, args.m, args.epsilon
     )
-    _require(args.out is not None, "--out is required for construct")
     run.stage(args.out, payload)
     digest = run.flush()
     _print_report(report)
@@ -303,7 +302,6 @@ def cmd_check(args, argv):
 def cmd_solve(args, argv):
     from .solver import solve
 
-    _require(args.d is not None, "--d is required for solve")
     d = _parse_single_d(args.d)
     run = Run(argv, seeds=[args.seed])
     result = solve(d, seed=args.seed, tol=args.tol, max_iter=args.max_iter)
@@ -326,6 +324,7 @@ def cmd_certify(args, argv):
     obj = run.read(args.in_path)
     pair, doc = _pair_from_payload(obj)
     w = _doc_field(doc, "w", float, 0.5)
+    _require(math.isfinite(4 * w), "document field 'w' must be finite, with 4*w finite; got %r" % w)
     seed = _doc_field(doc, "seed", int, -1)
     run.seeds = [seed] if seed >= 0 else []
     try:
@@ -370,8 +369,6 @@ def _parse_single_d(text):
 
 def _parse_d_range(text):
     """Either "lo..hi" (inclusive) or a single integer."""
-    if text is None:
-        raise InvalidArgumentError("--d is required (single value or lo..hi)")
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         try:
@@ -400,7 +397,6 @@ def cmd_sweep(args, argv):
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    _require(args.out_dir is not None, "--out-dir is required for sweep")
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     for rr in results:
@@ -457,6 +453,8 @@ def cmd_detect(args, argv):
     witness, wit_m, wit_t = _witness_from_payload(obj)
     m = args.m if args.m is not None else wit_m
     _require(m is not None, "--m is required when the input has no witness")
+    _require(m >= 1 and gram.shape[0] % m == 0,
+             "--m must be a positive divisor of the Gram order %d, got %d" % (gram.shape[0], m))
     try:
         if witness is not None and m == wit_m:
             block, _, _ = circulantize(gram, witness, tol=args.tol)
@@ -496,7 +494,6 @@ def cmd_circulantize(args, argv):
     payload["perm"] = [int(p) for p in perm]
     payload["diag_re"] = [float(v) for v in np.real(diag)]
     payload["diag_im"] = [float(v) for v in np.imag(diag)]
-    _require(args.out is not None, "--out is required for circulantize")
     run.stage(args.out, payload)
     digest = run.flush()
     print("circulantize: pass (m=%d, t=%d)" % (block.m, block.t))
@@ -519,6 +516,16 @@ def _resolve_jobs(flag):
     if jobs < 1:
         raise InvalidArgumentError("%s must be >= 1" % source)
     return jobs
+
+
+def _check_flags(args):
+    """Bounds argparse leaves open: --tol finite and >= 0, --seed >= 0,
+    --max-iter >= 1, on the commands that take them."""
+    flags = vars(args)
+    tol, seed, max_iter = flags.get("tol", 0.0), flags.get("seed", 0), flags.get("max_iter", 1)
+    _require(math.isfinite(tol) and tol >= 0, "--tol must be finite and >= 0, got %r" % tol)
+    _require(seed >= 0, "--seed must be >= 0, got %d" % seed)
+    _require(max_iter >= 1, "--max-iter must be >= 1, got %d" % max_iter)
 
 
 def build_parser():
@@ -587,6 +594,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         if hasattr(args, "jobs"):
             args.jobs = _resolve_jobs(args.jobs)
         return args.func(args, argv)

@@ -420,14 +420,9 @@ def steiner_circulant(m, hadamard, diff_set):
         raise InvalidArgumentError("hadamard entries must be unimodular")
     if float(np.max(np.abs(h.conj().T @ h - (k + 1) * np.eye(k + 1)))) > 1e-10:
         raise InvalidArgumentError("hadamard fails H* H = (k+1) I")
-    rows = sorted(d_set)
-    blocks = []
-    for i in range(k + 1):
-        gen = np.zeros(v, dtype=complex)
-        for row_idx, g in enumerate(rows):
-            gen[g] = h[row_idx, i] / math.sqrt(k)
-        blocks.append(circulant(gen))
-    frame = np.hstack(blocks)
+    gens = np.zeros((k + 1, v), dtype=complex)
+    gens[:, sorted(d_set)] = h[:k].T / math.sqrt(k)
+    frame = np.hstack(circulant(gens))
     report = check_etf(frame, tol=1e-10)
     if not report.verdict:
         raise ConstructionError("steiner frame misses ETF tolerances: %r" % (report,))

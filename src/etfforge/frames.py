@@ -241,11 +241,12 @@ def naimark_complement_signature(sig):
 
 
 def circulant(gen):
-    """d x d circulant whose column g is the g-step cyclic shift of gen."""
-    gen = np.asarray(gen, dtype=complex).ravel()
-    d = gen.shape[0]
+    """d x d circulant whose column g is the g-step cyclic shift of gen; a
+    stack of generators (..., d) gives the stack of their circulants."""
+    gen = np.asarray(gen, dtype=complex)
+    d = gen.shape[-1]
     idx = (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
-    return gen[idx]
+    return gen[..., idx]
 
 
 def assemble_2circulant(pair):

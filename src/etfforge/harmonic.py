@@ -6,6 +6,10 @@ t generator vectors and their m cyclic translates.  The tools here detect
 that structure, recover generators, straighten a scaled permutation
 symmetry into honest block circulance, and search for such symmetries.
 
+A BlockGram carries the spectrum of its m frequency components, computed
+once by one stacked eigh; the PSD check, the regular-representation
+multiplicity check and generator recovery all read it.
+
 The two witnessed symplectic families are built here once, as exact
 Gaussian-integer signatures with their shift witnesses
 (family_signature); family_automorphism and certify's exact route both
@@ -13,8 +17,7 @@ start from them.
 """
 
 import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,12 +37,18 @@ from .linalg import ComplexMatrix, as_array, dft_matrix
 @dataclass(frozen=True)
 class BlockGram:
     """Gram split into t x t circulant blocks of size m, with the
-    per-frequency t x t components (F G_ij F*)_aa collected along axis 0."""
+    per-frequency t x t components (F G_ij F*)_aa collected along axis 0.
+
+    The spectrum of each component's Hermitian part (h + h*)/2 is computed
+    once, by one stacked eigh: eigenvalues (m, t) ascending and
+    eigenvectors (m, t, t) as columns."""
 
     m: int
     t: int
     gram: np.ndarray
     frequency_components: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m, t = int(self.m), int(self.t)
@@ -55,6 +64,9 @@ class BlockGram:
             raise InvalidArgumentError("gram shape disagrees with m*t")
         if h.shape != (m, t, t):
             raise InvalidArgumentError("frequency components must be (m, t, t)")
+        ev, vec = np.linalg.eigh((h + np.conj(np.swapaxes(h, 1, 2))) / 2.0)
+        object.__setattr__(self, "eigenvalues", ev)
+        object.__setattr__(self, "eigenvectors", vec)
 
 
 @dataclass(frozen=True)
@@ -132,34 +144,30 @@ def detect_harmonic_gram(gram, m, tol=1e-8):
     if m < 1 or n % m != 0:
         raise UnsupportedInputError("block size m must divide the Gram order")
     t = n // m
-    worst = 0.0
-    for i in range(t):
-        for j in range(t):
-            block = g[i * m : (i + 1) * m, j * m : (j + 1) * m]
-            dev = float(np.max(np.abs(block - np.roll(block, (1, 1), axis=(0, 1)))))
-            worst = max(worst, dev)
+    # blocks[i, j] is the m x m block G_ij, laid out contiguously: einsum
+    # over the strided (t, m, t, m) view sums in another order
+    blocks = np.ascontiguousarray(g.reshape(t, m, t, m).transpose(0, 2, 1, 3))
+    worst = float(np.max(np.abs(blocks - np.roll(blocks, (1, 1), axis=(2, 3)))))
     if worst > tol:
         raise UnsupportedInputError(
             "blocks are not circulant: worst shift deviation %.3e" % worst
         )
     f = dft_matrix(m)
-    comps = np.empty((m, t, t), dtype=complex)
-    for i in range(t):
-        for j in range(t):
-            block = g[i * m : (i + 1) * m, j * m : (j + 1) * m]
-            comps[:, i, j] = np.einsum("ag,gh,ah->a", f, block, np.conj(f))
+    comps = np.einsum("ag,ijgh,ah->aij", f, blocks, np.conj(f))
     herm = float(np.max(np.abs(comps - np.conj(np.transpose(comps, (0, 2, 1))))))
     if herm > tol:
         raise NumericFailureError(
             "frequency components lost hermiticity: %.3e" % herm
         )
-    for alpha in range(m):
-        ev = np.linalg.eigvalsh((comps[alpha] + comps[alpha].conj().T) / 2.0)
-        if float(ev[0]) < -1e-8:
-            raise NumericFailureError(
-                "frequency component %d has eigenvalue %.3e < 0" % (alpha, float(ev[0]))
-            )
-    return BlockGram(m=m, t=t, gram=g, frequency_components=comps)
+    block = BlockGram(m=m, t=t, gram=g, frequency_components=comps)
+    low = block.eigenvalues[:, 0]
+    negative = np.flatnonzero(low < -1e-8)
+    if negative.size:
+        alpha = int(negative[0])
+        raise NumericFailureError(
+            "frequency component %d has eigenvalue %.3e < 0" % (alpha, float(low[alpha]))
+        )
+    return block
 
 
 def check_regular_representation(block, tol=1e-8):
@@ -172,27 +180,23 @@ def check_regular_representation(block, tol=1e-8):
     """
     m, t, g = block.m, block.t, block.gram
     dev_sq = float(np.max(np.abs(g @ g - t * g)))
-    diag_sum = np.zeros((m, m), dtype=complex)
-    for i in range(t):
-        diag_sum += g[i * m : (i + 1) * m, i * m : (i + 1) * m]
+    diag_sum = np.einsum("igih->gh", g.reshape(t, m, t, m))
     dev_tight = float(np.max(np.abs(diag_sum - t * np.eye(m))))
     if dev_sq > tol or dev_tight > tol:
         raise UnsupportedInputError(
             "gram is not tight: G^2-tG off by %.3e, block trace off by %.3e"
             % (dev_sq, dev_tight)
         )
-    for alpha in range(m):
-        ev = np.linalg.eigvalsh(
-            (block.frequency_components[alpha]
-             + block.frequency_components[alpha].conj().T) / 2.0
+    ev = block.eigenvalues
+    big = np.sum(np.abs(ev - t) <= 1e-6, axis=1)
+    small = np.sum(np.abs(ev) <= 1e-6, axis=1)
+    split = np.flatnonzero((big != 1) | (small != t - 1))
+    if split.size:
+        alpha = int(split[0])
+        raise NumericFailureError(
+            "frequency %d eigenvalues %s split as %d near t and %d near 0"
+            % (alpha, np.array2string(ev[alpha], precision=3), big[alpha], small[alpha])
         )
-        big = int(np.sum(np.abs(ev - t) <= 1e-6))
-        small = int(np.sum(np.abs(ev) <= 1e-6))
-        if big != 1 or small != t - 1:
-            raise NumericFailureError(
-                "frequency %d eigenvalues %s split as %d near t and %d near 0"
-                % (alpha, np.array2string(ev, precision=3), big, small)
-            )
     return dev_sq, dev_tight
 
 
@@ -204,23 +208,19 @@ def generators_from_blockgram(block, tol=1e-8):
     per-frequency phase.  The reassembled Gram is checked against the
     input to within tol.
     """
-    m, t = block.m, block.t
-    xhat = np.zeros((t, m), dtype=complex)
-    for alpha in range(m):
-        h = (block.frequency_components[alpha]
-             + block.frequency_components[alpha].conj().T) / 2.0
-        ev, vec = np.linalg.eigh(h)
-        lead = float(ev[-1])
-        rest = float(np.max(np.abs(ev[:-1]))) if t > 1 else 0.0
-        if rest > max(tol, 1e-10 * max(lead, 1.0)) * 10:
-            raise UnsupportedInputError(
-                "frequency %d is not rank one: secondary eigenvalue %.3e"
-                % (alpha, rest)
-            )
-        xhat[:, alpha] = math.sqrt(max(lead, 0.0)) * np.conj(vec[:, -1])
-    gens = np.fft.ifft(xhat, axis=1)
-    cols = [circulant(gens[i]) for i in range(t)]
-    phi = np.hstack(cols)
+    ev = block.eigenvalues
+    lead = ev[:, -1]
+    rest = np.max(np.abs(ev[:, :-1]), axis=1, initial=0.0)
+    wide = np.flatnonzero(rest > np.maximum(tol, 1e-10 * np.maximum(lead, 1.0)) * 10)
+    if wide.size:
+        alpha = int(wide[0])
+        raise UnsupportedInputError(
+            "frequency %d is not rank one: secondary eigenvalue %.3e"
+            % (alpha, float(rest[alpha]))
+        )
+    xhat = np.sqrt(np.maximum(lead, 0.0))[:, None] * np.conj(block.eigenvectors[:, :, -1])
+    gens = np.fft.ifft(xhat.T.copy(), axis=1)  # C-ordered (t, m), as callers index rows
+    phi = np.hstack(circulant(gens))
     rebuilt = phi.conj().T @ phi
     dev = float(np.max(np.abs(rebuilt - block.gram)))
     if dev > max(tol, 1e-7):

@@ -155,28 +155,23 @@ def pseudoinverse(a, rank_rtol=1e-8):
         )
     n, m = a.shape
     if n <= m:
-        # Pivoted QR of A^T: A^T P = Q R, so A = P R^T Q^T and the right
-        # inverse is T = Q R^{-T} P^T.
+        # A^T P = Q R, so A = P R^T Q^T and the right inverse is T = Q R^{-T} P^T:
+        # Q R^{-T} scattered to columns piv (a column gather would be F-ordered).
         q, r, piv = scipy.linalg.qr(a.T, mode="economic", pivoting=True)
         rt_inv = scipy.linalg.solve_triangular(r, np.eye(n), trans="T", lower=False)
-        t = q @ rt_inv @ _perm(piv).T
+        t = np.empty((m, n))
+        t[:, piv] = q @ rt_inv
     else:
+        # A P = Q R, so the left inverse is T = P R^{-1} Q^T.
         q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
         r_inv = scipy.linalg.solve_triangular(r, np.eye(m), lower=False)
-        t = _perm(piv) @ r_inv @ q.T
+        t = r_inv[np.argsort(piv)] @ q.T
     residual = float(np.max(np.abs(_right_identity_residual(a, t))))
     if residual > 1e-8:
         raise NumericFailureError(
             "pseudoinverse residual %.3e exceeds 1e-8" % residual
         )
     return t
-
-
-def _perm(piv):
-    m = len(piv)
-    p = np.zeros((m, m))
-    p[piv, np.arange(m)] = 1.0
-    return p
 
 
 def _right_identity_residual(a, t):

@@ -318,6 +318,39 @@ def test_sweep_empty_range_exits_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+FLAG_REFUSALS = [(cmd, "--tol", value, "--tol must be finite and >= 0")
+                 for cmd in ("check", "detect", "circulantize", "solve", "sweep")
+                 for value in ("nan", "inf", "-inf", "-1e-9")]
+FLAG_REFUSALS += [(cmd, flag, value, message)
+                  for cmd in ("solve", "sweep")
+                  for flag, value, message in (("--seed", -1, "--seed must be >= 0"),
+                                               ("--max-iter", 0, "--max-iter must be >= 1"))]
+# the paley-plus q = 5 Gram has order 6
+FLAG_REFUSALS += [("detect", "--m", value, "--m must be a positive divisor of the Gram order 6")
+                  for value in (0, -1, 4, 7)]
+
+
+@pytest.mark.parametrize("command, flag, value, message", FLAG_REFUSALS)
+def test_out_of_range_flags_exit_2_without_traceback(tmp_path, capsys, command, flag, value, message):
+    bundle = tmp_path / "pp5.json"
+    assert run_cli("construct", "--family", "paley-plus", "--q", 5, "--out", bundle) == 0
+    out = tmp_path / "out"
+    rest = {
+        "check": ["--in", bundle],
+        "detect": ["--in", bundle],
+        "circulantize": ["--in", bundle, "--out", out],
+        "solve": ["--d", 3, "--out", out],
+        "sweep": ["--d", "2..2", "--out-dir", out],
+    }[command]
+    capsys.readouterr()
+    # "--tol=-inf": argparse takes a bare "-inf" for an option name
+    assert run_cli(command, *rest, "%s=%s" % (flag, value)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def _generator_doc():
     from etfforge.solver import solve
 
@@ -334,6 +367,10 @@ MALFORMED_DOCUMENTS = {
     "d_1e400": (_generator_doc, {"d": "1e400"}, "malformed generator JSON"),
     "w_text": (_generator_doc, {"w": '"q"'}, "'w'"),
     "w_null": (_generator_doc, {"w": "null"}, "'w'"),
+    "w_inf": (_generator_doc, {"w": "Infinity"}, "'w' must be finite"),
+    "w_minus_inf": (_generator_doc, {"w": "-Infinity"}, "'w' must be finite"),
+    # finite, but 4*w overflows
+    "w_1e308": (_generator_doc, {"w": "1e308"}, "'w' must be finite"),
     "seed_text": (_generator_doc, {"seed": '"s"'}, "'seed'"),
     "gram_d_text": (_gram_only_construction_doc, {"d": '"x"'}, "'d'"),
     "nan_entry": (_generator_doc, {"x_re": "[NaN, 0.5, 0.5]"}, "non-finite"),
@@ -357,6 +394,9 @@ MALFORMED_DOCUMENTS = {
     ("d_1e400", "circulantize"),
     ("w_text", "certify"),
     ("w_null", "certify"),
+    ("w_inf", "certify"),
+    ("w_minus_inf", "certify"),
+    ("w_1e308", "certify"),
     ("seed_text", "certify"),
     ("gram_d_text", "check"),
     ("nan_entry", "detect"),

@@ -191,6 +191,15 @@ def test_circulant_layout_frozen():
     assert np.array_equal(c, expect)
 
 
+def test_circulant_of_a_stack_is_the_stack_of_circulants():
+    gens = np.arange(12.0).reshape(2, 2, 3) + 1j
+    stacked = circulant(gens)
+    assert stacked.shape == (2, 2, 3, 3)
+    for i in range(2):
+        for j in range(2):
+            assert np.array_equal(stacked[i, j], circulant(gens[i, j]))
+
+
 def test_assemble_identity_pair():
     e0 = np.array([1.0, 0.0])
     frame = assemble_2circulant(CirculantPair(2, e0, e0))
