@@ -49,7 +49,7 @@ from .errors import (
     ToolkitError,
 )
 from .frames import CirculantPair, gram_of_signature
-from .linalg import ComplexMatrix, pseudoinverse
+from .linalg import pseudoinverse
 from .rigor import (
     Interval,
     IntervalMatrix,
@@ -327,7 +327,8 @@ class Certificate:
 
 def certify(pair, delta=1e-10, w=0.5, seed=-1):
     """Produce a Certificate for a near-solution pair, or raise
-    CertificationError (reason "rank" or "infeasible")."""
+    CertificationError (reason "rank", or "infeasible", also when delta
+    is too small to move x0)."""
     if not isinstance(pair, CirculantPair):
         raise InvalidArgumentError("certify expects a CirculantPair")
     d = pair.d
@@ -338,7 +339,12 @@ def certify(pair, delta=1e-10, w=0.5, seed=-1):
         raise CertificationError(
             "infeasible", "point infinity norm %.6f leaves no room for epsilon" % norm_x0
         )
-    s_mat, delta_eff = secant_jacobian(x0, delta, d)
+    try:
+        s_mat, delta_eff = secant_jacobian(x0, delta, d)
+    except NumericFailureError as exc:
+        raise CertificationError(
+            "infeasible", "delta %.3e is too small to move x0: %s" % (delta, exc)
+        ) from exc
     try:
         t = pseudoinverse(s_mat.mid())
     except RankDeficiencyError as exc:
@@ -512,7 +518,7 @@ def certify_exact(sig_re, sig_im, witness):
     # after d steps P_d(i) is the holonomy of the cycle through i
     _require_zero("equal cycle holonomies", p_re - p_re[0], p_im - p_im[0])
 
-    gram = gram_of_signature(ComplexMatrix(re + 1j * im, "signature"), d)
+    gram = gram_of_signature(re + 1j * im, d)
     block, _, _ = circulantize(gram, witness)
     gens = generators_from_blockgram(block)
     x0 = pack(CirculantPair(d, gens[0], gens[1]), 0.5)

@@ -33,7 +33,6 @@ from .serialize import (
     dumps,
     matrix_from_obj,
     matrix_to_obj,
-    pair_from_obj,
     pair_to_obj,
     read_json,
     sha256_file,
@@ -157,9 +156,8 @@ def _build_construction(family, q, v, m, epsilon):
     if family in ("paley-plus", "double-paley-plus"):
         _require(q is not None, "--q is required for %s" % family)
         key = "paley_plus" if family == "paley-plus" else "double_paley_plus"
-        gram_mat, wit = harmonic.family_automorphism(key, q)
-        gram = gram_mat.data
-        frame = frame_from_gram(gram, gram.shape[0] // 2).data
+        gram, wit = harmonic.family_automorphism(key, q)
+        frame = frame_from_gram(gram, gram.shape[0] // 2)
         witness = witness_to_obj(wit.sigma, wit.c, m=len(wit.cycles()[0]), t=len(wit.cycles()))
         params = {"q": int(q)}
     elif family == "double-paley":
@@ -172,42 +170,42 @@ def _build_construction(family, q, v, m, epsilon):
             graph = cons.paley_graph(order)
             built = cons.synthesize_doubled_frame(graph, eps)
             sig = cons.double_conference_graph(graph, eps)
-            gram = gram_of_signature(sig, d).data
+            gram = gram_of_signature(sig, d)
             if isinstance(built, CirculantPair):
                 pair = built
                 frame = assemble_2circulant(built)
             else:
-                frame = built.data
+                frame = built
         elif order % 4 == 3:
             sig = cons.double_renes_strohmer_signature(order, eps)
-            gram = gram_of_signature(sig, d).data
-            frame = frame_from_gram(gram, d).data
+            gram = gram_of_signature(sig, d)
+            frame = frame_from_gram(gram, d)
         else:
             raise InvalidArgumentError("double-paley needs an odd prime power order")
         params = {"q": d, "epsilon": eps}
     elif family == "renes-strohmer":
         _require(q is not None, "--q is required for renes-strohmer")
-        gram = cons.renes_strohmer_gram(q).data
+        gram = cons.renes_strohmer_gram(q)
         d = (q + 1) // 2
-        frame = frame_from_gram(gram, d).data
+        frame = frame_from_gram(gram, d)
         params = {"q": int(q)}
     elif family == "steiner":
         _require(m is not None, "--m is required for steiner")
         k = int(m) + 1
         hadamard = dft_matrix(k + 1) * math.sqrt(k + 1)
         diff_set = cons.planar_difference_set(m)
-        frame = cons.steiner_circulant(m, hadamard, diff_set).data
+        frame = cons.steiner_circulant(m, hadamard, diff_set)
         gram = frame.conj().T @ frame
         params = {"m": int(m), "difference_set": [int(x) for x in diff_set]}
     elif family == "family-3x6":
         sig = cons.family_3x6(1.0)
-        gram = gram_of_signature(sig, 3).data
-        frame = frame_from_gram(gram, 3).data
+        gram = gram_of_signature(sig, 3)
+        frame = frame_from_gram(gram, 3)
         params = {"alpha_re": 1.0, "alpha_im": 0.0}
     elif family == "zauner-2x4":
         sig = cons.zauner_2x4_signature()
-        gram = gram_of_signature(sig, 2).data
-        frame = frame_from_gram(gram, 2).data
+        gram = gram_of_signature(sig, 2)
+        frame = frame_from_gram(gram, 2)
         params = {}
     else:
         raise InvalidArgumentError(
@@ -225,7 +223,7 @@ def _build_construction(family, q, v, m, epsilon):
         "n": int(report.n),
         "gram": matrix_to_obj(gram, "gram"),
         "frame": matrix_to_obj(frame, "frame"),
-        "pair": None if pair is None else pair_to_obj(pair.d, pair.x, pair.y),
+        "pair": None if pair is None else pair.to_obj(),
         "witness": witness,
         "etf_report": report.to_obj(),
     }
@@ -252,15 +250,13 @@ def _frame_from_payload(obj):
         if obj.get("frame"):
             return matrix_from_obj(obj["frame"])[0]
         if obj.get("pair"):
-            d, x, y = pair_from_obj(obj["pair"])
-            return assemble_2circulant(CirculantPair(d=d, x=x, y=y))
+            return assemble_2circulant(CirculantPair.from_obj(obj["pair"]))
         if obj.get("gram"):
             g, _ = matrix_from_obj(obj["gram"])
-            return frame_from_gram(g, _doc_field(obj, "d", int)).data
+            return frame_from_gram(g, _doc_field(obj, "d", int))
         raise InvalidArgumentError("construction document carries no frame data")
     if kind == "circulant-generators":
-        d, x, y = pair_from_obj(obj)
-        return assemble_2circulant(CirculantPair(d=d, x=x, y=y))
+        return assemble_2circulant(CirculantPair.from_obj(obj))
     raise InvalidArgumentError("unsupported document kind %r" % kind)
 
 
@@ -281,11 +277,9 @@ def _pair_from_payload(obj):
     from .frames import CirculantPair
 
     if obj.get("kind") == "circulant-generators":
-        d, x, y = pair_from_obj(obj)
-        return CirculantPair(d=d, x=x, y=y), obj
+        return CirculantPair.from_obj(obj), obj
     if obj.get("kind") == "construction" and obj.get("pair"):
-        d, x, y = pair_from_obj(obj["pair"])
-        return CirculantPair(d=d, x=x, y=y), obj
+        return CirculantPair.from_obj(obj["pair"]), obj
     raise InvalidArgumentError("document carries no circulant generator pair")
 
 
@@ -520,10 +514,12 @@ def _resolve_jobs(flag):
 
 def _check_flags(args):
     """Bounds argparse leaves open: --tol finite and >= 0, --seed >= 0,
-    --max-iter >= 1, on the commands that take them."""
+    --max-iter >= 1, 0 < --delta < 1, on the commands that take them."""
     flags = vars(args)
     tol, seed, max_iter = flags.get("tol", 0.0), flags.get("seed", 0), flags.get("max_iter", 1)
+    delta = flags.get("delta", 0.5)
     _require(math.isfinite(tol) and tol >= 0, "--tol must be finite and >= 0, got %r" % tol)
+    _require(0 < delta < 1, "--delta must be finite with 0 < delta < 1, got %r" % delta)
     _require(seed >= 0, "--seed must be >= 0, got %d" % seed)
     _require(max_iter >= 1, "--max-iter must be >= 1, got %d" % max_iter)
 

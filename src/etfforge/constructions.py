@@ -17,15 +17,13 @@ from .errors import (
 )
 from .frames import (
     CirculantPair,
-    ComplexMatrix,
-    assemble_2circulant,
     check_etf,
     circulant,
     gram_of_signature,
     signature_of_gram,
     welch_gamma,
 )
-from .linalg import as_array
+from .linalg import as_array, require_signature
 
 _MAX_PALEY_Q = 10**4
 
@@ -223,7 +221,8 @@ def double_signature(sig, d, n, epsilon):
         raise ConstructionError(
             "doubled signature square identity off by %.3e" % dev
         )
-    return ComplexMatrix(out, "signature")
+    require_signature(out)
+    return out
 
 
 def double_conference_graph(graph, epsilon):
@@ -252,7 +251,7 @@ def double_conference_graph(graph, epsilon):
         raise ConstructionError(
             "doubled conference-graph signature square identity off by %.3e" % dev
         )
-    return ComplexMatrix(out, "signature")
+    return out
 
 
 def doubling_coefficients(v, epsilon):
@@ -303,7 +302,7 @@ def synthesize_doubled_frame(graph, epsilon):
         raise ConstructionError(
             "synthesized frame misses ETF tolerances: %r" % (report,)
         )
-    target = gram_of_signature(double_conference_graph(graph, epsilon), v).data
+    target = gram_of_signature(double_conference_graph(graph, epsilon), v)
     gram = frame.conj().T @ frame
     dev = float(np.max(np.abs(gram - target)))
     if dev > 1e-9:
@@ -313,7 +312,7 @@ def synthesize_doubled_frame(graph, epsilon):
     is_circulant = np.array_equal(a_int, np.roll(a_int, (1, 1), axis=(0, 1)))
     if is_circulant:
         return CirculantPair(d=v, x=m1[:, 0], y=m2[:, 0])
-    return ComplexMatrix(frame, "frame")
+    return frame
 
 
 def renes_strohmer_gram(q):
@@ -332,14 +331,12 @@ def renes_strohmer_gram(q):
     dev = float(np.max(np.abs(np.abs(g[mask]) - gamma)))
     if dev > 1e-12:
         raise ConstructionError("off-diagonal moduli off by %.3e" % dev)
-    return ComplexMatrix(g, "gram")
+    return g
 
 
 def renes_strohmer_complement_signature(q):
     """Signature of the (q-1)/2 x q complement of the skew-Paley ETF."""
-    g = renes_strohmer_gram(q)
-    extract = signature_of_gram(g)
-    return ComplexMatrix(-extract.signature.data, "signature")
+    return -signature_of_gram(renes_strohmer_gram(q)).signature
 
 
 def double_renes_strohmer_signature(q, epsilon):
@@ -426,7 +423,7 @@ def steiner_circulant(m, hadamard, diff_set):
     report = check_etf(frame, tol=1e-10)
     if not report.verdict:
         raise ConstructionError("steiner frame misses ETF tolerances: %r" % (report,))
-    return ComplexMatrix(frame, "frame")
+    return frame
 
 
 def family_3x6(alpha):
@@ -450,7 +447,7 @@ def family_3x6(alpha):
     dev = float(np.max(np.abs(s @ s - 5 * np.eye(6))))
     if dev > 1e-10:
         raise ConstructionError("3x6 signature square identity off by %.3e" % dev)
-    return ComplexMatrix(s, "signature")
+    return s
 
 
 def zauner_2x4_signature():
@@ -480,7 +477,7 @@ def zauner_2x4_signature():
         and np.array_equal(sq_im, np.zeros((4, 4), dtype=np.int64))
     ):
         raise ConstructionError("2x4 signature square identity fails exactly")
-    return ComplexMatrix(re + 1j * im, "signature")
+    return re + 1j * im
 
 
 LABEL_HALF = "G_%d+1"

@@ -17,7 +17,13 @@ from .errors import (
     InvalidSignatureError,
     NotEquiangularError,
 )
-from .linalg import ComplexMatrix, as_array, hermitian_eigen
+from .linalg import as_array, hermitian_eigen, require_hermitian, require_signature
+
+_GRAM_HERMITIAN_TOL = 1e-10
+_DIAG_TOL = 1e-8
+_EQUI_TOL = 1e-6
+_SPECTRAL_TOL = 1e-6
+_RANK_TOL = 1e-6
 
 
 def welch_gamma(d, n):
@@ -121,16 +127,17 @@ def check_etf(phi, tol=1e-10):
 
 @dataclass(frozen=True)
 class SignatureExtract:
-    signature: ComplexMatrix
+    signature: np.ndarray
     gamma: float
 
 
-def signature_of_gram(gram, diag_tol=1e-8, equi_tol=1e-6):
+def signature_of_gram(gram):
     """Split a Gram matrix as I + gamma S and return (S, gamma).
 
     gamma is the mean off-diagonal modulus.  The diagonal must be 1 to
-    diag_tol and the off-diagonal moduli must sit within equi_tol of their
-    mean, else NotEquiangularError.
+    1e-8 and the off-diagonal moduli must sit within 1e-6 of their mean,
+    else NotEquiangularError.  S is not held to the 1e-10 signature
+    contract: solver-grade Grams may miss it.
     """
     g = as_array(gram)
     n = g.shape[0]
@@ -142,7 +149,7 @@ def signature_of_gram(gram, diag_tol=1e-8, equi_tol=1e-6):
             "Gram deviates from Hermitian by %.3e" % herm_dev
         )
     diag_dev = float(np.max(np.abs(np.diag(g) - 1.0)))
-    if diag_dev > diag_tol:
+    if diag_dev > _DIAG_TOL:
         raise NotEquiangularError(
             "Gram diagonal deviates from one by %.3e" % diag_dev
         )
@@ -152,27 +159,23 @@ def signature_of_gram(gram, diag_tol=1e-8, equi_tol=1e-6):
     if gamma == 0.0:
         raise NotEquiangularError("Gram has identically zero off-diagonal")
     spread = float(np.max(np.abs(moduli - gamma)))
-    if spread > equi_tol:
+    if spread > _EQUI_TOL:
         raise NotEquiangularError(
-            "off-diagonal moduli spread %.3e exceeds %.1e" % (spread, equi_tol)
+            "off-diagonal moduli spread %.3e exceeds %.1e" % (spread, _EQUI_TOL)
         )
     s = (g - np.eye(n)) / gamma
     np.fill_diagonal(s, 0.0)
-    try:
-        wrapped = ComplexMatrix(s, "signature")
-    except InvalidArgumentError:
-        # Extraction from solver-grade Grams may miss the strict 1e-10
-        # signature contract; keep the payload with a generic tag.
-        wrapped = ComplexMatrix(s, "generic")
-    return SignatureExtract(signature=wrapped, gamma=gamma)
+    return SignatureExtract(signature=s, gamma=gamma)
 
 
-def gram_of_signature(sig, d, spectral_tol=1e-6):
+def gram_of_signature(sig, d):
     """Gram I + gamma S for a d x n ETF from its signature matrix S.
 
-    When n = 2d the quadratic identity S^2 = (n-1) I is checked up front.
-    The result must be PSD with eigenvalue n/d of multiplicity d and 0 of
-    multiplicity n - d, else InvalidSignatureError carrying the residuals.
+    When n = 2d the quadratic identity S^2 = (n-1) I is checked up front
+    to 1e-6.  The result must be Hermitian to 1e-10, else
+    InvalidArgumentError, and PSD with eigenvalue n/d of multiplicity d
+    and 0 of multiplicity n - d to 1e-6, else InvalidSignatureError
+    carrying the residuals.
     """
     s = as_array(sig)
     n = s.shape[0]
@@ -183,25 +186,25 @@ def gram_of_signature(sig, d, spectral_tol=1e-6):
         raise InvalidArgumentError("need 1 <= d < n")
     if n == 2 * d:
         sq_dev = float(np.max(np.abs(s @ s - (n - 1) * np.eye(n))))
-        if sq_dev > spectral_tol:
+        if sq_dev > _SPECTRAL_TOL:
             raise InvalidSignatureError(
                 "S^2 deviates from (n-1)I by %.3e" % sq_dev
             )
     gamma = welch_gamma(d, n)
     g = np.eye(n) + gamma * s
-    eig = hermitian_eigen(g)
-    w = eig.eigenvalues
+    w, _ = hermitian_eigen(g)
     residuals = np.concatenate([w[: n - d] - 0.0, w[n - d :] - n / d])
     worst = float(np.max(np.abs(residuals)))
-    if worst > spectral_tol:
+    if worst > _SPECTRAL_TOL:
         raise InvalidSignatureError(
             "Gram spectrum off the two-point ETF spectrum by %.3e" % worst,
             residuals=residuals,
         )
-    return ComplexMatrix(g, "gram")
+    require_hermitian(g, _GRAM_HERMITIAN_TOL, "gram matrix")
+    return g
 
 
-def frame_from_gram(gram, d, rank_tol=1e-6):
+def frame_from_gram(gram, d):
     """Synthesis matrix whose rows are sqrt(lambda_i) v_i^* for the top-d
     eigenpairs (descending).  The Gram must be PSD of rank d."""
     g = as_array(gram)
@@ -211,15 +214,14 @@ def frame_from_gram(gram, d, rank_tol=1e-6):
     d = int(d)
     if not 1 <= d <= n:
         raise InvalidArgumentError("need 1 <= d <= n")
-    eig = hermitian_eigen(g)
-    w, v = eig.eigenvalues, eig.eigenvectors
-    if float(w[0]) < -rank_tol:
+    w, v = hermitian_eigen(g)
+    if float(w[0]) < -_RANK_TOL:
         raise InvalidArgumentError("Gram is not PSD (min eigenvalue %.3e)" % w[0])
-    if n - d - 1 >= 0 and float(w[n - d - 1]) > rank_tol:
+    if n - d - 1 >= 0 and float(w[n - d - 1]) > _RANK_TOL:
         raise InvalidArgumentError(
             "Gram rank exceeds %d (eigenvalue %.3e should vanish)" % (d, w[n - d - 1])
         )
-    if float(w[n - d]) <= rank_tol:
+    if float(w[n - d]) <= _RANK_TOL:
         raise InvalidArgumentError(
             "Gram rank falls below %d (eigenvalue %.3e)" % (d, w[n - d])
         )
@@ -231,13 +233,14 @@ def frame_from_gram(gram, d, rank_tol=1e-6):
         raise InvalidSignatureError(
             "factorization residual %.3e exceeds 1e-8" % recon
         )
-    return ComplexMatrix(phi, "frame")
+    return phi
 
 
 def naimark_complement_signature(sig):
     """Signature of the (n-d) x n complement: the negation."""
     s = as_array(sig)
-    return ComplexMatrix(-s, "signature")
+    require_signature(s)
+    return -s
 
 
 def circulant(gen):

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .frames import circulant, gram_of_signature
-from .linalg import ComplexMatrix, as_array, dft_matrix
+from .linalg import as_array, dft_matrix
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,7 @@ def family_automorphism(family, q):
     """Gram of family_signature's signature, in dimension half its order,
     with the family's shift witness, verified here to 1e-10."""
     re, im, witness = family_signature(family, q)
-    gram = gram_of_signature(ComplexMatrix(re + 1j * im, "signature"), re.shape[0] // 2)
+    gram = gram_of_signature(re + 1j * im, re.shape[0] // 2)
     res = verify_automorphism(gram, witness)
     if res > 1e-10:
         raise NumericFailureError(

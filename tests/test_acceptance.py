@@ -36,7 +36,7 @@ from etfforge.harmonic import (
     detect_harmonic_gram,
     family_automorphism,
 )
-from etfforge.linalg import as_array, op_norm_inf
+from etfforge.linalg import op_norm_inf
 from etfforge.rigor import (
     IntervalMatrix,
     iv_norm_inf,
@@ -57,7 +57,7 @@ def test_criterion_01_doubled_conference_graph_identities():
     for v in (5, 9, 13, 17, 25):
         graph = paley_graph(v)
         for eps in (1, -1):
-            s = as_array(double_conference_graph(graph, eps))
+            s = double_conference_graph(graph, eps)
             dev = float(np.max(np.abs(s @ s - (2 * v - 1) * np.eye(2 * v))))
             assert dev <= 1e-9, "v=%d eps=%d square deviation %.3e" % (v, eps, dev)
         a = graph.adjacency.astype(object)
@@ -149,7 +149,7 @@ def test_criterion_04_two_circulantization_of_both_families():
     target = _q7_reference_signature()
     gram, witness = family_automorphism("paley_plus", 7)
     block, _, _ = circulantize(gram, witness)
-    s = as_array(signature_of_gram(block.gram).signature)
+    s = signature_of_gram(block.gram).signature
     m = 4
     best = np.inf
     for conj_flag in (False, True):

@@ -212,6 +212,46 @@ def test_sweep_single_d_syntax(tmp_path):
     assert (out_dir / "certificate_d002.json").exists()
 
 
+def test_delta_too_small_to_move_x0_is_infeasible(tmp_path, capsys):
+    # 1e-17 is below half an ulp of x0's larger coordinates (w = 0.5 among
+    # them), so no secant step moves x0: certify refuses as infeasible and
+    # the sweep goes on to the exact route where there is one
+    assert run_cli("sweep", "--d", "2..3", "--delta=1e-17", "--out-dir", tmp_path / "a") == 0
+    out = capsys.readouterr().out
+    assert "d=2 verified method=exact-construction" in out
+    assert "d=3 verified method=exact-construction" in out
+    assert run_cli("sweep", "--d", "11..11", "--delta=1e-17", "--out-dir", tmp_path / "b") == 1
+    assert "d=11 FAILED reason=infeasible" in capsys.readouterr().out
+    row = read_json(tmp_path / "b" / "certificate_d011.json")
+    assert "too small to move x0" in row["failure_message"]
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps(_generator_doc()))
+    assert run_cli("certify", "--in", gens, "--delta=1e-300") == 1
+    assert capsys.readouterr().out.startswith("certification failed: reason=infeasible delta")
+
+
+# manifest digests of construct at the last commit whose matrices were
+# role-tagged wrappers; plain ndarrays must write the same bytes
+CONSTRUCT_DIGESTS = [
+    (["--family", "paley-plus", "--q", "13"], "fed1e27bf5b64dc1"),
+    (["--family", "double-paley-plus", "--q", "9"], "ba9f1414b4b40f84"),
+    (["--family", "double-paley", "--q", "5"], "c22591b11ae317c5"),
+    (["--family", "double-paley", "--q", "9"], "41763e312ebddd65"),
+    (["--family", "double-paley", "--q", "7"], "1949f389dbb71f84"),
+    (["--family", "renes-strohmer", "--q", "11"], "43f43a698f6bedbf"),
+    (["--family", "steiner", "--m", "2"], "c7d3ab107b3f4ef1"),
+    (["--family", "family-3x6"], "167c2586c061f75b"),
+    (["--family", "zauner-2x4"], "fd6e4dca6c0be52c"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", CONSTRUCT_DIGESTS)
+def test_construct_manifest_digest_pinned(tmp_path, monkeypatch, flags, digest):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("construct", *flags, "--out", "o.json") == 0
+    assert read_json(tmp_path / "o.json")["manifest"]["digest"].startswith(digest)
+
+
 def test_manifest_digest_deterministic_across_directories(tmp_path, monkeypatch):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
@@ -325,6 +365,9 @@ FLAG_REFUSALS += [(cmd, flag, value, message)
                   for cmd in ("solve", "sweep")
                   for flag, value, message in (("--seed", -1, "--seed must be >= 0"),
                                                ("--max-iter", 0, "--max-iter must be >= 1"))]
+FLAG_REFUSALS += [(cmd, "--delta", value, "--delta must be finite with 0 < delta < 1")
+                  for cmd in ("certify", "sweep")
+                  for value in ("nan", "inf", "0", "1", "-1e-9")]
 # the paley-plus q = 5 Gram has order 6
 FLAG_REFUSALS += [("detect", "--m", value, "--m must be a positive divisor of the Gram order 6")
                   for value in (0, -1, 4, 7)]
@@ -334,9 +377,12 @@ FLAG_REFUSALS += [("detect", "--m", value, "--m must be a positive divisor of th
 def test_out_of_range_flags_exit_2_without_traceback(tmp_path, capsys, command, flag, value, message):
     bundle = tmp_path / "pp5.json"
     assert run_cli("construct", "--family", "paley-plus", "--q", 5, "--out", bundle) == 0
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps(_generator_doc()))
     out = tmp_path / "out"
     rest = {
         "check": ["--in", bundle],
+        "certify": ["--in", gens, "--out", out],
         "detect": ["--in", bundle],
         "circulantize": ["--in", bundle, "--out", out],
         "solve": ["--d", 3, "--out", out],

@@ -36,7 +36,7 @@ from etfforge.frames import (
     gram_of_signature,
 )
 from etfforge.harmonic import family_signature
-from etfforge.linalg import ComplexMatrix, dft_matrix
+from etfforge.linalg import dft_matrix
 
 
 def test_is_odd_prime_power():
@@ -198,23 +198,27 @@ def test_line_system_conference_matches_tag():
 
 
 def test_double_signature_validates():
-    s = zauner_2x4_signature().data
+    s = zauner_2x4_signature()
     with pytest.raises(InvalidArgumentError):
         double_signature(s, 2, 4, epsilon=2)
     with pytest.raises(InvalidArgumentError):
         double_signature(s, 1, 4, epsilon=1)  # n - 2d = 2
     with pytest.raises(InvalidArgumentError):
         double_signature(s, 2, 5, epsilon=1)  # shape disagrees
+    # diag(1, -1) squares to I, so the doubled matrix squares to 3I, but it
+    # is no signature: the refusal comes after the square identity check
+    with pytest.raises(InvalidArgumentError, match="diagonal"):
+        double_signature(np.diag([1.0, -1.0]), 1, 2, epsilon=1)
 
 
 def test_double_signature_square_identity():
     # double the 2x4 signature (n - 2d = 0): 8x8 with S^2 = 7I
-    s = zauner_2x4_signature().data
-    out = double_signature(s, 2, 4, +1).data
+    s = zauner_2x4_signature()
+    out = double_signature(s, 2, 4, +1)
     assert out.shape == (8, 8)
     assert np.max(np.abs(out @ out - 7 * np.eye(8))) < 1e-9
     # n - 2d = 0 makes beta = epsilon i, injected on the coupling diagonal
-    out_m = double_signature(s, 2, 4, -1).data
+    out_m = double_signature(s, 2, 4, -1)
     assert abs(out[0, 4] - 1j) < 1e-12
     assert abs(out_m[0, 4] + 1j) < 1e-12
     off_diag = ~np.eye(4, dtype=bool)
@@ -225,7 +229,7 @@ def test_double_signature_square_identity():
 def test_double_conference_graph_square_identity(v):
     g = paley_graph(v)
     for eps in (1, -1):
-        s = double_conference_graph(g, eps).data
+        s = double_conference_graph(g, eps)
         assert np.max(np.abs(s @ s - (2 * v - 1) * np.eye(2 * v))) < 1e-9
     with pytest.raises(InvalidArgumentError):
         double_conference_graph(g, 0)
@@ -234,7 +238,7 @@ def test_double_conference_graph_square_identity(v):
 def test_double_conference_graph_beta_position():
     # v=5, eps=1: x = 1/2, beta = exp(i pi/3) sits at adjacency positions
     g = paley_graph(5)
-    s = double_conference_graph(g, 1).data
+    s = double_conference_graph(g, 1)
     beta = np.exp(1j * np.pi / 3)
     s12 = s[:5, 5:]
     assert abs(s12[0, 1] - beta) < 1e-12          # 1 is a square mod 5
@@ -267,14 +271,14 @@ def test_synthesize_doubled_frame_v5_is_circulant_pair():
 def test_synthesize_doubled_frame_v9_is_plain_frame():
     # GF(9) adjacency is not circulant in coefficient-lex order
     out = synthesize_doubled_frame(paley_graph(9), 1)
-    assert isinstance(out, ComplexMatrix)
-    assert check_etf(out.data, tol=1e-10).verdict
+    assert isinstance(out, np.ndarray)
+    assert check_etf(out, tol=1e-10).verdict
 
 
 def test_renes_strohmer_gram_shape_and_rank():
     for q in [3, 7, 11]:
         g = renes_strohmer_gram(q)
-        assert g.rows == q
+        assert g.shape == (q, q)
         d = (q + 1) // 2
         frame = frame_from_gram(g, d)
         assert check_etf(frame, tol=1e-10).verdict
@@ -292,7 +296,7 @@ def test_renes_strohmer_complement_round_trip():
 
 def test_double_renes_strohmer_signature():
     q = 7
-    s = double_renes_strohmer_signature(q, 1).data
+    s = double_renes_strohmer_signature(q, 1)
     assert s.shape == (2 * q, 2 * q)
     assert np.max(np.abs(s @ s - (2 * q - 1) * np.eye(2 * q))) < 1e-9
     frame = frame_from_gram(gram_of_signature(s, q), q)
@@ -315,17 +319,17 @@ def test_steiner_circulant_7x28():
     k = 3
     h = dft_matrix(k + 1) * math.sqrt(k + 1)
     frame = steiner_circulant(2, h, [0, 1, 3])
-    assert frame.rows == 7 and frame.cols == 28
-    assert check_etf(frame.data, tol=1e-10).verdict
+    assert frame.shape == (7, 28)
+    assert check_etf(frame, tol=1e-10).verdict
     # every column touches exactly k coordinates
-    supports = np.sum(np.abs(frame.data) > 1e-12, axis=0)
+    supports = np.sum(np.abs(frame) > 1e-12, axis=0)
     assert np.all(supports == k)
 
 
 def test_steiner_circulant_3x9():
     h = dft_matrix(3) * math.sqrt(3)
     frame = steiner_circulant(1, h, [0, 1])
-    report = check_etf(frame.data, tol=1e-10)
+    report = check_etf(frame, tol=1e-10)
     assert report.verdict
     assert abs(report.gamma - 0.5) < 1e-15
 
@@ -344,7 +348,7 @@ def test_steiner_circulant_rejects_bad_inputs():
 
 
 def test_family_3x6_alpha_one_frozen_row():
-    s = family_3x6(1.0).data
+    s = family_3x6(1.0)
     assert np.array_equal(s[0], np.array([0, 1, 1, 1, 1, -1], dtype=complex))
     assert np.max(np.abs(s @ s - 5 * np.eye(6))) < 1e-10
 
@@ -352,8 +356,8 @@ def test_family_3x6_alpha_one_frozen_row():
 def test_family_3x6_triple_products_separate_members():
     # generic members are not switching equivalent: a closed triple product
     # of signature entries distinguishes them
-    s1 = family_3x6(1.0).data
-    s2 = family_3x6(np.exp(2j * np.pi / 7)).data
+    s1 = family_3x6(1.0)
+    s2 = family_3x6(np.exp(2j * np.pi / 7))
     t1 = s1[0, 1] * s1[1, 2] * s1[2, 0]
     t2 = s2[0, 1] * s2[1, 2] * s2[2, 0]
     assert abs(t1 - t2) > 1e-3
@@ -368,7 +372,7 @@ def test_family_3x6_pipeline_alpha_i():
 
 
 def test_zauner_2x4_signature_exact():
-    s = zauner_2x4_signature().data
+    s = zauner_2x4_signature()
     assert s[0, 3] == -1j
     assert np.array_equal(s @ s, 3.0 * np.eye(4, dtype=complex))
     frame = frame_from_gram(gram_of_signature(s, 2), 2)

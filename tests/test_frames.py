@@ -95,7 +95,7 @@ def test_signature_round_trip_2x4():
     gram = gram_of_signature(s, 2)
     extract = signature_of_gram(gram)
     assert abs(extract.gamma - welch_gamma(2, 4)) < 1e-12
-    assert np.max(np.abs(extract.signature.data - s)) < 1e-10
+    assert np.max(np.abs(extract.signature - s)) < 1e-10
     frame = frame_from_gram(gram, 2)
     assert check_etf(frame, tol=1e-10).verdict
 
@@ -118,7 +118,11 @@ def test_gram_of_signature_checks_quadratic_identity():
     s = np.array([[0.0, 1.0], [1.0, 0.0]])
     # n = 2d = 2 would need S^2 = I; this S satisfies it, d=1 works
     gram = gram_of_signature(s, 1)
-    assert gram.role == "gram"
+    assert np.array_equal(gram, np.ones((2, 2)))
+    # within hermitian_eigen's 1e-8 and the spectrum's 1e-6, but G must be
+    # Hermitian to 1e-10
+    with pytest.raises(InvalidArgumentError, match="Hermitian"):
+        gram_of_signature(s + np.array([[0.0, 1e-9], [0.0, 0.0]]), 1)
     bad = np.array(
         [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]], dtype=complex
     )
@@ -147,8 +151,8 @@ def test_frame_from_gram_identity_and_rank1():
     assert check_etf(phi, tol=1e-12).max_norm_dev < 1e-12
     ones = np.ones((3, 3)) / 1.0
     phi1 = frame_from_gram(ones, 1)
-    assert phi1.rows == 1 and phi1.cols == 3
-    assert np.max(np.abs(phi1.data.conj().T @ phi1.data - ones)) < 1e-10
+    assert phi1.shape == (1, 3)
+    assert np.max(np.abs(phi1.conj().T @ phi1 - ones)) < 1e-10
 
 
 def test_frame_from_gram_rank_mismatch():
@@ -164,8 +168,10 @@ def test_frame_from_gram_rank_mismatch():
 def test_naimark_complement():
     s = np.array([[0.0, 1.0], [1.0, 0.0]])
     ns = naimark_complement_signature(s)
-    assert np.array_equal(ns.data, -s)
-    assert np.array_equal(naimark_complement_signature(ns).data, s)
+    assert np.array_equal(ns, -s)
+    assert np.array_equal(naimark_complement_signature(ns), s)
+    with pytest.raises(InvalidArgumentError):
+        naimark_complement_signature(np.eye(2))  # nonzero diagonal
 
 
 def test_naimark_rank_split():
@@ -180,8 +186,8 @@ def test_naimark_rank_split():
     )
     g1 = gram_of_signature(s, 2)
     g2 = gram_of_signature(-s, 2)
-    r1 = np.linalg.matrix_rank(g1.data, tol=1e-8)
-    r2 = np.linalg.matrix_rank(g2.data, tol=1e-8)
+    r1 = np.linalg.matrix_rank(g1, tol=1e-8)
+    r2 = np.linalg.matrix_rank(g2, tol=1e-8)
     assert r1 + r2 == 4
 
 
