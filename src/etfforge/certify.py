@@ -23,9 +23,12 @@ difference quotient for the float step h_l = fl(fl(x0_l + delta) - x0_l),
 enclosed from its closed form as an interval slope (see
 secant_jacobian), so S costs O(d^2) and its entries are a few ulps
 wide.  Its product with T is a midpoint-radius product on BLAS (see
-rigor.iv_matmul).  The residual row layout is solver's (solver.row_spec):
-f_eval_interval and secant_jacobian gather their rows with
-solver.gather_rows, and _residual_polynomials iterates the spec.
+rigor.iv_matmul).  certify encloses u, v and c at x0 once, as one
+stacked interval pass (_correlations_interval), and shares that
+enclosure between S and the residual bound C0.  The residual row layout
+is solver's (solver.row_spec): f_eval_interval and secant_jacobian
+gather their rows with solver.gather_rows, and _residual_polynomials
+iterates the spec.
 
 Where that argument cannot close (at d = 4 every zero is singular beyond
 the gauge kernel), a dimension covered by a witnessed symplectic
@@ -83,33 +86,40 @@ def _iv_sum_last(lo, hi):
     return lo[..., 0], hi[..., 0]
 
 
-def _correlation_block(s_lo, s_hi, t_lo, t_hi, idx):
-    """Interval sums sum_m s_m * t_(m+j) for all j, given index table idx."""
-    a_lo = np.broadcast_to(s_lo[None, :], idx.shape)
-    a_hi = np.broadcast_to(s_hi[None, :], idx.shape)
-    b_lo = t_lo[idx]
-    b_hi = t_hi[idx]
-    p_lo, p_hi = vmul(a_lo, a_hi, b_lo, b_hi)
-    return _iv_sum_last(p_lo, p_hi)
+# the twelve real correlations behind u, v and c as (s, t) factor pairs
+# over the packed parts a = Re x, b = Im x, p = Re y, q = Im y.  Pair k
+# and pair k + 6 are added (k < 3: Re u, Re v, Re c) or subtracted
+# (3 <= k < 6: Im u, Im v, Im c).
+_CORRELATION_PAIRS = ("aa", "pp", "pa", "ba", "qp", "qa", "bb", "qq", "qb", "ab", "pq", "pb")
+_S_PART = np.array(["abpq".index(k[0]) for k in _CORRELATION_PAIRS])
+_T_PART = np.array(["abpq".index(k[1]) for k in _CORRELATION_PAIRS])
 
 
 def _correlations_interval(lo, hi, d):
     """Interval enclosures of u, v and c (see solver) over the box
     [lo, hi] of packed points, each as (re, im) with re and im (lo, hi)
-    pairs over the lags 0..d-1."""
-    part = {k: (lo[i * d:(i + 1) * d], hi[i * d:(i + 1) * d]) for i, k in enumerate("abpq")}
+    pairs over the lags 0..d-1.
+
+    All twelve correlations sum_m s_m t_(m+j) are one (12, d, d) stack:
+    one interval product, one pairwise fold over m, then one addition
+    and one subtraction across the stack.  Every kernel is elementwise,
+    so each entry is rounded exactly as it would be on its own.  certify
+    builds this once at x0 and shares it between secant_jacobian and the
+    residual bound C0.
+    """
     m = np.arange(d)
     idx = (m[None, :] + m[:, None]) % d  # idx[j, m] = m + j
-
-    def corr(s_name, t_name):
-        return _correlation_block(*part[s_name], *part[t_name], idx)
-
-    # u_j = sum x_m conj(x_{m+j});  Re: aa' + bb',  Im: ba' - ab'
-    u = (vadd(*corr("a", "a"), *corr("b", "b")), vsub(*corr("b", "a"), *corr("a", "b")))
-    v = (vadd(*corr("p", "p"), *corr("q", "q")), vsub(*corr("q", "p"), *corr("p", "q")))
-    # c_j = sum y_m conj(x_{m+j});  Re: pa' + qb',  Im: qa' - pb'
-    c = (vadd(*corr("p", "a"), *corr("q", "b")), vsub(*corr("q", "a"), *corr("p", "b")))
-    return u, v, c
+    parts_lo = lo[:4 * d].reshape(4, d)
+    parts_hi = hi[:4 * d].reshape(4, d)
+    # s broadcasts over the lag axis j of t[k, j, m] = t_k(m + j)
+    c_lo, c_hi = _iv_sum_last(*vmul(
+        parts_lo[_S_PART, None, :], parts_hi[_S_PART, None, :],
+        parts_lo[_T_PART][:, idx], parts_hi[_T_PART][:, idx],
+    ))
+    re_lo, re_hi = vadd(c_lo[:3], c_hi[:3], c_lo[6:9], c_hi[6:9])
+    im_lo, im_hi = vsub(c_lo[3:6], c_hi[3:6], c_lo[9:], c_hi[9:])
+    # u_j = sum x_m conj(x_{m+j}), v likewise, c_j = sum y_m conj(x_{m+j})
+    return tuple(((re_lo[k], re_hi[k]), (im_lo[k], im_hi[k])) for k in range(3))
 
 
 def _assemble_rows(u, v, abs2_u, abs2_c):
@@ -151,9 +161,15 @@ def f_eval_interval(z, d):
     d = int(d)
     if lo.shape != (4 * d + 1,) or hi.shape != (4 * d + 1,):
         raise InvalidArgumentError("interval input must have 4d+1 entries")
-    u, v, c = _correlations_interval(lo, hi, d)
+    return _residual_rows(_correlations_interval(lo, hi, d), lo[4 * d], hi[4 * d])
+
+
+def _residual_rows(uvc, w_lo, w_hi):
+    """f_eval_interval's rows from an enclosure uvc of u, v and c, as
+    _correlations_interval returns it, and the interval [w_lo, w_hi]."""
+    u, v, c = uvc
     rows_lo, rows_hi = _assemble_rows(u, v, _abs2(*u), _abs2(*c))
-    w4_lo, w4_hi = vscale(lo[4 * d], hi[4 * d], 4.0)
+    w4_lo, w4_hi = vscale(w_lo, w_hi, 4.0)
     rows_lo[:3], rows_hi[:3] = vsub(
         rows_lo[:3], rows_hi[:3], np.array([1.0, 1.0, w4_lo]), np.array([1.0, 1.0, w4_hi])
     )
@@ -172,13 +188,14 @@ def _slope_abs2(z, dz, h):
     return vadd(*vscale(*cross, 2.0), *vscale(*_abs2(dz_re, dz_im), h))
 
 
-def secant_jacobian(x0, delta, d):
+def secant_jacobian(x0, delta, d, uvc=None):
     """Interval enclosure of the secant Jacobian at x0 with step delta.
 
     Column l holds the slope (f(x0 + h_l e_l) - f(x0)) / h_l, where
     h_l = fl(fl(x0_l + delta) - x0_l) is the float step; the slope is
     enclosed for exactly this real h_l.  Returns the matrix and the
-    largest step, max h_l.
+    largest step, max h_l.  uvc is the enclosure of u, v and c at x0,
+    _correlations_interval(x0, x0, d); it is built here when None.
 
     No f is evaluated at a moved point.  Each entry is enclosed from the
     exact algebraic difference quotient (an interval slope, Neumaier,
@@ -207,7 +224,7 @@ def secant_jacobian(x0, delta, d):
             "secant step vanished at coordinate %d" % int(np.argmax(steps <= 0.0))
         )
     pair, _ = unpack(x0, d)
-    u, v, c = _correlations_interval(x0, x0, d)
+    u, v, c = _correlations_interval(x0, x0, d) if uvc is None else uvc
     h = steps[None, :4 * d]
     lag = np.arange(d)[:, None]
     col = np.arange(4 * d)[None, :]
@@ -339,8 +356,9 @@ def certify(pair, delta=1e-10, w=0.5, seed=-1):
         raise CertificationError(
             "infeasible", "point infinity norm %.6f leaves no room for epsilon" % norm_x0
         )
+    uvc = _correlations_interval(x0, x0, d)
     try:
-        s_mat, delta_eff = secant_jacobian(x0, delta, d)
+        s_mat, delta_eff = secant_jacobian(x0, delta, d, uvc)
     except NumericFailureError as exc:
         raise CertificationError(
             "infeasible", "delta %.3e is too small to move x0: %s" % (delta, exc)
@@ -359,7 +377,7 @@ def certify(pair, delta=1e-10, w=0.5, seed=-1):
     a_iv = iv_norm_inf(iv_mat_sub(st, eye))
     a_bound = Interval(a_iv.hi)
     bt = Interval(iv_norm_inf(IntervalMatrix.from_point(t)).hi)
-    f0_lo, f0_hi = f_eval_interval((x0, x0), d)
+    f0_lo, f0_hi = _residual_rows(uvc, x0[4 * d], x0[4 * d])
     c0 = Interval(float(np.max(np.maximum(np.abs(f0_lo), np.abs(f0_hi)))))
     de = Interval(delta_eff)
     reach = iv_add(Interval(norm_x0), de)

@@ -143,11 +143,7 @@ def signature_of_gram(gram):
     n = g.shape[0]
     if g.shape[0] != g.shape[1] or n < 2:
         raise InvalidArgumentError("signature_of_gram expects a square Gram, n >= 2")
-    herm_dev = float(np.max(np.abs(g - g.conj().T)))
-    if herm_dev > 1e-8:
-        raise InvalidArgumentError(
-            "Gram deviates from Hermitian by %.3e" % herm_dev
-        )
+    require_hermitian(g, 1e-8, "Gram")
     diag_dev = float(np.max(np.abs(np.diag(g) - 1.0)))
     if diag_dev > _DIAG_TOL:
         raise NotEquiangularError(

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericFailureError
+from .errors import InvalidArgumentError
 from .frames import CirculantPair, welch_gamma
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -439,3 +441,45 @@ def test_certify_verifies_large_dimensions(d):
     assert cert.verified and cert.method == "newton-kantorovich"
     assert cert.bound_ST_minus_I < 1e-6
     assert cert.lhs_upper < cert.rhs_lower
+
+
+# sha256 of the outputs below as the per-correlation enclosure (twelve
+# separate products and folds, u, v and c enclosed twice per certify)
+# produced them; the stacked single enclosure must round every endpoint
+# exactly as it did.
+PINNED_CERTIFY_OUTPUTS = "d35e90547398dfb96f8318a1d104e167fa7513af6de2097f8e63fa872cf68dec"
+
+
+def test_certify_outputs_match_pinned_digest():
+    h = hashlib.sha256()
+    for d in range(2, 13):
+        try:
+            obj = certify(solve(d, seed=0).pair).to_obj()
+        except CertificationError as exc:  # d = 4: NK cannot close
+            obj = {"reason": exc.reason, "detail": exc.detail}
+        h.update(json.dumps(obj, sort_keys=True).encode())
+    for d in (3, 8, 30):
+        x0 = _pack(solve(d, seed=0).pair, 0.5)
+        s_mat, step = secant_jacobian(x0, 1e-10, d)
+        h.update(s_mat.lo.tobytes())
+        h.update(s_mat.hi.tobytes())
+        h.update(np.float64(step).tobytes())
+        center = np.random.default_rng(d).uniform(-0.5, 0.5, 4 * d + 1)
+        lo, hi = f_eval_interval((center - 1e-6, center + 1e-6), d)
+        h.update(lo.tobytes())
+        h.update(hi.tobytes())
+    assert h.hexdigest() == PINNED_CERTIFY_OUTPUTS
+
+
+def test_certify_encloses_u_v_c_once(monkeypatch):
+    calls = []
+    enclose = certify_module._correlations_interval
+
+    def counted(*args):
+        calls.append(args[2])
+        return enclose(*args)
+
+    monkeypatch.setattr(certify_module, "_correlations_interval", counted)
+    pair = solve(5, seed=0).pair
+    assert certify(pair).verified
+    assert calls == [5]
