@@ -25,10 +25,11 @@ secant_jacobian), so S costs O(d^2) and its entries are a few ulps
 wide.  Its product with T is a midpoint-radius product on BLAS (see
 rigor.iv_matmul).  certify encloses u, v and c at x0 once, as one
 stacked interval pass (_correlations_interval), and shares that
-enclosure between S and the residual bound C0.  The residual row layout
-is solver's (solver.row_spec): f_eval_interval and secant_jacobian
-gather their rows with solver.gather_rows, and _residual_polynomials
-iterates the spec.
+enclosure between S and the residual bound C0.  epsilon_search tests
+every candidate eps at once, on the same array kernels.  The residual
+row layout is solver's (solver.row_spec): f_eval_interval and
+secant_jacobian gather their rows with solver.gather_rows, and
+_residual_polynomials iterates the spec.
 
 Where that argument cannot close (at d = 4 every zero is singular beyond
 the gauge kernel), a dimension covered by a witnessed symplectic
@@ -39,7 +40,7 @@ harmonic.family_signature.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -51,24 +52,22 @@ from .errors import (
     RankDeficiencyError,
     ToolkitError,
 )
-from .frames import CirculantPair, gram_of_signature
+from .frames import CirculantPair, welch_gamma
 from .linalg import pseudoinverse
 from .rigor import (
-    Interval,
     IntervalMatrix,
-    iv_add,
-    iv_div,
     iv_matmul,
     iv_mat_sub,
-    iv_mul,
     iv_norm_inf,
-    iv_sub,
     vadd,
+    vdiv,
     vmul,
     vscale,
     vsqr,
     vsub,
 )
+# certify calls none of these; perfbench/spans.py counts them on this module
+from .rigor import iv_add, iv_div, iv_mul, iv_sub  # noqa: F401
 from .solver import gather_rows, pack, residual_count, row_spec, unpack
 
 
@@ -264,10 +263,13 @@ METHOD_EXACT = "exact-construction"
 class Certificate:
     """Verified existence of a d x 2d ETF made of two circulant blocks.
 
+    A Certificate exists only as a proof: verified is always True, and
+    rows, variables and kernel_dim follow from d.
+
     method "newton-kantorovich": a true residual zero lies within epsilon
     of the packed point x0 (in the infinity norm).  All bound_* fields are
-    certified upper bounds; verified is only set when lhs_upper < rhs_lower
-    holds strictly in outward-rounded arithmetic.
+    certified upper bounds, and lhs_upper < rhs_lower holds strictly in
+    outward-rounded arithmetic (epsilon_search).
 
     method "exact-construction": no floating point enters the proof.  For
     a signature S of order n = 2d, checked over Z[i]:
@@ -312,11 +314,18 @@ class Certificate:
     lhs_upper: float
     rhs_lower: float
     q_value: Optional[float]
-    kernel_dim: int
-    rows: int
-    variables: int
-    verified: bool
+    kernel_dim: int = field(init=False)
+    rows: int = field(init=False)
+    variables: int = field(init=False)
+    verified: bool = field(init=False)
     method: str = METHOD_NK
+
+    def __post_init__(self):
+        rows = residual_count(self.d)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "variables", 4 * self.d + 1)
+        object.__setattr__(self, "kernel_dim", 4 * self.d + 1 - rows)
+        object.__setattr__(self, "verified", True)
 
     def to_obj(self):
         return {
@@ -351,8 +360,7 @@ def certify(pair, delta=1e-10, w=0.5, seed=-1):
     d = pair.d
     x0 = pack(pair, w)
     norm_x0 = float(np.max(np.abs(x0)))
-    cap = 1.0 - norm_x0
-    if cap <= 0.0:
+    if norm_x0 >= 1.0:
         raise CertificationError(
             "infeasible", "point infinity norm %.6f leaves no room for epsilon" % norm_x0
         )
@@ -371,76 +379,75 @@ def certify(pair, delta=1e-10, w=0.5, seed=-1):
             "secant Jacobian midpoint is numerically rank deficient",
             detail=exc.smallest_sv,
         ) from exc
-    rows = residual_count(d)
     st = iv_matmul(s_mat, t)
-    eye = IntervalMatrix.from_point(np.eye(rows))
-    a_iv = iv_norm_inf(iv_mat_sub(st, eye))
-    a_bound = Interval(a_iv.hi)
-    bt = Interval(iv_norm_inf(IntervalMatrix.from_point(t)).hi)
+    eye = IntervalMatrix.from_point(np.eye(st.shape[0]))
+    a_bound = iv_norm_inf(iv_mat_sub(st, eye)).hi
+    bt = iv_norm_inf(IntervalMatrix.from_point(t)).hi
     f0_lo, f0_hi = _residual_rows(uvc, x0[4 * d], x0[4 * d])
-    c0 = Interval(float(np.max(np.maximum(np.abs(f0_lo), np.abs(f0_hi)))))
-    de = Interval(delta_eff)
-    reach = iv_add(Interval(norm_x0), de)
-    base = Interval(max(1.0, reach.hi))
-    dtil = iv_mul(de, iv_mul(base, base))
+    c0 = float(np.max(np.maximum(np.abs(f0_lo), np.abs(f0_hi))))
     f_abs = float(16 * d * d)
-    big_b = iv_mul(Interval(12.0 * f_abs), bt)  # coefficient bound times D(D-1), D = 4
-    half_dtil = iv_mul(Interval(0.5), dtil)
-    lin = iv_sub(iv_add(a_bound, iv_mul(half_dtil, big_b)), Interval(1.0))
-    const = iv_mul(bt, c0)
-
-    def sides(eps):
-        e = Interval(eps)
-        lhs = iv_add(a_bound, iv_mul(iv_add(half_dtil, e), big_b))
-        rhs = iv_sub(Interval(1.0), iv_div(const, e))
-        return lhs, rhs
-
-    def q_at(eps):
-        e = Interval(eps)
-        quad = iv_mul(big_b, iv_mul(e, e))
-        return iv_add(iv_add(quad, iv_mul(lin, e)), const)
-
-    candidates = []
-    if big_b.hi > 0 and lin.hi < 0:
-        vertex = -lin.hi / (2.0 * big_b.hi)
-        if 0.0 < vertex <= cap:
-            candidates.append(vertex)
-    candidates.extend(float(e) for e in np.geomspace(1e-13, cap, 32))
-    best_gap = math.inf
-    for eps in candidates:
-        if not 0.0 < eps <= cap:
-            continue
-        if iv_add(Interval(norm_x0), Interval(eps)).hi > 1.0:
-            continue
-        lhs, rhs = sides(eps)
-        best_gap = min(best_gap, lhs.hi - rhs.lo)
-        if lhs.hi < rhs.lo:
-            q = q_at(eps)
-            return Certificate(
-                d=d,
-                seed=int(seed),
-                x0=tuple(float(v) for v in x0),
-                delta=float(delta),
-                delta_eff=float(delta_eff),
-                epsilon=float(eps),
-                bound_ST_minus_I=float(a_bound.hi),
-                bound_T_norm=float(bt.hi),
-                bound_f_x0=float(c0.hi),
-                f_abs_bound=f_abs,
-                lhs_upper=float(lhs.hi),
-                rhs_lower=float(rhs.lo),
-                q_value=float(q.hi),
-                kernel_dim=4 * d + 1 - rows,
-                rows=rows,
-                variables=4 * d + 1,
-                verified=True,
-            )
-    raise CertificationError(
-        "infeasible",
-        "no epsilon makes the contraction inequality hold (best gap %.3e)"
-        % best_gap,
-        detail=best_gap,
+    eps, lhs, rhs, q = epsilon_search(a_bound, bt, c0, delta_eff, norm_x0, f_abs)
+    return Certificate(
+        d=d,
+        seed=int(seed),
+        x0=tuple(float(v) for v in x0),
+        delta=float(delta),
+        delta_eff=float(delta_eff),
+        epsilon=eps,
+        bound_ST_minus_I=a_bound,
+        bound_T_norm=bt,
+        bound_f_x0=c0,
+        f_abs_bound=f_abs,
+        lhs_upper=lhs,
+        rhs_lower=rhs,
+        q_value=q,
     )
+
+
+def epsilon_search(a, bt, c0, delta_eff, norm_x0, f_abs):
+    """The contraction inequality of the module docstring, for the float
+    bounds A = a, B_T = bt, C0 = c0, the secant step delta_eff, ||x0||_inf
+    and the coefficient bound f_abs (|f| <= f_abs).
+
+    Each candidate eps (the vertex of Q when it lies in (0, cap], then
+    geomspace(1e-13, cap, 32), cap = 1 - ||x0||) with (||x0|| + eps).hi
+    <= 1 is tested at once, in outward-rounded array arithmetic:
+
+        lhs = A + (dtil / 2 + eps) B,   rhs = 1 - B_T C0 / eps.
+
+    Returns (eps, lhs.hi, rhs.lo, Q(eps).hi) for the first candidate with
+    lhs.hi < rhs.lo; a NaN compares false there, so it never proves
+    anything.  Otherwise raises CertificationError ("infeasible") carrying
+    the best gap, min(lhs.hi - rhs.lo).
+    """
+    cap = 1.0 - norm_x0
+    base = max(1.0, vadd(norm_x0, norm_x0, delta_eff, delta_eff)[1])
+    dtil = vmul(delta_eff, delta_eff, *vmul(base, base, base, base))
+    half_dtil = vmul(0.5, 0.5, *dtil)
+    big_b = vmul(12.0 * f_abs, 12.0 * f_abs, bt, bt)  # coefficient bound times D(D-1), D = 4
+    lin = vsub(*vadd(a, a, *vmul(*half_dtil, *big_b)), 1.0, 1.0)
+    const = vmul(bt, bt, c0, c0)
+    eps = np.geomspace(1e-13, cap, 32)
+    if big_b[1] > 0 and lin[1] < 0:
+        eps = np.concatenate([[-lin[1] / (2.0 * big_b[1])], eps])
+    eps = eps[(0.0 < eps) & (eps <= cap)]
+    eps = eps[vadd(norm_x0, norm_x0, eps, eps)[1] <= 1.0]
+    lhs = vadd(a, a, *vmul(*vadd(*half_dtil, eps, eps), *big_b))[1]
+    rhs = vsub(1.0, 1.0, *vdiv(*const, eps, eps))[0]
+    proved = np.flatnonzero(lhs < rhs)
+    if proved.size == 0:
+        best_gap = float(np.min(lhs - rhs, initial=math.inf))
+        raise CertificationError(
+            "infeasible",
+            "no epsilon makes the contraction inequality hold (best gap %.3e)"
+            % best_gap,
+            detail=best_gap,
+        )
+    k = proved[0]
+    e = eps[k]
+    quad = vmul(*big_b, *vmul(e, e, e, e))
+    q = vadd(*vadd(*quad, *vmul(*lin, e, e)), *const)
+    return float(e), float(lhs[k]), float(rhs[k]), float(q[1])
 
 
 def exact_constructions(d):
@@ -536,11 +543,12 @@ def certify_exact(sig_re, sig_im, witness):
     # after d steps P_d(i) is the holonomy of the cycle through i
     _require_zero("equal cycle holonomies", p_re - p_re[0], p_im - p_im[0])
 
-    gram = gram_of_signature(re + 1j * im, d)
+    # the Gram gram_of_signature would return, without re-checking in
+    # floating point the S^2 = (n-1) I just proved exactly
+    gram = np.eye(n) + welch_gamma(d, n) * (re + 1j * im)
     block, _, _ = circulantize(gram, witness)
     gens = generators_from_blockgram(block)
     x0 = pack(CirculantPair(d, gens[0], gens[1]), 0.5)
-    rows = residual_count(d)
     return Certificate(
         d=d,
         seed=-1,
@@ -555,25 +563,24 @@ def certify_exact(sig_re, sig_im, witness):
         lhs_upper=0.0,
         rhs_lower=1.0,
         q_value=None,
-        kernel_dim=4 * d + 1 - rows,
-        rows=rows,
-        variables=4 * d + 1,
-        verified=True,
         method=METHOD_EXACT,
     )
 
 
 @dataclass(frozen=True)
 class RangeResult:
-    """Outcome for one dimension of a certification sweep.  verified
-    mirrors the certificate when present; failures keep the sweep alive
-    and carry the reason instead."""
+    """Outcome for one dimension of a certification sweep.  A verified
+    dimension carries its certificate; failures keep the sweep alive and
+    carry the reason instead."""
 
     d: int
-    verified: bool
     certificate: Optional[Certificate]
     failure_reason: Optional[str]
     failure_message: Optional[str]
+
+    @property
+    def verified(self):
+        return self.certificate is not None and self.certificate.verified
 
     def to_obj(self):
         return {
@@ -599,19 +606,11 @@ def _certify_dimension(args):
             best_residual = min(best_residual, result.residual_inf)
             continue
         try:
-            cert = certify(result.pair, delta=delta, seed=seed)
+            return RangeResult(d, certify(result.pair, delta=delta, seed=seed), None, None)
         except CertificationError as exc:
             # certification failures outrank plain non-convergence notes
             reason = exc.reason
             message = str(exc)
-            continue
-        return RangeResult(
-            d=d,
-            verified=cert.verified,
-            certificate=cert,
-            failure_reason=None,
-            failure_message=None,
-        )
     if reason is None:
         reason = "no-convergence"
         message = "solver missed tolerance for d=%d over seeds %s (best residual %.3e)" % (
@@ -623,24 +622,10 @@ def _certify_dimension(args):
 
     for family, q in exact_constructions(d):
         try:
-            cert = certify_exact(*family_signature(family, q))
+            return RangeResult(d, certify_exact(*family_signature(family, q)), None, None)
         except ToolkitError as exc:
             message += "; exact route via %s q=%d: %s" % (family, q, exc)
-            continue
-        return RangeResult(
-            d=d,
-            verified=cert.verified,
-            certificate=cert,
-            failure_reason=None,
-            failure_message=None,
-        )
-    return RangeResult(
-        d=d,
-        verified=False,
-        certificate=None,
-        failure_reason=reason,
-        failure_message=message,
-    )
+    return RangeResult(d, None, reason, message)
 
 
 def certify_range(d_lo, d_hi, seeds=(0, 1, 2, 3, 4), delta=1e-10, jobs=1,
@@ -650,15 +635,18 @@ def certify_range(d_lo, d_hi, seeds=(0, 1, 2, 3, 4), delta=1e-10, jobs=1,
     Newton-Kantorovich is proved by certify_exact when exact_constructions
     lists a family for it.  Per-dimension failures are recorded in the
     result, never raised, so one bad dimension cannot abort the sweep.
-    With jobs > 1 the dimensions are distributed over a process pool."""
+    With jobs > 1 the dimensions are distributed over a process pool of
+    at most one worker per dimension."""
     d_lo, d_hi = int(d_lo), int(d_hi)
     if d_lo < 2:
         raise InvalidArgumentError("certification starts at d = 2")
     if d_hi < d_lo:
         return []
     work = [(d, tuple(seeds), delta, tol, max_iter) for d in range(d_lo, d_hi + 1)]
+    # the pool starts all its workers at the first submit
+    jobs = min(int(jobs), len(work))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_certify_dimension, work))
     return [_certify_dimension(item) for item in work]
 

@@ -71,7 +71,7 @@ class Run:
     def read(self, path):
         try:
             obj = read_json(path)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise InvalidArgumentError("cannot read %s: %s" % (path, exc)) from exc
         if not isinstance(obj, dict):
             raise InvalidArgumentError(

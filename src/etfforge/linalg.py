@@ -19,9 +19,9 @@ _SIGNATURE_TOL = 1e-10
 _RANK_RTOL = 1e-8
 
 
-def as_array(x, dtype=complex):
-    """Coerce an array-like to a 2-D ndarray."""
-    a = np.asarray(x, dtype=dtype)
+def as_array(x):
+    """Coerce an array-like to a 2-D complex ndarray."""
+    a = np.asarray(x, dtype=complex)
     if a.ndim != 2:
         raise InvalidArgumentError("expected a 2-D matrix")
     return a
@@ -65,15 +65,15 @@ def dft_matrix(m):
     return np.exp(-2j * np.pi * np.outer(alpha, alpha) / m) / np.sqrt(m)
 
 
-def hermitian_eigen(a, tol=1e-8):
+def hermitian_eigen(a):
     """(w, v) of a (numerically) Hermitian matrix, as np.linalg.eigh:
     eigenvalues ascending, eigenvectors as columns.
 
-    The input may deviate from Hermitian by at most `tol`; it is
+    The input may deviate from Hermitian by at most 1e-8; it is
     symmetrized as (A + A*)/2 before factorization.
     """
     a = as_array(a)
-    require_hermitian(a, tol, "hermitian_eigen input")
+    require_hermitian(a, 1e-8, "hermitian_eigen input")
     sym = 0.5 * (a + a.conj().T)
     try:
         return np.linalg.eigh(sym)

@@ -1,11 +1,17 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import etfforge
 from etfforge import certify as certify_module
 from etfforge.certify import (
     Certificate,
@@ -14,6 +20,7 @@ from etfforge.certify import (
     certify_exact,
     certify_range,
     coefficient_norms,
+    epsilon_search,
     exact_constructions,
     f_eval_interval,
     secant_jacobian,
@@ -450,7 +457,7 @@ def test_certify_verifies_large_dimensions(d):
 PINNED_CERTIFY_OUTPUTS = "d35e90547398dfb96f8318a1d104e167fa7513af6de2097f8e63fa872cf68dec"
 
 
-def test_certify_outputs_match_pinned_digest():
+def _certify_outputs_digest():
     h = hashlib.sha256()
     for d in range(2, 13):
         try:
@@ -468,7 +475,23 @@ def test_certify_outputs_match_pinned_digest():
         lo, hi = f_eval_interval((center - 1e-6, center + 1e-6), d)
         h.update(lo.tobytes())
         h.update(hi.tobytes())
-    assert h.hexdigest() == PINNED_CERTIFY_OUTPUTS
+    return h.hexdigest()
+
+
+def test_certify_outputs_match_pinned_digest():
+    # The pin was taken with BLAS on two threads, and solve(30) returns
+    # other bits on one (its dense LM step), so the digest is computed in
+    # a fresh interpreter on two threads, whatever this one runs with.
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(etfforge.__file__)))
+    path = [src_dir, tests_dir, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p),
+               OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+    script = "import test_certify; print(test_certify._certify_outputs_digest())"
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == PINNED_CERTIFY_OUTPUTS
 
 
 def test_certify_encloses_u_v_c_once(monkeypatch):
@@ -483,3 +506,92 @@ def test_certify_encloses_u_v_c_once(monkeypatch):
     pair = solve(5, seed=0).pair
     assert certify(pair).verified
     assert calls == [5]
+
+
+def _scalar_epsilon_search(a, bt, c0, delta_eff, norm_x0, f_abs):
+    """The epsilon search as a loop over scalar Intervals, kept as the
+    oracle for epsilon_search: (eps, lhs.hi, rhs.lo, Q(eps).hi) for the
+    first candidate that proves, else the best gap."""
+    cap = 1.0 - norm_x0
+    a_bound, bt, c0, de = Interval(a), Interval(bt), Interval(c0), Interval(delta_eff)
+    reach = iv_add(Interval(norm_x0), de)
+    base = Interval(max(1.0, reach.hi))
+    dtil = iv_mul(de, iv_mul(base, base))
+    big_b = iv_mul(Interval(12.0 * f_abs), bt)
+    half_dtil = iv_mul(Interval(0.5), dtil)
+    lin = iv_sub(iv_add(a_bound, iv_mul(half_dtil, big_b)), Interval(1.0))
+    const = iv_mul(bt, c0)
+    candidates = []
+    if big_b.hi > 0 and lin.hi < 0:
+        vertex = -lin.hi / (2.0 * big_b.hi)
+        if 0.0 < vertex <= cap:
+            candidates.append(vertex)
+    candidates.extend(float(e) for e in np.geomspace(1e-13, cap, 32))
+    best_gap = math.inf
+    for eps in candidates:
+        if not 0.0 < eps <= cap:
+            continue
+        if iv_add(Interval(norm_x0), Interval(eps)).hi > 1.0:
+            continue
+        e = Interval(eps)
+        lhs = iv_add(a_bound, iv_mul(iv_add(half_dtil, e), big_b))
+        rhs = iv_sub(Interval(1.0), iv_div(const, e))
+        best_gap = min(best_gap, lhs.hi - rhs.lo)
+        if lhs.hi < rhs.lo:
+            q = iv_add(iv_add(iv_mul(big_b, iv_mul(e, e)), iv_mul(lin, e)), const)
+            return eps, lhs.hi, rhs.lo, q.hi
+    return best_gap
+
+
+def _log_floats(lo_exp, hi_exp):
+    return st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 10.0), st.integers(lo_exp, hi_exp))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.one_of(_log_floats(-16, -1), st.floats(0.0, 2.0)),
+    bt=_log_floats(-6, 4),
+    c0=st.one_of(st.just(0.0), _log_floats(-18, 0)),
+    delta_eff=_log_floats(-17, -1),
+    norm_x0=st.floats(0.0, 1.0, exclude_max=True),
+    d=st.integers(2, 400),
+)
+@example(a=1e-10, bt=10.0, c0=1e-13, delta_eff=1e-10, norm_x0=0.5, d=5)  # proves at the vertex
+@example(a=1e-10, bt=1e-6, c0=1e-13, delta_eff=1e-10, norm_x0=0.5, d=2)  # vertex > cap
+@example(a=1.5, bt=10.0, c0=1e-13, delta_eff=1e-10, norm_x0=0.5, d=5)  # lin >= 0
+@example(a=1e-10, bt=10.0, c0=1.0, delta_eff=1e-10, norm_x0=0.5, d=5)  # infeasible
+def test_epsilon_search_matches_the_scalar_loop(a, bt, c0, delta_eff, norm_x0, d):
+    f_abs = float(16 * d * d)
+    want = _scalar_epsilon_search(a, bt, c0, delta_eff, norm_x0, f_abs)
+    if isinstance(want, tuple):
+        assert epsilon_search(a, bt, c0, delta_eff, norm_x0, f_abs) == want
+        assert want[1] < want[2]
+    else:
+        with pytest.raises(CertificationError) as err:
+            epsilon_search(a, bt, c0, delta_eff, norm_x0, f_abs)
+        assert err.value.reason == "infeasible" and err.value.detail == want
+
+
+def test_certify_range_starts_at_most_one_worker_per_dimension(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(certify_module, "ProcessPoolExecutor", InProcessPool)
+    results = certify_range(2, 3, seeds=(0,), jobs=5000)
+    assert started == [2]
+    assert [(r.d, r.verified) for r in results] == [(2, True), (3, True)]
+    # one dimension runs in-process, without a pool
+    assert certify_range(2, 2, seeds=(0,), jobs=5000)[0].verified
+    assert started == [2]

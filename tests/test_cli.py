@@ -430,6 +430,8 @@ MALFORMED_DOCUMENTS = {
     "witness_nan": (_gram_only_construction_doc, {"witness": (
         '{"sigma": [1, 2, 0, 4, 5, 3], "c_re": [NaN, 1, 1, 1, 1, 1],'
         ' "c_im": [0, 0, 0, 0, 0, 0], "m": 3, "t": 2}')}, "unimodular"),
+    # nested past the interpreter's recursion limit: json raises RecursionError
+    "kind_deep": (_generator_doc, {"kind": "[" * 100000 + "]" * 100000}, "cannot read"),
 }
 
 
@@ -453,6 +455,10 @@ MALFORMED_DOCUMENTS = {
     ("pair_text", "certify"),
     ("witness_nan", "detect"),
     ("witness_nan", "circulantize"),
+    ("kind_deep", "check"),
+    ("kind_deep", "certify"),
+    ("kind_deep", "detect"),
+    ("kind_deep", "circulantize"),
 ])
 def test_malformed_document_exits_2_without_traceback(tmp_path, capsys, case, command):
     build, fields, message = MALFORMED_DOCUMENTS[case]
