@@ -52,7 +52,7 @@ from .errors import (
     RankDeficiencyError,
     ToolkitError,
 )
-from .frames import CirculantPair, welch_gamma
+from .frames import CirculantPair
 from .linalg import pseudoinverse
 from .rigor import (
     IntervalMatrix,
@@ -272,7 +272,8 @@ class Certificate:
     outward-rounded arithmetic (epsilon_search).
 
     method "exact-construction": no floating point enters the proof.  For
-    a signature S of order n = 2d, checked over Z[i]:
+    a signature S of order n = 2d, checked over Z[i] in this order by
+    harmonic.prove_witnessed_signature:
 
     - S is Hermitian with zero diagonal and unimodular off-diagonal
       entries, and S^2 = (n-1) I.  As tr S = 0, half the eigenvalues are
@@ -469,83 +470,18 @@ def exact_constructions(d):
     return out
 
 
-def _require_zero(identity, re, im=0):
-    if np.any(re) or np.any(im):
-        raise CertificationError("infeasible", "%s fails exactly over Z[i]" % identity)
-
-
 def certify_exact(sig_re, sig_im, witness):
     """Prove that a d x 2d ETF of two circulant blocks exists, from an
     exact signature (int64 arrays re, im of order n = 2d) and a shift
-    witness, by the Gaussian-integer argument stated on Certificate.
-
-    Raises CertificationError (reason "infeasible") naming the first
-    identity that fails.  S^2 is formed in float64 BLAS and is still
-    exact: the entries of re and im are checked to lie in {-1, 0, 1}
-    first, so every partial sum is an integer of size at most 2n < 2^53,
-    whatever order the sum is taken in.  Otherwise only x0 is computed in
-    floating point: the generators recovered by circulantize and
-    generators_from_blockgram.
+    witness, by harmonic.prove_witnessed_signature, which raises
+    CertificationError (reason "infeasible") naming the first identity
+    that fails.  Only x0 is then computed in floating point: the
+    generators recovered by circulantize and generators_from_blockgram.
     """
-    from .harmonic import circulantize, generators_from_blockgram
+    from .harmonic import circulantize, generators_from_blockgram, prove_witnessed_signature
 
-    re = np.asarray(sig_re)
-    im = np.asarray(sig_im)
-    n = re.shape[0] if re.ndim == 2 else 0
-    if (n < 4 or n % 2 or re.shape != (n, n) or im.shape != (n, n)
-            or re.dtype != np.int64 or im.dtype != np.int64):
-        raise InvalidArgumentError("signature must be two n x n int64 arrays, n = 2d >= 4")
-    if witness.n != n:
-        raise InvalidArgumentError("witness length disagrees with the signature")
-    d = n // 2
-    eye = np.eye(n, dtype=np.int64)
-    # entries in {-1, 0, 1} (np.abs would wrap at -2^63); for those
-    # |re| + |im| = 1 is exactly re^2 + im^2 = 1
-    _require_zero("entries in {-1, 0, 1}", (re < -1) | (re > 1), (im < -1) | (im > 1))
-    _require_zero("zero diagonal and unimodular entries",
-                  np.abs(re) + np.abs(im) - (1 - eye))
-    _require_zero("hermiticity", re - re.T, im + im.T)
-    fre, fim = re.astype(np.float64), im.astype(np.float64)
-    _require_zero("S^2 = (n-1) I",
-                  fre @ fre - fim @ fim - (n - 1) * eye, fre @ fim + fim @ fre)
-
-    units = {1, -1, 1j, -1j}
-    if not all(complex(v) in units for v in witness.c):
-        raise CertificationError("infeasible", "witness scalars are not all in {+-1, +-i}")
-    c_re = witness.c.real.astype(np.int64)
-    c_im = witness.c.imag.astype(np.int64)
-    sigma = np.asarray(witness.sigma)
-    # conj(c_i) c_j S[sigma i, sigma j]
-    w_re = np.outer(c_re, c_re) + np.outer(c_im, c_im)
-    w_im = np.outer(c_re, c_im) - np.outer(c_im, c_re)
-    t_re = re[np.ix_(sigma, sigma)]
-    t_im = im[np.ix_(sigma, sigma)]
-    _require_zero("witness identity",
-                  re - (w_re * t_re - w_im * t_im), im - (w_re * t_im + w_im * t_re))
-    if witness.cycle_type() != (d, d):
-        raise CertificationError(
-            "infeasible", "witness cycle type %s is not %d^2" % (witness.cycle_type(), d)
-        )
-
-    rows_idx = np.arange(n)
-    pos = rows_idx
-    p_re = np.ones(n, dtype=np.int64)
-    p_im = np.zeros(n, dtype=np.int64)
-    for k in range(1, d + 1):
-        p_re, p_im = (p_re * c_re[pos] - p_im * c_im[pos],
-                      p_re * c_im[pos] + p_im * c_re[pos])
-        pos = sigma[pos]
-        if k < d:
-            e_re = re[rows_idx, pos]
-            e_im = im[rows_idx, pos]
-            _require_zero("tr V^%d = 0" % k,
-                          np.sum(p_re * e_re - p_im * e_im), np.sum(p_re * e_im + p_im * e_re))
-    # after d steps P_d(i) is the holonomy of the cycle through i
-    _require_zero("equal cycle holonomies", p_re - p_re[0], p_im - p_im[0])
-
-    # the Gram gram_of_signature would return, without re-checking in
-    # floating point the S^2 = (n-1) I just proved exactly
-    gram = np.eye(n) + welch_gamma(d, n) * (re + 1j * im)
+    gram = prove_witnessed_signature(sig_re, sig_im, witness)
+    d = gram.shape[0] // 2
     block, _, _ = circulantize(gram, witness)
     gens = generators_from_blockgram(block)
     x0 = pack(CirculantPair(d, gens[0], gens[1]), 0.5)

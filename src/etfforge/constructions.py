@@ -23,7 +23,7 @@ from .frames import (
     signature_of_gram,
     welch_gamma,
 )
-from .linalg import as_array, require_signature
+from .linalg import as_array, gaussian_signature_defect, require_signature
 
 _MAX_PALEY_Q = 10**4
 
@@ -75,9 +75,8 @@ class ConferenceGraph:
 class ConferenceMatrix:
     """n x n matrix over {0, +1, -1} with zero diagonal and C^T C = (n-1) I.
 
-    C^T C is formed in float64 BLAS and is still exact: the entries are
-    checked to lie in {-1, 0, 1} first, so every partial sum is an integer
-    of size at most n < 2^53, whatever order the sum is taken in.
+    C^T C is formed in float64 BLAS and is still exact, as the entries are
+    checked to lie in {-1, 0, 1} first (see linalg.gaussian_signature_defect).
     """
 
     n: int
@@ -470,13 +469,9 @@ def zauner_2x4_signature():
         ],
         dtype=np.int64,
     )
-    sq_re = re @ re - im @ im
-    sq_im = re @ im + im @ re
-    if not (
-        np.array_equal(sq_re, 3 * np.eye(4, dtype=np.int64))
-        and np.array_equal(sq_im, np.zeros((4, 4), dtype=np.int64))
-    ):
-        raise ConstructionError("2x4 signature square identity fails exactly")
+    defect = gaussian_signature_defect(re, im)
+    if defect is not None:
+        raise ConstructionError("2x4 signature: %s fails exactly" % defect)
     return re + 1j * im
 
 

@@ -322,13 +322,15 @@ class SymplecticLineSystem:
 
 def build_line_system(q, variant):
     """Assemble the projective line representatives used by the symplectic
-    conference constructions."""
+    conference constructions, in GF(q^2): q^2 <= 10^6 (q <= 997)."""
     q = int(q)
     if variant not in ("halfturn", "fullturn"):
         raise InvalidArgumentError("variant must be 'halfturn' or 'fullturn'")
     decomp = prime_power_decomposition(q)
     if decomp is None or decomp[0] == 2:
         raise InvalidArgumentError("q must be an odd prime power")
+    if q * q > _MAX_FIELD_ORDER:
+        raise InvalidArgumentError("q = %d is past the line-system cap q^2 <= 10^6" % q)
     p, k = decomp
     ext = make_field(p, 2 * k)
     order = q * q - 1

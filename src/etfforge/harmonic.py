@@ -12,8 +12,8 @@ multiplicity check and generator recovery all read it.
 
 The two witnessed symplectic families are built here once, as exact
 Gaussian-integer signatures with their shift witnesses
-(family_signature); family_automorphism and certify's exact route both
-start from them.
+(family_signature), and proved once (prove_witnessed_signature), which
+both family_automorphism and certify's exact route call.
 """
 
 import itertools
@@ -25,13 +25,15 @@ from . import galois
 # double_signature is unused here; perfbench/spans.py patches it on this module
 from .constructions import double_signature, line_system_conference  # noqa: F401
 from .errors import (
+    CertificationError,
     InconsistentWitnessError,
     InvalidArgumentError,
     NumericFailureError,
     UnsupportedInputError,
 )
-from .frames import circulant, gram_of_signature
-from .linalg import as_array, dft_matrix
+# gram_of_signature is unused here; perfbench/spans.py patches it on this module
+from .frames import circulant, gram_of_signature, welch_gamma  # noqa: F401
+from .linalg import as_array, dft_matrix, gaussian_signature_defect
 
 
 @dataclass(frozen=True)
@@ -96,19 +98,15 @@ class AutomorphismWitness:
 
     def cycles(self):
         """Cycles of sigma, each led by its least element, leaders ascending."""
-        seen = [False] * self.n
+        seen = set()
         out = []
         for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            nxt = self.sigma[start]
-            while nxt != start:
-                cyc.append(nxt)
-                seen[nxt] = True
-                nxt = self.sigma[nxt]
-            out.append(cyc)
+            if start not in seen:
+                cyc = [start]
+                while self.sigma[cyc[-1]] != start:
+                    cyc.append(self.sigma[cyc[-1]])
+                seen.update(cyc)
+                out.append(cyc)
         return out
 
     def cycle_type(self):
@@ -333,15 +331,68 @@ def family_signature(family, q):
 
 def family_automorphism(family, q):
     """Gram of family_signature's signature, in dimension half its order,
-    with the family's shift witness, verified here to 1e-10."""
+    with the family's shift witness, both proved by prove_witnessed_signature."""
     re, im, witness = family_signature(family, q)
-    gram = gram_of_signature(re + 1j * im, re.shape[0] // 2)
-    res = verify_automorphism(gram, witness)
-    if res > 1e-10:
-        raise NumericFailureError(
-            "family witness fails verification: residual %.3e" % res
+    return prove_witnessed_signature(re, im, witness), witness
+
+
+def _refusal(identity):
+    return CertificationError("infeasible", "%s fails exactly over Z[i]" % identity)
+
+
+def _cycle_traces(s, c, cycles):
+    """tr_k = sum_i P_k(i) S[i, sigma^k i] for k = 1..m-1, and each
+    cycle's holonomy P_m, for the monomial map M e_i = c_i e_(sigma i)
+    given by its cycles, all of length m and each listed along sigma.
+    P_k(i) is the product of the scalars along i -> sigma^k i."""
+    cyc = np.array(cycles)
+    m = cyc.shape[1]
+    # path[j, l]: product of the first l scalars along cycle j, run twice round
+    path = np.cumprod(np.hstack([np.ones((len(cyc), 1)), c[cyc], c[cyc]]), axis=1)
+    start = np.arange(m)[:, None]
+    end = start + np.arange(1, m)
+    terms = np.conj(path[:, start]) * path[:, end] * s[cyc[:, start], cyc[:, end % m]]
+    return terms.sum(axis=(0, 1)), path[:, m]
+
+
+def prove_witnessed_signature(sig_re, sig_im, witness):
+    """Check the identities stated on certify.Certificate exactly for an
+    int64 signature (re, im) of order n = 2d and a shift witness; return
+    the Gram I + S / sqrt(n-1), or raise CertificationError (reason
+    "infeasible") naming the first that fails.  Past
+    gaussian_signature_defect every entry of S, and every scalar before
+    any is multiplied, is 0 or a unit: so each product is 0 or a unit and
+    each sum a Gaussian integer of modulus at most n, exact in float64."""
+    re = np.asarray(sig_re)
+    im = np.asarray(sig_im)
+    n = re.shape[0] if re.ndim == 2 else 0
+    if (n < 4 or n % 2 or re.shape != (n, n) or im.shape != (n, n)
+            or re.dtype != np.int64 or im.dtype != np.int64):
+        raise InvalidArgumentError("signature must be two n x n int64 arrays, n = 2d >= 4")
+    if witness.n != n:
+        raise InvalidArgumentError("witness length disagrees with the signature")
+    d = n // 2
+    defect = gaussian_signature_defect(re, im)
+    if defect is not None:
+        raise _refusal(defect)
+    s = re + 1j * im
+    c = witness.c
+    if not np.all(np.isin(c, (1, -1, 1j, -1j))):
+        raise CertificationError("infeasible", "witness scalars are not all in {+-1, +-i}")
+    sigma = np.asarray(witness.sigma)
+    if np.any(s != np.conj(c)[:, None] * c * s[np.ix_(sigma, sigma)]):
+        raise _refusal("witness identity")
+    if witness.cycle_type() != (d, d):
+        raise CertificationError(
+            "infeasible", "witness cycle type %s is not %d^2" % (witness.cycle_type(), d)
         )
-    return gram, witness
+    traces, holonomy = _cycle_traces(s, c, witness.cycles())
+    nonzero = np.flatnonzero(traces)
+    if nonzero.size:
+        raise _refusal("tr V^%d = 0" % (nonzero[0] + 1))
+    if np.any(holonomy != holonomy[0]):
+        raise _refusal("equal cycle holonomies")
+    return np.eye(n) + welch_gamma(d, n) * s
 
 
 def _cycle_type_permutations(n, m):

@@ -3,7 +3,8 @@
 Matrices are plain complex ndarrays.  as_array is the one 2-D coercion
 and check; require_signature checks the signature contract (Hermitian,
 zero diagonal, unimodular off-diagonal to 1e-10) where a caller's matrix
-must be one.
+must be one, and gaussian_signature_defect is its exact counterpart for
+Gaussian-integer conference signatures.
 """
 
 import numpy as np
@@ -54,6 +55,29 @@ def require_signature(a):
             raise InvalidArgumentError(
                 "signature off-diagonal moduli deviate from one by %.3e" % mod_dev
             )
+
+
+def gaussian_signature_defect(re, im):
+    """The first identity that keeps S = re + i im (two n x n int64
+    arrays) from being a Gaussian conference signature, or None.  In
+    order: entries in {-1, 0, 1}; zero diagonal and unimodular entries;
+    hermiticity; S^2 = (n-1) I.  S^2 is formed in float64 BLAS and is
+    still exact: the entries are checked to lie in {-1, 0, 1} first, so
+    every partial sum is an integer of size at most 2n < 2^53, whatever
+    order the sum is taken in."""
+    n = re.shape[0]
+    eye = np.eye(n, dtype=np.int64)
+    # first, as np.abs wraps at -2^63; then |re| + |im| = 1 is re^2 + im^2 = 1
+    if np.any((re < -1) | (re > 1) | (im < -1) | (im > 1)):
+        return "entries in {-1, 0, 1}"
+    if np.any(np.abs(re) + np.abs(im) != 1 - eye):
+        return "zero diagonal and unimodular entries"
+    if np.any(re != re.T) or np.any(im != -im.T):
+        return "hermiticity"
+    fre, fim = re.astype(np.float64), im.astype(np.float64)
+    if np.any(fre @ fre - fim @ fim != (n - 1) * eye) or np.any(fre @ fim + fim @ fre):
+        return "S^2 = (n-1) I"
+    return None
 
 
 def dft_matrix(m):

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .frames import CirculantPair, welch_gamma
+from .linalg import gaussian_signature_defect
 
 
 def correlations(x, y):
@@ -332,12 +333,14 @@ def d4_uniqueness_experiment(trials=1000, iterations=2000, seed=0, csv_path=None
     Every run's signature is switched so the first row and column become
     +1; the residual 7 x 7 core is then measured for real parts (they
     vanish when the limit is the conference-matrix frame) and rounded to
-    the exact Gaussian-integer signature, which is checked to square to
-    7 I over the integers.
+    the exact Gaussian-integer signature, which must pass
+    gaussian_signature_defect (so S^2 = 7 I over Z[i]).
     """
     seeds = [[int(seed), trial] for trial in range(int(trials))]
     grams = alternating_projections_grams(4, 8, seeds, iterations=iterations)
     gamma = welch_gamma(4, 8)
+    re_r = np.zeros((8, 8), dtype=np.int64)
+    re_r[0, 1:] = re_r[1:, 0] = 1
     records = []
     for trial, g in enumerate(grams):
         s = (g - np.eye(8)) / gamma
@@ -348,21 +351,10 @@ def d4_uniqueness_experiment(trials=1000, iterations=2000, seed=0, csv_path=None
         core = switched[1:, 1:]
         off7 = ~np.eye(7, dtype=bool)
         max_abs_re = float(np.max(np.abs(core[off7].real)))
-        signs = np.sign(core.imag).astype(np.int64)
-        np.fill_diagonal(signs, 0)
-        ok = bool(np.all(signs[off7] != 0))
-        if ok:
-            re_r = np.zeros((8, 8), dtype=np.int64)
-            im_r = np.zeros((8, 8), dtype=np.int64)
-            re_r[0, 1:] = 1
-            re_r[1:, 0] = 1
-            im_r[1:, 1:] = signs
-            sq_re = re_r @ re_r - im_r @ im_r
-            sq_im = re_r @ im_r + im_r @ re_r
-            ok = bool(
-                np.array_equal(sq_re, 7 * np.eye(8, dtype=np.int64))
-                and np.array_equal(sq_im, np.zeros((8, 8), dtype=np.int64))
-            )
+        im_r = np.zeros((8, 8), dtype=np.int64)
+        im_r[1:, 1:] = np.sign(core.imag)
+        np.fill_diagonal(im_r, 0)
+        ok = gaussian_signature_defect(re_r, im_r) is None
         records.append(D4Record(trial=trial, max_abs_re=max_abs_re, rounding_ok=ok))
     if csv_path is not None:
         with open(csv_path, "w", newline="") as fh:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -238,6 +239,18 @@ def test_certify_range_records_d4_failure_without_aborting(monkeypatch):
     assert by_d[11].certificate is None
     assert by_d[11].failure_reason == "infeasible"
     assert by_d[11].failure_message
+
+
+def test_sweep_message_names_the_line_system_cap(monkeypatch):
+    # exact_constructions lists paley_plus at q = 1997 for d = 999, past
+    # the cap; the LM solve is replaced by a miss, so no solve runs
+    assert exact_constructions(999) == [("paley_plus", 1997)]
+    monkeypatch.setattr("etfforge.solver.solve",
+                        lambda d, **kw: types.SimpleNamespace(converged=False, residual_inf=0.5))
+    result = certify_module._certify_dimension((999, (0,), 1e-10, 1e-12, 500))
+    assert not result.verified and result.failure_reason == "no-convergence"
+    assert "exact route via paley_plus q=1997" in result.failure_message
+    assert "line-system cap q^2 <= 10^6" in result.failure_message
 
 
 def test_certify_range_parallel_matches_serial():

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import etfforge.harmonic as harmonic
 from etfforge.constructions import family_3x6, is_odd_prime_power, zauner_2x4_signature
 from etfforge.errors import (
+    CertificationError,
     InconsistentWitnessError,
     InvalidArgumentError,
     NumericFailureError,
@@ -28,6 +32,7 @@ from etfforge.harmonic import (
     circulantize,
     detect_harmonic_gram,
     family_automorphism,
+    family_signature,
     generators_from_blockgram,
     verify_automorphism,
 )
@@ -106,6 +111,77 @@ def test_family_witness_scalars_match_across_copies_q5():
 def test_family_automorphism_rejects_unknown():
     with pytest.raises(InvalidArgumentError):
         family_automorphism("mystery", 5)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("float re-check reached")
+
+
+@pytest.mark.parametrize("family, q", [("paley_plus", 13), ("double_paley_plus", 7)])
+def test_family_automorphism_proves_without_float_checks(monkeypatch, family, q):
+    for module, name in ((harmonic, "gram_of_signature"), (harmonic, "verify_automorphism"),
+                         (np.linalg, "eigh")):
+        monkeypatch.setattr(module, name, _raise)
+    gram, witness = family_automorphism(family, q)
+    re, im, _ = family_signature(family, q)
+    n = re.shape[0]
+    assert np.array_equal(gram, np.eye(n) + welch_gamma(n // 2, n) * (re + 1j * im))
+    assert witness.cycle_type() == (n // 2, n // 2)
+
+
+@pytest.mark.parametrize("family, q", [("paley_plus", 13), ("paley_plus", 7),
+                                       ("double_paley_plus", 7)])
+def test_family_automorphism_refuses_flipped_entry(monkeypatch, family, q):
+    re, im, witness = family_signature(family, q)
+    part = re if re[0, 1] else im
+    part[0, 1] = -part[0, 1]
+    monkeypatch.setattr(harmonic, "family_signature", lambda *args: (re, im, witness))
+    with pytest.raises(CertificationError, match="hermiticity fails exactly") as err:
+        family_automorphism(family, q)
+    assert err.value.reason == "infeasible"
+
+
+def _loop_cycle_traces(re, im, c_re, c_im, sigma, d):
+    """The per-k loop of reductions that certify_exact ran before the
+    array form, kept as the oracle for harmonic._cycle_traces: the sums
+    tr_k for k = 1..d-1 and every element's holonomy P_d(i)."""
+    rows_idx = np.arange(len(sigma))
+    pos = rows_idx
+    p_re = np.ones(len(sigma), dtype=np.int64)
+    p_im = np.zeros(len(sigma), dtype=np.int64)
+    traces = []
+    for k in range(1, d + 1):
+        p_re, p_im = (p_re * c_re[pos] - p_im * c_im[pos],
+                      p_re * c_im[pos] + p_im * c_re[pos])
+        pos = sigma[pos]
+        if k < d:
+            e_re = re[rows_idx, pos]
+            e_im = im[rows_idx, pos]
+            traces.append(complex(np.sum(p_re * e_re - p_im * e_im),
+                                  np.sum(p_re * e_im + p_im * e_re)))
+    return traces, p_re + 1j * p_im
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_cycle_traces_match_the_per_k_loop(d, seed):
+    # random unit-scalar witnesses of cycle type d^2 over random
+    # {0, +-1, +-i} matrices, which need not be signatures
+    rng = np.random.default_rng(seed)
+    n = 2 * d
+    sigma = np.array(harmonic._random_cycle_type_permutation(n, d, rng))
+    c = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, n)]
+    entries = np.array([0, 1, -1, 1j, -1j])[rng.integers(0, 5, (n, n))]
+    re, im = entries.real.astype(np.int64), entries.imag.astype(np.int64)
+    witness = AutomorphismWitness(sigma=tuple(sigma), c=c)
+    assert witness.cycle_type() == (d, d)
+    cycles = witness.cycles()
+    traces, holonomy = harmonic._cycle_traces(re + 1j * im, c, cycles)
+    want_traces, want_holonomy = _loop_cycle_traces(
+        re, im, c.real.astype(np.int64), c.imag.astype(np.int64), sigma, d)
+    assert traces.tolist() == want_traces
+    for j, cyc in enumerate(cycles):
+        assert np.all(want_holonomy[cyc] == holonomy[j])
 
 
 def test_detect_harmonic_gram_icosahedral():

@@ -8,6 +8,7 @@ from etfforge.errors import (
 from etfforge.linalg import (
     as_array,
     dft_matrix,
+    gaussian_signature_defect,
     hermitian_eigen,
     op_norm_inf,
     pseudoinverse,
@@ -101,6 +102,32 @@ def test_require_signature_refuses_non_signatures():
         require_signature(np.array([[0.0, 1.0], [1j, 0.0]]))
     with pytest.raises(InvalidArgumentError, match="square"):
         require_signature(np.zeros((2, 3)))
+
+
+def _int64_pair(s):
+    s = np.array(s)
+    return s.real.astype(np.int64), s.imag.astype(np.int64)
+
+
+@pytest.mark.parametrize("s, defect", [
+    ([[0, 1], [1, 0]], None),
+    ([[0, 1j], [-1j, 0]], None),
+    ([[0, 1, 1, 1], [1, 0, 1j, -1j], [1, -1j, 0, 1j], [1, 1j, -1j, 0]], None),
+    ([[0, 2], [2, 0]], "entries in {-1, 0, 1}"),
+    ([[0, 1 + 1j], [1 - 1j, 0]], "zero diagonal and unimodular entries"),
+    ([[1, 1], [1, -1]], "zero diagonal and unimodular entries"),
+    ([[0, 0], [0, 0]], "zero diagonal and unimodular entries"),
+    ([[0, 1j], [1j, 0]], "hermiticity"),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], "S^2 = (n-1) I"),
+])
+def test_gaussian_signature_defect_names_the_first_failing_identity(s, defect):
+    assert gaussian_signature_defect(*_int64_pair(s)) == defect
+
+
+def test_gaussian_signature_defect_refuses_entries_where_abs_wraps():
+    re, im = _int64_pair([[0, 1], [1, 0]])
+    re[0, 0] = im[0, 0] = np.iinfo(np.int64).min
+    assert gaussian_signature_defect(re, im) == "entries in {-1, 0, 1}"
 
 
 def test_as_array_unwraps_and_validates():
