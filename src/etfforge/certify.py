@@ -354,8 +354,8 @@ class Certificate:
 
 def certify(pair, delta=1e-10, w=0.5, seed=-1):
     """Produce a Certificate for a near-solution pair, or raise
-    CertificationError (reason "rank", or "infeasible", also when delta
-    is too small to move x0)."""
+    CertificationError (reason "rank" when S_mid has no right inverse,
+    or "infeasible", also when delta is too small to move x0)."""
     if not isinstance(pair, CirculantPair):
         raise InvalidArgumentError("certify expects a CirculantPair")
     d = pair.d
@@ -377,7 +377,7 @@ def certify(pair, delta=1e-10, w=0.5, seed=-1):
     except RankDeficiencyError as exc:
         raise CertificationError(
             "rank",
-            "secant Jacobian midpoint is numerically rank deficient",
+            "secant Jacobian midpoint is numerically rank deficient: %s" % exc,
             detail=exc.smallest_sv,
         ) from exc
     st = iv_matmul(s_mat, t)

@@ -12,7 +12,7 @@ class InvalidArgumentError(ToolkitError, ValueError):
 class RankDeficiencyError(ToolkitError):
     """A matrix required to have full rank does not.
 
-    Carries the offending smallest singular value.
+    Carries smallest_sv: in pseudoinverse, |R_nn| of its QR (>= sigma_min).
     """
 
     def __init__(self, message, smallest_sv):
@@ -54,8 +54,8 @@ class ConstructionError(ToolkitError):
 class CertificationError(ToolkitError):
     """Certification could not be completed.
 
-    `reason` is "rank" or "infeasible"; `detail` carries the smallest
-    singular value (rank) or the best lhs/rhs gap seen (infeasible).
+    `reason` is "rank" or "infeasible"; `detail` carries |R_nn| (rank,
+    see RankDeficiencyError) or the best lhs/rhs gap seen (infeasible).
     """
 
     def __init__(self, reason, message, detail=None):

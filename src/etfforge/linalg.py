@@ -4,11 +4,12 @@ Matrices are plain complex ndarrays.  as_array is the one 2-D coercion
 and check; require_signature checks the signature contract (Hermitian,
 zero diagonal, unimodular off-diagonal to 1e-10) where a caller's matrix
 must be one, and gaussian_signature_defect is its exact counterpart for
-Gaussian-integer conference signatures.
+Gaussian-integer conference signatures.  pseudoinverse builds a right
+inverse from one pivoted QR, whose R diagonal also decides the rank.
 """
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import qr, solve_triangular
 
 from .errors import (
     InvalidArgumentError,
@@ -106,11 +107,12 @@ def hermitian_eigen(a):
 
 
 def pseudoinverse(a):
-    """Right inverse of a wide full-rank real matrix via pivoted QR.
-
-    For an n x m input (n <= m) of rank n the result T satisfies A @ T = I.
-    Raises RankDeficiencyError when the singular value ratio drops below
-    _RANK_RTOL, carrying the smallest singular value.
+    """Right inverse T (A @ T = I) of a wide n x m real matrix from one
+    pivoted QR, A^T P = Q R, which also decides the rank: |R_11| is the
+    largest row norm of A, at most sigma_max, and |R_nn| >= sigma_min, so
+    refusing |R_nn| <= _RANK_RTOL |R_11| passes every matrix whose
+    singular value ratio exceeds _RANK_RTOL.  Raises RankDeficiencyError,
+    carrying |R_nn|, then or when A @ T misses I by more than 1e-8.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
@@ -120,23 +122,23 @@ def pseudoinverse(a):
         raise InvalidArgumentError(
             "pseudoinverse expects a wide matrix, got %d x %d" % (n, m)
         )
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= _RANK_RTOL * sv[0]:
-        raise RankDeficiencyError(
-            "matrix is rank deficient (smallest sv %.3e, largest %.3e)"
-            % (sv[-1], sv[0]),
-            smallest_sv=float(sv[-1]),
-        )
     # A^T P = Q R, so A = P R^T Q^T and the right inverse is T = Q R^{-T} P^T:
     # Q R^{-T} scattered to columns piv (a column gather would be F-ordered).
-    q, r, piv = scipy.linalg.qr(a.T, mode="economic", pivoting=True)
-    rt_inv = scipy.linalg.solve_triangular(r, np.eye(n), trans="T", lower=False)
+    q, r, piv = qr(a.T, mode="economic", pivoting=True)
+    r_first, r_last = abs(float(r[0, 0])), abs(float(r[-1, -1]))
+    if r_first == 0.0 or r_last <= _RANK_RTOL * r_first:
+        raise RankDeficiencyError(
+            "matrix is rank deficient (|R_nn| %.3e, |R_11| %.3e)" % (r_last, r_first),
+            smallest_sv=r_last,
+        )
+    rt_inv = solve_triangular(r, np.eye(n), trans="T", lower=False)
     t = np.empty((m, n))
     t[:, piv] = q @ rt_inv
     residual = float(np.max(np.abs(a @ t - np.eye(n))))
     if residual > 1e-8:
-        raise NumericFailureError(
-            "pseudoinverse residual %.3e exceeds 1e-8" % residual
+        raise RankDeficiencyError(
+            "right inverse residual %.3e exceeds 1e-8 (|R_nn| %.3e)" % (residual, r_last),
+            smallest_sv=r_last,
         )
     return t
 

@@ -216,10 +216,7 @@ class IntervalMatrix:
 
     @classmethod
     def from_point(cls, arr):
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim != 2:
-            raise InvalidArgumentError("point matrix must be 2-D")
-        return cls(arr.copy(), arr.copy())
+        return cls(arr, arr)  # __init__ copies each endpoint
 
     @property
     def shape(self):

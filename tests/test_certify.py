@@ -9,11 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import etfforge
 from etfforge import certify as certify_module
+from etfforge import linalg as linalg_module
 from etfforge.certify import (
     Certificate,
     RangeResult,
@@ -146,6 +148,18 @@ def test_certify_d5_verified_kernel_dim():
     assert cert.bound_f_x0 <= 1e-10
 
 
+def test_certify_factors_s_mid_without_an_svd(monkeypatch):
+    # the pivoted QR that builds T also decides the rank of S_mid
+    pair = solve(5, seed=0).pair
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("certify ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(scipy.linalg, "svd", no_svd)
+    assert certify(pair, seed=0).verified
+
+
 def test_certify_rejects_big_point():
     pair = CirculantPair(2, np.array([2.0, 0.0]), np.array([0.0, 1.0]))
     with pytest.raises(CertificationError) as err:
@@ -241,6 +255,23 @@ def test_certify_range_records_d4_failure_without_aborting(monkeypatch):
     assert by_d[11].failure_message
 
 
+def test_a_failed_right_inverse_is_a_rank_refusal(monkeypatch):
+    # a T that misses S_mid T = I by more than 1e-8 is refused with reason
+    # "rank", in certify and as a recorded row of a sweep
+    exact_solve = linalg_module.solve_triangular
+    monkeypatch.setattr(linalg_module, "solve_triangular",
+                        lambda *args, **kwargs: exact_solve(*args, **kwargs) * (1.0 + 1e-6))
+    with pytest.raises(CertificationError) as err:
+        certify(solve(2, seed=0).pair)
+    assert err.value.reason == "rank"
+    assert "right inverse residual" in str(err.value)
+    monkeypatch.setattr(certify_module, "exact_constructions", lambda d: [])
+    results = certify_range(2, 3)
+    assert [(r.d, r.verified, r.failure_reason) for r in results] == [
+        (2, False, "rank"), (3, False, "rank")]
+    assert all("right inverse residual" in r.failure_message for r in results)
+
+
 def test_sweep_message_names_the_line_system_cap(monkeypatch):
     # exact_constructions lists paley_plus at q = 1997 for d = 999, past
     # the cap; the LM solve is replaced by a miss, so no solve runs
@@ -262,12 +293,14 @@ def test_certify_range_parallel_matches_serial():
     assert dumps(serial[2].to_obj()) == dumps(parallel[2].to_obj())
 
 
-def _frame_of_x0(cert):
+def _pair_of_x0(cert):
     x0 = np.asarray(cert.x0)
     d = cert.d
-    return assemble_2circulant(
-        CirculantPair(d, x0[:d] + 1j * x0[d : 2 * d], x0[2 * d : 3 * d] + 1j * x0[3 * d : 4 * d])
-    )
+    return CirculantPair(d, x0[:d] + 1j * x0[d : 2 * d], x0[2 * d : 3 * d] + 1j * x0[3 * d : 4 * d])
+
+
+def _frame_of_x0(cert):
+    return assemble_2circulant(_pair_of_x0(cert))
 
 
 @pytest.mark.parametrize("family, q", [("paley_plus", 7), ("double_paley_plus", 3)])
@@ -328,6 +361,8 @@ def test_exact_constructions_cover_2_to_30_but_four():
     (82, "double_paley_plus", 81),
     (122, "paley_plus", 243),
     (126, "double_paley_plus", 125),
+    (242, "double_paley_plus", 241),
+    (250, "paley_plus", 499),
 ])
 def test_certify_exact_proves_every_listed_construction(d, family, q):
     # q runs over prime fields, GF(25), GF(27) and GF(49), then GF(3^4),
@@ -336,6 +371,17 @@ def test_certify_exact_proves_every_listed_construction(d, family, q):
     cert = certify_exact(*family_signature(family, q))
     assert cert.verified and cert.method == "exact-construction"
     assert (cert.d, cert.kernel_dim) == (d, 4 * d + 1 - residual_count(d))
+
+
+def test_certify_refuses_the_singular_exact_point_at_d7():
+    # the exact route's point is a singular zero for Newton-Kantorovich:
+    # |R_nn| of S_mid's pivoted QR falls below 1e-8 |R_11|
+    cert = certify_exact(*family_signature("paley_plus", 13))
+    assert cert.d == 7
+    with pytest.raises(CertificationError) as err:
+        certify(_pair_of_x0(cert), w=cert.x0[-1])
+    assert err.value.reason == "rank"
+    assert 0.0 < err.value.detail < 1e-9
 
 
 def test_certify_exact_has_no_construction_at_d11():

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import etfforge
 from etfforge import certify as certify_module
 from etfforge import cli
 from etfforge.errors import CertificationError, ConstructionError
@@ -204,6 +207,28 @@ def test_sweep_with_d4_reports_partial(tmp_path, capsys, monkeypatch):
     doc = read_json(out_dir / "certificate_d011.json")
     assert doc["verified"] is False
     assert doc["failure_reason"] == "infeasible"
+
+
+def test_sweep_verdicts_agree_on_one_and_two_blas_threads(tmp_path):
+    # at d >= 30 the LM solve's bits depend on the BLAS thread count, so
+    # digests are only reproducible at a fixed count; the verdicts are not
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(etfforge.__file__)))
+    path = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH", "")) if p)
+    rows = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env.pop("ETFFORGE_THREADS", None)
+        out_dir = tmp_path / ("threads%s" % threads)
+        run = subprocess.run(
+            [sys.executable, "-m", "etfforge.cli", "sweep", "--d", "2..30",
+             "--jobs", "1", "--out-dir", str(out_dir)],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stdout + run.stderr
+        summary = read_json(out_dir / "summary.json")
+        rows[threads] = [(row["d"], row["verified"], row["method"]) for row in summary["rows"]]
+    assert len(rows["1"]) == 29
+    assert rows["1"] == rows["2"]
 
 
 def test_sweep_single_d_syntax(tmp_path):

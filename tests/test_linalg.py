@@ -85,6 +85,30 @@ def test_pseudoinverse_rank_deficiency_reports_sv():
         pseudoinverse(np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("ratio", [1e-12, 1e-10, 1e-9, 1e-7, 1e-6, 1e-4, 1e-2])
+def test_pseudoinverse_rank_guard_against_svd_oracle(ratio):
+    # random wide matrices with singular values geomspace(1, ratio) times a
+    # random scale; the SVD is the oracle.  Above sigma_min / sigma_max =
+    # 1e-8 every one gets a right inverse; a refusal reports |R_nn|, which
+    # is at least sigma_min.
+    rng = np.random.default_rng(round(-np.log10(ratio)))
+    for trial in range(20):
+        n = int(rng.integers(2, 30))
+        m = n + int(rng.integers(0, 30))
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        a = (u * (scale * np.geomspace(1.0, ratio, n))) @ v.T
+        sv = np.linalg.svd(a, compute_uv=False)
+        try:
+            t = pseudoinverse(a)
+        except RankDeficiencyError as err:
+            assert sv[-1] <= 1e-8 * sv[0]
+            assert err.smallest_sv >= sv[-1] - 1e-13 * sv[0]
+            continue
+        assert np.max(np.abs(a @ t - np.eye(n))) <= 1e-8
+
+
 def test_op_norm_inf_frozen():
     assert op_norm_inf(np.array([[1.0, -2.0], [3.0, 4.0]])) == 7.0
     assert op_norm_inf(np.array([[3j]])) == 3.0
