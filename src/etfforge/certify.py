@@ -40,7 +40,7 @@ harmonic.family_signature.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -259,7 +259,7 @@ METHOD_NK = "newton-kantorovich"
 METHOD_EXACT = "exact-construction"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Certificate:
     """Verified existence of a d x 2d ETF made of two circulant blocks.
 
@@ -302,24 +302,24 @@ class Certificate:
     rhs_lower is 1.0, because a Gaussian integer of modulus below 1 is 0.
     """
 
+    method: str = METHOD_NK
     d: int
     seed: int
     x0: tuple
-    delta: Optional[float]
-    delta_eff: Optional[float]
-    epsilon: Optional[float]
+    delta: Optional[float] = None
+    delta_eff: Optional[float] = None
+    epsilon: Optional[float] = None
     bound_ST_minus_I: float
-    bound_T_norm: Optional[float]
-    bound_f_x0: Optional[float]
-    f_abs_bound: Optional[float]
+    bound_T_norm: Optional[float] = None
+    bound_f_x0: Optional[float] = None
+    f_abs_bound: Optional[float] = None
     lhs_upper: float
     rhs_lower: float
-    q_value: Optional[float]
+    q_value: Optional[float] = None
     kernel_dim: int = field(init=False)
     rows: int = field(init=False)
     variables: int = field(init=False)
     verified: bool = field(init=False)
-    method: str = METHOD_NK
 
     def __post_init__(self):
         rows = residual_count(self.d)
@@ -329,27 +329,10 @@ class Certificate:
         object.__setattr__(self, "verified", True)
 
     def to_obj(self):
-        return {
-            "kind": "certificate",
-            "method": self.method,
-            "d": self.d,
-            "seed": self.seed,
-            "x0": list(self.x0),
-            "delta": self.delta,
-            "delta_eff": self.delta_eff,
-            "epsilon": self.epsilon,
-            "bound_ST_minus_I": self.bound_ST_minus_I,
-            "bound_T_norm": self.bound_T_norm,
-            "bound_f_x0": self.bound_f_x0,
-            "f_abs_bound": self.f_abs_bound,
-            "lhs_upper": self.lhs_upper,
-            "rhs_lower": self.rhs_lower,
-            "q_value": self.q_value,
-            "kernel_dim": self.kernel_dim,
-            "rows": self.rows,
-            "variables": self.variables,
-            "verified": self.verified,
-        }
+        obj = {"kind": "certificate"}
+        obj.update((f.name, getattr(self, f.name)) for f in fields(self))
+        obj["x0"] = list(self.x0)
+        return obj
 
 
 def certify(pair, delta=1e-10, w=0.5, seed=-1):
@@ -486,20 +469,13 @@ def certify_exact(sig_re, sig_im, witness):
     gens = generators_from_blockgram(block)
     x0 = pack(CirculantPair(d, gens[0], gens[1]), 0.5)
     return Certificate(
+        method=METHOD_EXACT,
         d=d,
         seed=-1,
         x0=tuple(float(v) for v in x0),
-        delta=None,
-        delta_eff=None,
-        epsilon=None,
         bound_ST_minus_I=0.0,
-        bound_T_norm=None,
-        bound_f_x0=None,
-        f_abs_bound=None,
         lhs_upper=0.0,
         rhs_lower=1.0,
-        q_value=None,
-        method=METHOD_EXACT,
     )
 
 
@@ -511,8 +487,8 @@ class RangeResult:
 
     d: int
     certificate: Optional[Certificate]
-    failure_reason: Optional[str]
-    failure_message: Optional[str]
+    failure_reason: Optional[str] = None
+    failure_message: Optional[str] = None
 
     @property
     def verified(self):
@@ -542,7 +518,7 @@ def _certify_dimension(args):
             best_residual = min(best_residual, result.residual_inf)
             continue
         try:
-            return RangeResult(d, certify(result.pair, delta=delta, seed=seed), None, None)
+            return RangeResult(d, certify(result.pair, delta=delta, seed=seed))
         except CertificationError as exc:
             # certification failures outrank plain non-convergence notes
             reason = exc.reason
@@ -558,7 +534,7 @@ def _certify_dimension(args):
 
     for family, q in exact_constructions(d):
         try:
-            return RangeResult(d, certify_exact(*family_signature(family, q)), None, None)
+            return RangeResult(d, certify_exact(*family_signature(family, q)))
         except ToolkitError as exc:
             message += "; exact route via %s q=%d: %s" % (family, q, exc)
     return RangeResult(d, None, reason, message)

@@ -159,7 +159,8 @@ def _build_construction(family, q, v, m, epsilon):
         key = "paley_plus" if family == "paley-plus" else "double_paley_plus"
         gram, wit = harmonic.family_automorphism(key, q)
         frame = frame_from_gram(gram, gram.shape[0] // 2)
-        witness = witness_to_obj(wit.sigma, wit.c, m=len(wit.cycles()[0]), t=len(wit.cycles()))
+        cycles = wit.cycles()
+        witness = witness_to_obj(wit.sigma, wit.c, m=len(cycles[0]), t=len(cycles))
         params = {"q": int(q)}
     elif family == "double-paley":
         order = q if q is not None else v
@@ -431,11 +432,18 @@ def cmd_sweep(args, argv):
 
 
 def _witness_from_payload(obj):
+    """(witness, m, t) of a construction document, or three Nones; bad
+    input when m and t are not sigma's cycle type m^t."""
     from .harmonic import AutomorphismWitness
 
     if obj.get("kind") == "construction" and obj.get("witness"):
         sigma, c, m, t = witness_from_obj(obj["witness"])
-        return AutomorphismWitness(sigma=tuple(sigma), c=c), m, t
+        witness = AutomorphismWitness(sigma=tuple(sigma), c=c)
+        lengths = witness.cycle_type()
+        _require(len(lengths) == t and set(lengths) == {m},
+                 "witness m=%d, t=%d disagree with sigma: %d cycles of lengths %s"
+                 % (m, t, len(lengths), sorted(set(lengths))))
+        return witness, m, t
     return None, None, None
 
 
@@ -472,8 +480,9 @@ def cmd_circulantize(args, argv):
     run = Run(argv)
     obj = run.read(args.in_path)
     gram = _gram_from_payload(obj)
-    witness, wit_m, wit_t = _witness_from_payload(obj)
+    witness, _, wit_t = _witness_from_payload(obj)
     _require(witness is not None, "input document must embed an automorphism witness")
+    _require(wit_t == 2, "circulantize needs a witness of 2 cycles, got %d" % wit_t)
     try:
         block, diag, perm = circulantize(gram, witness, tol=args.tol)
         check_regular_representation(block, tol=args.tol)
@@ -481,10 +490,6 @@ def cmd_circulantize(args, argv):
     except (UnsupportedInputError, InconsistentWitnessError, NumericFailureError) as exc:
         print("circulantize: FAIL %s" % exc)
         return EXIT_FAIL
-    if gens.shape[0] != 2:
-        raise UnsupportedInputError(
-            "expected 2 generators, found %d cycles" % gens.shape[0]
-        )
     payload = pair_to_obj(block.m, gens[0], gens[1])
     payload["perm"] = [int(p) for p in perm]
     payload["diag_re"] = [float(v) for v in np.real(diag)]

@@ -251,12 +251,8 @@ def circulantize(gram, witness, tol=1e-8):
             "cycle lengths %s are not all equal" % sorted(lengths)
         )
     m = lengths.pop()
-    t = len(cycles)
-    c = witness.c
-    sigma = witness.sigma
-    holonomy = np.empty(t, dtype=complex)
-    for j, cyc in enumerate(cycles):
-        holonomy[j] = np.prod(c[cyc])
+    cyc, path = _cycle_paths(witness.c, cycles)
+    holonomy = path[:, m]
     spread = float(np.max(np.abs(holonomy - holonomy[0])))
     if spread > tol:
         raise InconsistentWitnessError(
@@ -265,17 +261,9 @@ def circulantize(gram, witness, tol=1e-8):
     mean = np.mean(holonomy)
     mean = mean / abs(mean)
     beta = complex(mean) ** (1.0 / m)
-    n = witness.n
-    diag = np.empty(n, dtype=complex)
-    perm = []
-    for cyc in cycles:
-        acc = 1.0 + 0.0j
-        idx = cyc[0]
-        for ell in range(m):
-            diag[idx] = acc / beta**ell
-            perm.append(idx)
-            acc = acc * c[idx]
-            idx = sigma[idx]
+    diag = np.empty(witness.n, dtype=complex)
+    diag[cyc] = path[:, :m] / np.array([beta**ell for ell in range(m)])
+    perm = cyc.ravel().tolist()
     scaled = np.conj(diag)[:, None] * g * diag[None, :]
     reordered = scaled[np.ix_(perm, perm)]
     block = detect_harmonic_gram(reordered, m, tol=max(tol, 1e-8))
@@ -340,15 +328,21 @@ def _refusal(identity):
     return CertificationError("infeasible", "%s fails exactly over Z[i]" % identity)
 
 
+def _cycle_paths(c, cycles):
+    """The cycles as a (t, m) array, each listed along sigma, and path,
+    where path[j, l] is the product of the first l scalars along cycle j,
+    run twice round (so path[:, m] is each cycle's holonomy)."""
+    cyc = np.array(cycles)
+    return cyc, np.cumprod(np.hstack([np.ones((len(cyc), 1)), c[cyc], c[cyc]]), axis=1)
+
+
 def _cycle_traces(s, c, cycles):
     """tr_k = sum_i P_k(i) S[i, sigma^k i] for k = 1..m-1, and each
     cycle's holonomy P_m, for the monomial map M e_i = c_i e_(sigma i)
     given by its cycles, all of length m and each listed along sigma.
     P_k(i) is the product of the scalars along i -> sigma^k i."""
-    cyc = np.array(cycles)
+    cyc, path = _cycle_paths(c, cycles)
     m = cyc.shape[1]
-    # path[j, l]: product of the first l scalars along cycle j, run twice round
-    path = np.cumprod(np.hstack([np.ones((len(cyc), 1)), c[cyc], c[cyc]]), axis=1)
     start = np.arange(m)[:, None]
     end = start + np.arange(1, m)
     terms = np.conj(path[:, start]) * path[:, end] * s[cyc[:, start], cyc[:, end % m]]
@@ -382,9 +376,10 @@ def prove_witnessed_signature(sig_re, sig_im, witness):
     sigma = np.asarray(witness.sigma)
     if np.any(s != np.conj(c)[:, None] * c * s[np.ix_(sigma, sigma)]):
         raise _refusal("witness identity")
-    if witness.cycle_type() != (d, d):
+    cycle_type = witness.cycle_type()
+    if cycle_type != (d, d):
         raise CertificationError(
-            "infeasible", "witness cycle type %s is not %d^2" % (witness.cycle_type(), d)
+            "infeasible", "witness cycle type %s is not %d^2" % (cycle_type, d)
         )
     traces, holonomy = _cycle_traces(s, c, witness.cycles())
     nonzero = np.flatnonzero(traces)

@@ -110,9 +110,11 @@ def pseudoinverse(a):
     """Right inverse T (A @ T = I) of a wide n x m real matrix from one
     pivoted QR, A^T P = Q R, which also decides the rank: |R_11| is the
     largest row norm of A, at most sigma_max, and |R_nn| >= sigma_min, so
-    refusing |R_nn| <= _RANK_RTOL |R_11| passes every matrix whose
+    the guard |R_nn| <= _RANK_RTOL |R_11| refuses no matrix whose
     singular value ratio exceeds _RANK_RTOL.  Raises RankDeficiencyError,
-    carrying |R_nn|, then or when A @ T misses I by more than 1e-8.
+    carrying |R_nn|, then or when A @ T misses I by more than 1e-8.  That
+    residual test is absolute, so near the threshold it can still refuse
+    a matrix the R guard passed (a ratio of 1.1e-8 can leave 1.2e-8).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:

@@ -318,6 +318,25 @@ def test_certify_exact_proves_d4_from_both_families(family, q):
     assert obj["method"] == "exact-construction" and obj["epsilon"] is None
 
 
+CERTIFICATE_KEYS = [
+    "kind", "method", "d", "seed", "x0", "delta", "delta_eff", "epsilon",
+    "bound_ST_minus_I", "bound_T_norm", "bound_f_x0", "f_abs_bound", "lhs_upper",
+    "rhs_lower", "q_value", "kernel_dim", "rows", "variables", "verified",
+]
+# sha256 of dumps(certify_exact(*family_signature("paley_plus", 7)).to_obj()),
+# key order included (PINNED_CERTIFY_OUTPUTS sorts the keys)
+EXACT_D4_CERTIFICATE = "306553b10820d8b2b6db0e7a9a577eb093ef57de65d5710d753d3aa5328d0a7f"
+
+
+def test_certificate_json_keeps_its_key_order():
+    nk = certify(solve(3, seed=0).pair, seed=0)
+    exact = certify_exact(*family_signature("paley_plus", 7))
+    assert list(nk.to_obj()) == CERTIFICATE_KEYS
+    assert list(exact.to_obj()) == CERTIFICATE_KEYS
+    digest = hashlib.sha256(dumps(exact.to_obj()).encode()).hexdigest()
+    assert digest == EXACT_D4_CERTIFICATE
+
+
 def test_certify_exact_refuses_flipped_signature_entry():
     re, im, witness = family_signature("paley_plus", 7)  # S = i C
     assert im[0, 1] != 0

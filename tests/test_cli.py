@@ -326,6 +326,41 @@ def test_circulantize_needs_witness(tmp_path):
     assert run_cli("circulantize", "--in", out, "--out", tmp_path / "g.json") == 2
 
 
+def test_witness_m_t_must_match_its_sigma(tmp_path, capsys):
+    # paley-plus q = 13: sigma has two 7-cycles, the document claims 7 2-cycles
+    bundle = tmp_path / "pp13.json"
+    assert run_cli("construct", "--family", "paley-plus", "--q", 13, "--out", bundle) == 0
+    doc = read_json(bundle)
+    assert (doc["witness"]["m"], doc["witness"]["t"]) == (7, 2)
+    doc["witness"].update(m=2, t=7)
+    lying = tmp_path / "lying.json"
+    lying.write_text(json.dumps(doc))
+    out = tmp_path / "gens.json"
+    for extra in (["detect"], ["detect", "--m", 2], ["circulantize", "--out", out]):
+        capsys.readouterr()
+        assert run_cli(extra[0], "--in", lying, *extra[1:]) == 2
+        err = capsys.readouterr().err
+        assert "witness m=2, t=7 disagree with sigma: 2 cycles of lengths [7]" in err
+    assert not out.exists()
+
+
+def test_circulantize_refuses_a_witness_of_four_cycles(tmp_path, capsys):
+    # steiner m = 2: a 7 x 28 frame of four circulant blocks, witnessed by
+    # the shift inside each block
+    payload, _ = cli._build_construction("steiner", None, None, 2, None)
+    i = np.arange(28)
+    payload["witness"] = {"sigma": (i - i % 7 + (i + 1) % 7).tolist(), "c_re": [1.0] * 28,
+                          "c_im": [0.0] * 28, "m": 7, "t": 4}
+    bundle = tmp_path / "steiner.json"
+    bundle.write_text(json.dumps(payload))
+    out = tmp_path / "gens.json"
+    assert run_cli("detect", "--in", bundle) == 0
+    assert "reindexed through 4 cycles of length 7" in capsys.readouterr().out
+    assert run_cli("circulantize", "--in", bundle, "--out", out) == 2
+    assert "needs a witness of 2 cycles, got 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_family_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_cli("construct", "--family", "mystery", "--out", tmp_path / "x.json")

@@ -325,6 +325,56 @@ def test_circulantize_rejects_inconsistencies():
         circulantize(np.eye(2, dtype=complex), w2)
 
 
+def _loop_diag_perm(witness):
+    """circulantize's diagonal and permutation as its per-element loop
+    built them before the array form, kept as the oracle: each cycle's
+    holonomy by np.prod, then the running scalar product along the cycle
+    over beta**ell."""
+    cycles = witness.cycles()
+    m = len(cycles[0])
+    c, sigma = witness.c, witness.sigma
+    holonomy = np.array([np.prod(c[cyc]) for cyc in cycles])
+    mean = np.mean(holonomy)
+    beta = complex(mean / abs(mean)) ** (1.0 / m)
+    diag = np.empty(witness.n, dtype=complex)
+    perm = []
+    for cyc in cycles:
+        acc = 1.0 + 0.0j
+        idx = cyc[0]
+        for ell in range(m):
+            diag[idx] = acc / beta**ell
+            perm.append(idx)
+            acc = acc * c[idx]
+            idx = sigma[idx]
+    return diag, perm
+
+
+@pytest.mark.parametrize("family", ["paley_plus", "double_paley_plus"])
+def test_circulantize_matches_the_per_element_loop(family):
+    for q in filter(is_odd_prime_power, range(3, 82)):
+        gram, witness = family_automorphism(family, q)
+        _, diag, perm = circulantize(gram, witness)
+        want_diag, want_perm = _loop_diag_perm(witness)
+        assert diag.tobytes() == want_diag.tobytes()
+        assert perm == want_perm and all(type(p) is int for p in perm)
+
+
+@pytest.mark.parametrize("family, q, seed", [("paley_plus", 13, 0), ("paley_plus", 27, 1),
+                                             ("double_paley_plus", 9, 2),
+                                             ("double_paley_plus", 19, 3)])
+def test_circulantize_matches_the_loop_under_random_phases(family, q, seed):
+    # G'[i, j] = conj(p_i) p_j G[i, j] has the witness c'_i = c_i p_i conj(p_(sigma i))
+    gram, witness = family_automorphism(family, q)
+    p = np.exp(2j * np.pi * np.random.default_rng(seed).random(witness.n))
+    rescaled = AutomorphismWitness(
+        sigma=witness.sigma, c=witness.c * p * np.conj(p[list(witness.sigma)]))
+    assert np.all(np.abs(rescaled.c.imag) > 1e-6)  # not units any more
+    _, diag, perm = circulantize(np.conj(p)[:, None] * gram * p, rescaled)
+    want_diag, want_perm = _loop_diag_perm(rescaled)
+    assert perm == want_perm
+    assert np.max(np.abs(diag - want_diag)) <= 1e-12
+
+
 def test_brute_force_finds_zauner_witness():
     g = gram_of_signature(zauner_2x4_signature(), 2)
     w = brute_force_automorphism_search(g, 2, 2)

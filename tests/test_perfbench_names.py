@@ -8,6 +8,7 @@ import glob
 import importlib
 import importlib.util
 import os
+import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPANS_PATH = os.path.join(ROOT, "perfbench", "spans.py")
@@ -47,4 +48,33 @@ def test_every_import_in_src_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(module, name) for name in sorted(imported - used)
                    if (module, name) not in patched]
+    assert unused == []
+
+
+def test_every_private_name_in_src_is_used():
+    # a top-level _name that no other line of src/ mentions is dead code
+    lines = {}
+    defined = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "etfforge", "*.py"))):
+        with open(path) as fh:
+            text = fh.read()
+        lines[path] = text.splitlines()
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    unused = [
+        (os.path.basename(path), name)
+        for path, lineno, name in defined
+        if not any(re.search(r"\b%s\b" % name, line)
+                   for other, text in lines.items()
+                   for k, line in enumerate(text, 1)
+                   if (other, k) != (path, lineno))
+    ]
     assert unused == []
