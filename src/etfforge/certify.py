@@ -22,7 +22,10 @@ built from differences of residual values: each column is the exact
 difference quotient for the float step h_l = fl(fl(x0_l + delta) - x0_l),
 enclosed from its closed form as an interval slope (see
 secant_jacobian), so S costs O(d^2) and its entries are a few ulps
-wide.  Its product with T is a midpoint-radius product on BLAS (see
+wide.  T is pseudoinverse's right inverse of S's midpoint, from one
+column-pivoted QR whose R diagonal also decides the rank; that QR is the
+package's one use of scipy, so only this module imports it.  The
+product S T is a midpoint-radius product on BLAS (see
 rigor.iv_matmul).  certify encloses u, v and c at x0 once, as one
 stacked interval pass (_correlations_interval), and shares that
 enclosure between S and the residual bound C0.  epsilon_search tests
@@ -44,6 +47,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import qr, solve_triangular
 
 from .errors import (
     CertificationError,
@@ -53,7 +57,6 @@ from .errors import (
     ToolkitError,
 )
 from .frames import CirculantPair
-from .linalg import pseudoinverse
 from .rigor import (
     IntervalMatrix,
     iv_matmul,
@@ -253,6 +256,48 @@ def secant_jacobian(x0, delta, d, uvc=None):
     w_col[2] = -4.0
     s_mat = IntervalMatrix(np.hstack([rows_lo, w_col]), np.hstack([rows_hi, w_col]))
     return s_mat, float(np.max(steps))
+
+
+_RANK_RTOL = 1e-8
+
+
+def pseudoinverse(a):
+    """Right inverse T (A @ T = I) of a wide n x m real matrix from one
+    pivoted QR, A^T P = Q R, which also decides the rank: |R_11| is the
+    largest row norm of A, at most sigma_max, and |R_nn| >= sigma_min, so
+    the guard |R_nn| <= _RANK_RTOL |R_11| refuses no matrix whose
+    singular value ratio exceeds _RANK_RTOL.  Raises RankDeficiencyError,
+    carrying |R_nn|, then or when A @ T misses I by more than 1e-8.  That
+    residual test is absolute, so near the threshold it can still refuse
+    a matrix the R guard passed (a ratio of 1.1e-8 can leave 1.2e-8).
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.size == 0:
+        raise InvalidArgumentError("pseudoinverse expects a nonempty 2-D real matrix")
+    n, m = a.shape
+    if n > m:
+        raise InvalidArgumentError(
+            "pseudoinverse expects a wide matrix, got %d x %d" % (n, m)
+        )
+    # A^T P = Q R, so A = P R^T Q^T and the right inverse is T = Q R^{-T} P^T:
+    # Q R^{-T} scattered to columns piv (a column gather would be F-ordered).
+    q, r, piv = qr(a.T, mode="economic", pivoting=True)
+    r_first, r_last = abs(float(r[0, 0])), abs(float(r[-1, -1]))
+    if r_first == 0.0 or r_last <= _RANK_RTOL * r_first:
+        raise RankDeficiencyError(
+            "matrix is rank deficient (|R_nn| %.3e, |R_11| %.3e)" % (r_last, r_first),
+            smallest_sv=r_last,
+        )
+    rt_inv = solve_triangular(r, np.eye(n), trans="T", lower=False)
+    t = np.empty((m, n))
+    t[:, piv] = q @ rt_inv
+    residual = float(np.max(np.abs(a @ t - np.eye(n))))
+    if residual > 1e-8:
+        raise RankDeficiencyError(
+            "right inverse residual %.3e exceeds 1e-8 (|R_nn| %.3e)" % (residual, r_last),
+            smallest_sv=r_last,
+        )
+    return t
 
 
 METHOD_NK = "newton-kantorovich"

@@ -609,6 +609,9 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # an input too large to allocate for
+        print("error: out of memory: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

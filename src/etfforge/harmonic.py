@@ -18,6 +18,7 @@ both family_automorphism and certify's exact route call.
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,8 +97,9 @@ class AutomorphismWitness:
     def n(self):
         return len(self.sigma)
 
-    def cycles(self):
-        """Cycles of sigma, each led by its least element, leaders ascending."""
+    @cached_property
+    def _cycles(self):
+        """sigma's cycles, walked once per witness, on first use."""
         seen = set()
         out = []
         for start in range(self.n):
@@ -106,12 +108,16 @@ class AutomorphismWitness:
                 while self.sigma[cyc[-1]] != start:
                     cyc.append(self.sigma[cyc[-1]])
                 seen.update(cyc)
-                out.append(cyc)
-        return out
+                out.append(tuple(cyc))
+        return tuple(out)
+
+    def cycles(self):
+        """Cycles of sigma, each led by its least element, leaders ascending."""
+        return [list(cyc) for cyc in self._cycles]
 
     def cycle_type(self):
         """Sorted tuple of cycle lengths."""
-        return tuple(sorted(len(c) for c in self.cycles()))
+        return tuple(sorted(len(cyc) for cyc in self._cycles))
 
 
 def verify_automorphism(gram, witness):

@@ -4,21 +4,16 @@ Matrices are plain complex ndarrays.  as_array is the one 2-D coercion
 and check; require_signature checks the signature contract (Hermitian,
 zero diagonal, unimodular off-diagonal to 1e-10) where a caller's matrix
 must be one, and gaussian_signature_defect is its exact counterpart for
-Gaussian-integer conference signatures.  pseudoinverse builds a right
-inverse from one pivoted QR, whose R diagonal also decides the rank.
+Gaussian-integer conference signatures.  The module needs numpy only;
+the one pivoted QR of the package, certify.pseudoinverse, lives with its
+one caller, so that no command that factors no matrix loads scipy.
 """
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 
-from .errors import (
-    InvalidArgumentError,
-    NumericFailureError,
-    RankDeficiencyError,
-)
+from .errors import InvalidArgumentError, NumericFailureError
 
 _SIGNATURE_TOL = 1e-10
-_RANK_RTOL = 1e-8
 
 
 def as_array(x):
@@ -104,45 +99,6 @@ def hermitian_eigen(a):
         return np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError("eigendecomposition failed: %s" % exc) from exc
-
-
-def pseudoinverse(a):
-    """Right inverse T (A @ T = I) of a wide n x m real matrix from one
-    pivoted QR, A^T P = Q R, which also decides the rank: |R_11| is the
-    largest row norm of A, at most sigma_max, and |R_nn| >= sigma_min, so
-    the guard |R_nn| <= _RANK_RTOL |R_11| refuses no matrix whose
-    singular value ratio exceeds _RANK_RTOL.  Raises RankDeficiencyError,
-    carrying |R_nn|, then or when A @ T misses I by more than 1e-8.  That
-    residual test is absolute, so near the threshold it can still refuse
-    a matrix the R guard passed (a ratio of 1.1e-8 can leave 1.2e-8).
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise InvalidArgumentError("pseudoinverse expects a nonempty 2-D real matrix")
-    n, m = a.shape
-    if n > m:
-        raise InvalidArgumentError(
-            "pseudoinverse expects a wide matrix, got %d x %d" % (n, m)
-        )
-    # A^T P = Q R, so A = P R^T Q^T and the right inverse is T = Q R^{-T} P^T:
-    # Q R^{-T} scattered to columns piv (a column gather would be F-ordered).
-    q, r, piv = qr(a.T, mode="economic", pivoting=True)
-    r_first, r_last = abs(float(r[0, 0])), abs(float(r[-1, -1]))
-    if r_first == 0.0 or r_last <= _RANK_RTOL * r_first:
-        raise RankDeficiencyError(
-            "matrix is rank deficient (|R_nn| %.3e, |R_11| %.3e)" % (r_last, r_first),
-            smallest_sv=r_last,
-        )
-    rt_inv = solve_triangular(r, np.eye(n), trans="T", lower=False)
-    t = np.empty((m, n))
-    t[:, piv] = q @ rt_inv
-    residual = float(np.max(np.abs(a @ t - np.eye(n))))
-    if residual > 1e-8:
-        raise RankDeficiencyError(
-            "right inverse residual %.3e exceeds 1e-8 (|R_nn| %.3e)" % (residual, r_last),
-            smallest_sv=r_last,
-        )
-    return t
 
 
 def op_norm_inf(a):

@@ -199,6 +199,8 @@ def witness_from_obj(obj):
         raise InvalidArgumentError("malformed witness JSON: %s" % exc) from exc
     if c_re.shape != c_im.shape:
         raise InvalidArgumentError("witness scalar parts disagree in length")
+    if not (np.all(np.isfinite(c_re)) and np.all(np.isfinite(c_im))):
+        raise InvalidArgumentError("witness JSON has non-finite entries")
     c = c_re + 1j * c_im
     if len(sigma) != len(c):
         raise InvalidArgumentError("witness length mismatch")

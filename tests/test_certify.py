@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import etfforge
 from etfforge import certify as certify_module
-from etfforge import linalg as linalg_module
 from etfforge.certify import (
     Certificate,
     RangeResult,
@@ -258,8 +257,8 @@ def test_certify_range_records_d4_failure_without_aborting(monkeypatch):
 def test_a_failed_right_inverse_is_a_rank_refusal(monkeypatch):
     # a T that misses S_mid T = I by more than 1e-8 is refused with reason
     # "rank", in certify and as a recorded row of a sweep
-    exact_solve = linalg_module.solve_triangular
-    monkeypatch.setattr(linalg_module, "solve_triangular",
+    exact_solve = certify_module.solve_triangular
+    monkeypatch.setattr(certify_module, "solve_triangular",
                         lambda *args, **kwargs: exact_solve(*args, **kwargs) * (1.0 + 1e-6))
     with pytest.raises(CertificationError) as err:
         certify(solve(2, seed=0).pair)

@@ -486,10 +486,10 @@ MALFORMED_DOCUMENTS = {
     # a length-1 part would broadcast against its length-d partner
     "x_re_length_1": (_generator_doc, {"x_re": "[0.5]"}, "length disagrees"),
     "pair_text": (_gram_only_construction_doc, {"pair": '"a"'}, "expected an object"),
-    # NaN compares false against the unimodularity tolerance
+    # refused as it is read, before the scalars are formed
     "witness_nan": (_gram_only_construction_doc, {"witness": (
         '{"sigma": [1, 2, 0, 4, 5, 3], "c_re": [NaN, 1, 1, 1, 1, 1],'
-        ' "c_im": [0, 0, 0, 0, 0, 0], "m": 3, "t": 2}')}, "unimodular"),
+        ' "c_im": [0, 0, 0, 0, 0, 0], "m": 3, "t": 2}')}, "non-finite"),
     # nested past the interpreter's recursion limit: json raises RecursionError
     "kind_deep": (_generator_doc, {"kind": "[" * 100000 + "]" * 100000}, "cannot read"),
 }
@@ -535,6 +535,72 @@ def test_malformed_document_exits_2_without_traceback(tmp_path, capsys, case, co
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def _cli_subprocess(*argv, code=None):
+    """Run `python -m etfforge.cli argv` (or `python -c code argv`) on this
+    checkout's src/; returns the CompletedProcess."""
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(etfforge.__file__)))
+    path = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH", "")) if p)
+    head = ["-c", code] if code is not None else ["-m", "etfforge.cli"]
+    return subprocess.run([sys.executable, *head, *[str(a) for a in argv]],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_non_finite_witness_scalar_is_refused_before_any_arithmetic(tmp_path):
+    # an infinite c_im once reached c_re + 1j * c_im, and numpy warned on
+    # stderr before the refusal; the only stderr line is the refusal now
+    bundle = tmp_path / "pp5.json"
+    assert run_cli("construct", "--family", "paley-plus", "--q", 5, "--out", bundle) == 0
+    doc = read_json(bundle)
+    doc["witness"]["c_im"][0] = math.inf
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for command, extra in (("detect", []), ("circulantize", ["--out", tmp_path / "out.json"])):
+        run = _cli_subprocess(command, "--in", bad, *extra)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.splitlines() == ["error: witness JSON has non-finite entries"]
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_solve_too_large_to_allocate_exits_2(capsys):
+    # about 8 PB of generators: the allocation is refused before anything
+    # is filled
+    assert run_cli("solve", "--d", 10 ** 15) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+SCIPY_GUARD = """
+import importlib, os, pkgutil, sys
+import etfforge
+from etfforge import cli
+for info in pkgutil.iter_modules(etfforge.__path__):
+    if info.name != "certify":
+        importlib.import_module("etfforge." + info.name)
+tmp = sys.argv[1]
+bundle, gens, solved = (os.path.join(tmp, name) for name in ("pp5.json", "gens.json", "s3.json"))
+codes = [cli.main(argv) for argv in (
+    ["construct", "--family", "paley-plus", "--q", "5", "--out", bundle],
+    ["check", "--in", bundle],
+    ["detect", "--in", bundle],
+    ["circulantize", "--in", bundle, "--out", gens],
+    ["solve", "--d", "3", "--out", solved],
+)]
+assert codes == [0] * 5, codes
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+import etfforge.certify
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_only_certify_loads_scipy(tmp_path):
+    # scipy serves certify's pivoted QR alone; every other module and the
+    # commands that never factor a matrix run on numpy only
+    run = _cli_subprocess(tmp_path, code=SCIPY_GUARD)
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 # Malformed-document fuzzing.  A mutation is (path, value): value replaces

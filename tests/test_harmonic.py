@@ -1,5 +1,6 @@
 import hashlib
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ def test_witness_cycles_least_leader():
     assert w.cycles() == [[0, 2], [1, 3], [4]]
     assert w.cycle_type() == (1, 2, 2)
     assert w.n == 5
+
+
+def test_witness_walks_its_cycles_once(monkeypatch):
+    # family_automorphism's proof and circulantize read one walk of sigma
+    walks = []
+    walk = AutomorphismWitness._cycles.func
+    counted = cached_property(lambda self: walks.append(self) or walk(self))
+    counted.__set_name__(AutomorphismWitness, "_cycles")
+    monkeypatch.setattr(AutomorphismWitness, "_cycles", counted)
+    gram, witness = family_automorphism("paley_plus", 13)
+    circulantize(gram, witness)
+    witness.cycles()[0].append(99)  # a caller's copy, not the witness's
+    assert witness.cycle_type() == (7, 7)
+    assert walks == [witness]
 
 
 def test_verify_identity_witness_is_exact():

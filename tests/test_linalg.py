@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from etfforge.certify import pseudoinverse
 from etfforge.errors import (
     InvalidArgumentError,
     RankDeficiencyError,
@@ -11,7 +12,6 @@ from etfforge.linalg import (
     gaussian_signature_defect,
     hermitian_eigen,
     op_norm_inf,
-    pseudoinverse,
     require_signature,
 )
 
