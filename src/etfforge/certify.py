@@ -24,11 +24,11 @@ enclosed from its closed form as an interval slope (see
 secant_jacobian), so S costs O(d^2) and its entries are a few ulps
 wide.  T is pseudoinverse's right inverse of S's midpoint, from one
 column-pivoted QR whose R diagonal also decides the rank; that QR is the
-package's one use of scipy, so only this module imports it.  The
-product S T is a midpoint-radius product on BLAS (see
-rigor.iv_matmul).  certify encloses u, v and c at x0 once, as one
-stacked interval pass (_correlations_interval), and shares that
-enclosure between S and the residual bound C0.  epsilon_search tests
+package's one use of scipy, so only this module imports it.  Both
+sums of products, S T and the correlations behind u, v and c
+(_correlations_interval), are midpoint-radius products on BLAS
+(rigor.iv_matmul).  certify encloses u, v and c at x0 once and shares
+that enclosure between S and the residual bound C0.  epsilon_search tests
 every candidate eps at once, on the same array kernels.  The residual
 row layout is solver's (solver.row_spec): f_eval_interval and
 secant_jacobian gather their rows with solver.gather_rows, and
@@ -74,53 +74,31 @@ from .rigor import iv_add, iv_div, iv_mul, iv_sub  # noqa: F401
 from .solver import gather_rows, pack, residual_count, row_spec, unpack
 
 
-def _iv_sum_last(lo, hi):
-    """Sum intervals along the last axis by pairwise folding."""
-    while lo.shape[-1] > 1:
-        n = lo.shape[-1]
-        if n % 2:
-            pad = np.zeros(lo.shape[:-1] + (1,))
-            lo = np.concatenate([lo, pad], axis=-1)
-            hi = np.concatenate([hi, pad], axis=-1)
-            n += 1
-        half = n // 2
-        lo, hi = vadd(lo[..., :half], hi[..., :half], lo[..., half:], hi[..., half:])
-    return lo[..., 0], hi[..., 0]
-
-
-# the twelve real correlations behind u, v and c as (s, t) factor pairs
-# over the packed parts a = Re x, b = Im x, p = Re y, q = Im y.  Pair k
-# and pair k + 6 are added (k < 3: Re u, Re v, Re c) or subtracted
-# (3 <= k < 6: Im u, Im v, Im c).
-_CORRELATION_PAIRS = ("aa", "pp", "pa", "ba", "qp", "qa", "bb", "qq", "qb", "ab", "pq", "pb")
-_S_PART = np.array(["abpq".index(k[0]) for k in _CORRELATION_PAIRS])
-_T_PART = np.array(["abpq".index(k[1]) for k in _CORRELATION_PAIRS])
-
-
 def _correlations_interval(lo, hi, d):
     """Interval enclosures of u, v and c (see solver) over the box
     [lo, hi] of packed points, each as (re, im) with re and im (lo, hi)
     pairs over the lags 0..d-1.
 
-    All twelve correlations sum_m s_m t_(m+j) are one (12, d, d) stack:
-    one interval product, one pairwise fold over m, then one addition
-    and one subtraction across the stack.  Every kernel is elementwise,
-    so each entry is rounded exactly as it would be on its own.  certify
-    builds this once at x0 and shares it between secant_jacobian and the
-    residual bound C0.
+    All sixteen correlations sum_m s_m t_(m+j) of the parts s, t of
+    (Re x, Im x, Re y, Im y) are one midpoint-radius product P Circ
+    (rigor.iv_matmul): P holds the parts (4 x d) and Circ[m, t d + j] =
+    t_(m+j) their circulants side by side (d x 4d).  Each of u, v and c
+    then adds two of them and subtracts two.  certify builds this once
+    at x0 and shares it between secant_jacobian and the residual bound C0.
     """
     m = np.arange(d)
-    idx = (m[None, :] + m[:, None]) % d  # idx[j, m] = m + j
-    parts_lo = lo[:4 * d].reshape(4, d)
-    parts_hi = hi[:4 * d].reshape(4, d)
-    # s broadcasts over the lag axis j of t[k, j, m] = t_k(m + j)
-    c_lo, c_hi = _iv_sum_last(*vmul(
-        parts_lo[_S_PART, None, :], parts_hi[_S_PART, None, :],
-        parts_lo[_T_PART][:, idx], parts_hi[_T_PART][:, idx],
-    ))
-    re_lo, re_hi = vadd(c_lo[:3], c_hi[:3], c_lo[6:9], c_hi[6:9])
-    im_lo, im_hi = vsub(c_lo[3:6], c_hi[3:6], c_lo[9:], c_hi[9:])
-    # u_j = sum x_m conj(x_{m+j}), v likewise, c_j = sum y_m conj(x_{m+j})
+    idx = (m[:, None] + m[None, :]) % d  # idx[m, j] = m + j
+    parts = IntervalMatrix(lo[:4 * d].reshape(4, d), hi[:4 * d].reshape(4, d))
+    circ = IntervalMatrix(*(e[:, idx].transpose(1, 0, 2).reshape(d, 4 * d)
+                            for e in (parts.lo, parts.hi)))
+    prod = iv_matmul(parts, circ)
+    c_lo, c_hi = prod.lo.reshape(4, 4, d), prod.hi.reshape(4, 4, d)
+    # u, v, c = sum_m f_m conj(g_(m+j)) for (f, g) = (x, x), (y, y), (y, x);
+    # f and g have real parts at rows f_re, g_re and imaginary parts next
+    f_re, g_re = np.array([0, 2, 2]), np.array([0, 2, 0])
+    f_im, g_im = f_re + 1, g_re + 1
+    re_lo, re_hi = vadd(c_lo[f_re, g_re], c_hi[f_re, g_re], c_lo[f_im, g_im], c_hi[f_im, g_im])
+    im_lo, im_hi = vsub(c_lo[f_im, g_re], c_hi[f_im, g_re], c_lo[f_re, g_im], c_hi[f_re, g_im])
     return tuple(((re_lo[k], re_hi[k]), (im_lo[k], im_hi[k])) for k in range(3))
 
 
@@ -480,22 +458,15 @@ def epsilon_search(a, bt, c0, delta_eff, norm_x0, f_abs):
 
 
 def exact_constructions(d):
-    """(family, q) for each Gaussian-integer family that table_dispatch
-    lists at dimension d: paley_plus at q = 2d-1 (label G_q+1) and
-    double_paley_plus at q = d-1 (label 2·(G_q+1))."""
-    from .constructions import LABEL_DOUBLE_PLUS, LABEL_HALF, table_dispatch
+    """(family, q) for each Gaussian-integer family at dimension d:
+    paley_plus at q = 2d-1 and double_paley_plus at q = d-1, each when q
+    is an odd prime power.  A q past galois.within_line_system_cap is
+    listed too; certify_exact refuses it, naming the cap."""
+    from .constructions import is_odd_prime_power
 
     d = int(d)
-    try:
-        labels = table_dispatch(d)
-    except InvalidArgumentError:  # beyond the dispatch table nothing is listed
-        return []
-    out = []
-    if LABEL_HALF % (2 * d - 1) in labels:
-        out.append(("paley_plus", 2 * d - 1))
-    if LABEL_DOUBLE_PLUS % (d - 1) in labels:
-        out.append(("double_paley_plus", d - 1))
-    return out
+    families = (("paley_plus", 2 * d - 1), ("double_paley_plus", d - 1))
+    return [(family, q) for family, q in families if is_odd_prime_power(q)]
 
 
 def certify_exact(sig_re, sig_im, witness):

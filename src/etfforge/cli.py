@@ -193,9 +193,9 @@ def _build_construction(family, q, v, m, epsilon):
         params = {"q": int(q)}
     elif family == "steiner":
         _require(m is not None, "--m is required for steiner")
+        diff_set = cons.planar_difference_set(m)  # checks m before the DFT needs it
         k = int(m) + 1
         hadamard = dft_matrix(k + 1) * math.sqrt(k + 1)
-        diff_set = cons.planar_difference_set(m)
         frame = cons.steiner_circulant(m, hadamard, diff_set)
         gram = frame.conj().T @ frame
         params = {"m": int(m), "difference_set": [int(x) for x in diff_set]}
@@ -315,6 +315,7 @@ def cmd_solve(args, argv):
 
 def cmd_certify(args, argv):
     from .certify import METHOD_EXACT, certify, exact_constructions
+    from .galois import within_line_system_cap
 
     run = Run(argv)
     obj = run.read(args.in_path)
@@ -327,7 +328,7 @@ def cmd_certify(args, argv):
         cert = certify(pair, delta=args.delta, w=w, seed=seed)
     except CertificationError as exc:
         message = str(exc)
-        if exact_constructions(pair.d):
+        if any(within_line_system_cap(q) for _, q in exact_constructions(pair.d)):
             # the exact route proves a constructed point, not this one
             message += "; d=%d is proved by %s: etfforge sweep --d %d" % (
                 pair.d, METHOD_EXACT, pair.d)

@@ -320,6 +320,12 @@ class SymplecticLineSystem:
         return 1 - 2 * (e // (self.q + 1) % 2)
 
 
+def within_line_system_cap(q):
+    """Whether build_line_system reaches q: its field GF(q^2) has order
+    q^2 <= 10^6 (q <= 997)."""
+    return q * q <= _MAX_FIELD_ORDER
+
+
 def build_line_system(q, variant):
     """Assemble the projective line representatives used by the symplectic
     conference constructions, in GF(q^2): q^2 <= 10^6 (q <= 997)."""
@@ -329,7 +335,7 @@ def build_line_system(q, variant):
     decomp = prime_power_decomposition(q)
     if decomp is None or decomp[0] == 2:
         raise InvalidArgumentError("q must be an odd prime power")
-    if q * q > _MAX_FIELD_ORDER:
+    if not within_line_system_cap(q):
         raise InvalidArgumentError("q = %d is past the line-system cap q^2 <= 10^6" % q)
     p, k = decomp
     ext = make_field(p, 2 * k)

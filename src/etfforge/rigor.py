@@ -14,10 +14,12 @@ The two matrix reductions do not nudge term by term.  They evaluate in
 round-to-nearest, with any summation order, and inflate the result by an
 a-priori error bound: iv_matmul is a midpoint-radius product on BLAS
 (Rump, "Fast and parallel interval arithmetic", BIT 39, 1999; Rump,
-"Fast interval matrix multiplication", Numer. Algorithms 61, 2012), and
-iv_norm_inf sums each row with np.sum.  Both rest on the classical bound
-for a length-k dot product in any order, with or without FMA (Higham,
-Accuracy and Stability of Numerical Algorithms, 2nd ed., chapter 3):
+"Fast interval matrix multiplication", Numer. Algorithms 61, 2012) whose
+right factor is a float or an interval matrix, the package's one
+enclosure of sums of products, and iv_norm_inf sums each row with
+np.sum.  Both rest on the classical bound for a length-k dot product
+in any order, with or without FMA (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., chapter 3):
 
     |fl(x . y) - x . y| <= gamma_k |x| . |y| + k eta,
     gamma_k = k u / (1 - k u),  u = 2^-53,  eta = 2^-1074.
@@ -271,33 +273,47 @@ def iv_norm_inf(a):
     return Interval(float(np.max(row_lo)), float(np.max(row_hi)))
 
 
-def iv_matmul(a, b):
-    """Product of an interval matrix with a pointwise float matrix.
+def _mid_rad(lo, hi):
+    """Float midpoint M and radius R of [lo, hi], with |x - M| <= R for
+    every x in it and R = 0 exactly on point entries."""
+    mid = 0.5 * lo + 0.5 * hi
+    # a float difference rounds to <= 0 only when it is exactly <= 0
+    radius = np.maximum(hi - mid, mid - lo)
+    return mid, np.where(radius > 0.0, _up(radius), 0.0)
 
-    Midpoint-radius form on two BLAS products (Rump 1999, 2012; see the
+
+def iv_matmul(a, b):
+    """Product of an interval matrix with a float or interval matrix.
+
+    Midpoint-radius form on BLAS products (Rump 1999, 2012; see the
     module docstring).  With k the inner dimension, g >= gamma_k, M and R
     a float midpoint and radius of `a` (|A - M| <= R for every point
-    matrix A in `a`) and C = fl(M @ b), for every such A
+    matrix A in `a`), N and Q those of `b` (Q = 0 for a float `b`) and
+    C = fl(M @ N), for every such A and B
 
-        |A b - C| <= R |b| + gamma_k |M| |b| + k eta <= X |b| + k eta,
+        |A B - C| <= R |N| + (R + |M|) Q + gamma_k |M| |N| + k eta
+                  <= X |N| + Y Q + k eta,
 
-    where X >= R + g |M| entrywise is formed with outward nudges.  The
-    nonnegative product P = fl(X @ |b|) has |P - X |b|| <= gamma_k X |b|
-    + k eta, so X |b| <= (P + k eta) / (1 - g), and the radius
+    where X >= R + g |M| and Y >= R + |M| entrywise are formed with
+    outward nudges.  The nonnegative product P = fl(X @ |N|) has
+    |P - X |N|| <= gamma_k X |N| + k eta, so X |N| <= (P + k eta) / (1 - g),
+    and likewise Y Q with P' = fl(Y @ Q); the radius
 
-        rad = (P + k eta) / (1 - g) + k eta,
+        rad = (P + k eta + P' + k eta) / (1 - g) + k eta,
 
-    each operation nudged upward, bounds |A b - C|.  The result is
-    [C - rad, C + rad], nudged outward.  This holds for any summation
-    order the BLAS chooses, with or without FMA, in round-to-nearest
-    (it assumes only that each entry is a sum of the k products, not a
-    Strassen-like scheme).  Entries where C or rad overflow become
-    [-inf, inf].
+    each operation nudged upward, bounds |A B - C|.  The P' terms are
+    added only when Q has a nonzero entry, so a float or point `b` costs
+    two products.  The result is [C - rad, C + rad], nudged outward.
+    This holds for any summation order the BLAS chooses, with or without
+    FMA, in round-to-nearest (it assumes only that each entry is a sum of
+    the k products, not a Strassen-like scheme).  Entries where C or rad
+    overflow become [-inf, inf].
     """
     if not isinstance(a, IntervalMatrix):
         raise InvalidArgumentError("iv_matmul expects an IntervalMatrix left factor")
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if not isinstance(b, IntervalMatrix):
+        b = np.asarray(b, dtype=float)
+    if len(b.shape) != 2 or a.shape[1] != b.shape[0]:
         raise InvalidArgumentError("inner dimensions disagree")
     k = a.shape[1]
     if k == 0:
@@ -305,14 +321,14 @@ def iv_matmul(a, b):
     g = _gamma(k)
     under = k * _ETA
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is mapped below
-        mid = 0.5 * a.lo + 0.5 * a.hi
-        # a float difference rounds to <= 0 only when it is exactly <= 0,
-        # so point entries get radius 0
-        radius = np.maximum(a.hi - mid, mid - a.lo)
-        radius = np.where(radius > 0.0, _up(radius), 0.0)
+        mid, radius = _mid_rad(a.lo, a.hi)
+        b_mid, b_rad = _mid_rad(b.lo, b.hi) if isinstance(b, IntervalMatrix) else (b, 0.0)
         x = _up(radius + _up(g * np.abs(mid)))
-        rad = _up(_up(_up(x @ np.abs(b) + under) / _down(1.0 - g)) + under)
-        c = mid @ b
+        p = _up(x @ np.abs(b_mid) + under)
+        if np.any(b_rad):
+            p = _up(p + _up(_up(radius + np.abs(mid)) @ b_rad + under))
+        rad = _up(_up(p / _down(1.0 - g)) + under)
+        c = mid @ b_mid
         lo, hi = _down(c - rad), _up(c + rad)
     bad = ~(np.isfinite(c) & np.isfinite(rad))
     lo[bad] = _NEG_INF

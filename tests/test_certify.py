@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -527,11 +528,10 @@ def test_certify_verifies_large_dimensions(d):
     assert cert.lhs_upper < cert.rhs_lower
 
 
-# sha256 of the outputs below as the per-correlation enclosure (twelve
-# separate products and folds, u, v and c enclosed twice per certify)
-# produced them; the stacked single enclosure must round every endpoint
-# exactly as it did.
-PINNED_CERTIFY_OUTPUTS = "d35e90547398dfb96f8318a1d104e167fa7513af6de2097f8e63fa872cf68dec"
+# sha256 of the outputs below with u, v and c enclosed by one
+# midpoint-radius product (rigor.iv_matmul); any change to how an
+# endpoint is rounded moves it.
+PINNED_CERTIFY_OUTPUTS = "861b7c3be50bfdcca76caaca5a638b9402afabaa41b10d5301248450d4614e8f"
 
 
 def _certify_outputs_digest():
@@ -583,6 +583,21 @@ def test_certify_encloses_u_v_c_once(monkeypatch):
     pair = solve(5, seed=0).pair
     assert certify(pair).verified
     assert calls == [5]
+
+
+def test_u_v_c_enclosure_memory_stays_quadratic_at_d300():
+    # one product of a 4 x d by a d x 4d interval matrix holds a few
+    # d x 4d arrays (about 18 MB at d = 300); a (12, d, d) interval
+    # stack with its elementwise temporaries would take over 80 MB
+    d = 300
+    x = np.random.default_rng(d).uniform(-0.1, 0.1, 4 * d + 1)
+    tracemalloc.start()
+    try:
+        certify_module._correlations_interval(x, x, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def _scalar_epsilon_search(a, bt, c0, delta_eff, norm_x0, f_abs):

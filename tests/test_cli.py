@@ -18,7 +18,7 @@ import etfforge
 from etfforge import certify as certify_module
 from etfforge import cli
 from etfforge.errors import CertificationError, ConstructionError
-from etfforge.serialize import read_json
+from etfforge.serialize import pair_to_obj, read_json
 
 
 def run_cli(*argv):
@@ -139,6 +139,29 @@ def test_certify_at_d4_fails_and_names_the_exact_route(tmp_path, capsys):
     assert out.startswith("certification failed: reason=infeasible") and hint in out
     fdoc = read_json(failed)
     assert fdoc["verified"] is False and hint in fdoc["message"]
+
+
+def test_certify_hint_needs_a_construction_within_the_line_system_cap(
+        tmp_path, capsys, monkeypatch):
+    # d = 999 lists paley_plus at q = 1997, past the line-system cap, so
+    # sweep cannot prove it either and the failure names no route
+    def refuse(pair, **kwargs):
+        raise CertificationError("infeasible", "injected failure")
+
+    monkeypatch.setattr(certify_module, "certify", refuse)
+    for d, hinted in ((999, False), (4, True)):
+        doc = tmp_path / ("g%d.json" % d)
+        with open(doc, "w") as fh:
+            json.dump(pair_to_obj(d, np.full(d, 0.01), np.full(d, 0.01)), fh)
+        assert run_cli("certify", "--in", doc) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("certification failed: reason=infeasible injected failure")
+        assert ("is proved by exact-construction" in out) == hinted
+
+
+def test_construct_steiner_names_a_bad_m(tmp_path, capsys):
+    assert run_cli("construct", "--family", "steiner", "--m", -2, "--out", tmp_path / "s.json") == 2
+    assert capsys.readouterr().err == "error: m must be >= 1\n"
 
 
 def test_solve_then_detect_two_circulant_structure(tmp_path):

@@ -303,6 +303,55 @@ def test_iv_matmul_encloses_exact_product_across_magnitudes(k):
                     assert hi_x <= Fraction(out.hi[i, j])
 
 
+def _exact_interval_hull(a_lo, a_hi, b_lo, b_hi):
+    """Exact rational hull of {A B : a_lo <= A <= a_hi, b_lo <= B <= b_hi}
+    entrywise: per term, the extreme corner products."""
+    fa = [[(Fraction(float(l)), Fraction(float(h))) for l, h in zip(*rows)]
+          for rows in zip(a_lo, a_hi)]
+    fb = [[(Fraction(float(l)), Fraction(float(h))) for l, h in zip(*rows)]
+          for rows in zip(b_lo, b_hi)]
+    out = []
+    for row in fa:
+        hull = []
+        for j in range(len(fb[0])):
+            corners = [[x * y for x in ends for y in fb[t][j]] for t, ends in enumerate(row)]
+            hull.append((sum(min(c) for c in corners), sum(max(c) for c in corners)))
+        out.append(hull)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 5, 64])
+def test_iv_matmul_encloses_interval_right_factors(k):
+    # mixed signs with some entries straddling zero, a row of `a` and a
+    # column of `b` of zero radius, magnitudes near 1e-300 and 1e300
+    # (products overflow or underflow) and subnormal entries
+    rng = np.random.default_rng(2000 + k)
+    cases = [
+        (rng.standard_normal((3, k)), rng.standard_normal((k, 4))),
+        (_log_uniform(rng, (3, k), -300, 300), _log_uniform(rng, (k, 4), -300, 5)),
+        (_log_uniform(rng, (3, k), -300, -290), _log_uniform(rng, (k, 4), -30, -20)),
+        (_log_uniform(rng, (3, k), -323, -309), _log_uniform(rng, (k, 4), -2, 2)),
+    ]
+    for a_mid, b_mid in cases:
+        a_rad = np.abs(a_mid) * 10.0 ** rng.uniform(-16, 0.5, size=a_mid.shape)
+        b_rad = np.abs(b_mid) * 10.0 ** rng.uniform(-16, 0.5, size=b_mid.shape)
+        a_rad[0] = 0.0
+        b_rad[:, 0] = 0.0
+        a = IntervalMatrix(a_mid - a_rad, a_mid + a_rad)
+        b = IntervalMatrix(b_mid - b_rad, b_mid + b_rad)
+        out = iv_matmul(a, b)
+        hull = _exact_interval_hull(a.lo, a.hi, b.lo, b.hi)
+        for i in range(3):
+            for j in range(4):
+                lo_x, hi_x = hull[i][j]
+                assert Fraction(out.lo[i, j]) <= lo_x
+                assert hi_x <= Fraction(out.hi[i, j])
+        # a point right factor is the float product, bit for bit
+        point = iv_matmul(a, IntervalMatrix.from_point(b_mid))
+        plain = iv_matmul(a, b_mid)
+        assert np.array_equal(point.lo, plain.lo) and np.array_equal(point.hi, plain.hi)
+
+
 def test_iv_matmul_is_tight_and_maps_overflow_to_the_real_line():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((5, 300))
