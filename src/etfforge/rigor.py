@@ -1,11 +1,21 @@
 """Directed-rounded interval arithmetic on binary64 endpoints.
 
 Every arithmetic operation evaluates with the hardware's round-to-nearest
-and then nudges each endpoint outward by one ulp via nextafter.  Since
-round-to-nearest lands within half an ulp of the exact value, the nudged
-endpoints are guaranteed to bracket it.  This costs at most two ulps of
-slack per endpoint but never touches the FPU rounding mode, so it is
-portable and safe under numpy's vectorized kernels.
+and then nudges each endpoint outward by the successor bound of Rump,
+Zimmermann, Boldo and Melquiond ("Computing predecessor and successor in
+rounding to nearest", BIT 49, 2009):
+
+    _up(a) = fl(a + t),  _down(a) = fl(a - t),  t = fl(fl(|a| phi) + eta),
+    phi = u (1 + 2 u),  u = 2^-53,  eta = 2^-1074.
+
+In round-to-nearest _up(a) is succ(a) or succ(succ(a)), and _down(a) is
+pred(a) or pred(pred(a)); both equal nextafter except for |a| near the
+underflow threshold.  Since round-to-nearest lands within half an ulp of
+the exact value, the nudged endpoints bracket it, with no change of the
+FPU rounding mode and no branch per element.  The special values map as
+nextafter maps them: _up(+inf) = +inf, _up(max) overflows to +inf, and
+_up(-inf) = -max, since a hi endpoint that overflowed to -inf stands for
+a finite value below -max (mirrored for _down); NaN stays NaN.
 
 Absolute value and negation are exact in binary64 and are not nudged.
 Infinities may appear only as the result of overflow; NaN is rejected.
@@ -38,16 +48,34 @@ from .errors import IntervalDivisionError, InvalidArgumentError
 
 _NEG_INF = -np.inf
 _POS_INF = np.inf
+_MAX = np.finfo(np.float64).max
 _UNIT_ROUNDOFF = 2.0 ** -53
 _ETA = 2.0 ** -1074  # smallest positive subnormal
+_PHI = _UNIT_ROUNDOFF * (1.0 + 2.0 * _UNIT_ROUNDOFF)  # exact in binary64
 
+
+# In place on the fresh |a| buffer of an array a; numpy scalars are
+# rebound.  |a| is capped at max so that a + t keeps the sign of an
+# infinite a.  _down forms -t, exactly the negated t in round-to-nearest.
 
 def _down(a):
-    return np.nextafter(a, _NEG_INF)
+    t = np.abs(a)
+    buf = t if type(t) is np.ndarray else None
+    t = np.minimum(t, _MAX, out=buf)
+    t *= -_PHI
+    t -= _ETA
+    t += a
+    return np.minimum(t, _MAX, out=buf)
 
 
 def _up(a):
-    return np.nextafter(a, _POS_INF)
+    t = np.abs(a)
+    buf = t if type(t) is np.ndarray else None
+    t = np.minimum(t, _MAX, out=buf)
+    t *= _PHI
+    t += _ETA
+    t += a
+    return np.maximum(t, -_MAX, out=buf)
 
 
 # Vectorized endpoint kernels.  All take/return ndarrays (or scalars via

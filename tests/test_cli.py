@@ -254,6 +254,30 @@ def test_sweep_verdicts_agree_on_one_and_two_blas_threads(tmp_path):
     assert rows["1"] == rows["2"]
 
 
+README_SWEEP_MANIFEST = "1e15f9bba0cd5aab"
+
+
+def test_readme_sweep_example_prints_its_manifest(tmp_path):
+    # the README's `etfforge sweep --d 2..3 --out-dir sweep23`, run as
+    # written in a fresh interpreter on two BLAS threads (as the pinned
+    # certify digest), prints the README's lines and manifest digest
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read().split("$ etfforge sweep --d 2..3 --out-dir sweep23\n", 1)[1]
+    documented = readme.split("\n```", 1)[0].splitlines()
+    assert documented[-1] == "2/2 verified (manifest %s)" % README_SWEEP_MANIFEST
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(etfforge.__file__)))
+    path = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH", "")) if p)
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="2",
+               OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+    env.pop("ETFFORGE_THREADS", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "etfforge.cli", "sweep", "--d", "2..3", "--out-dir", "sweep23"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines() == documented
+
+
 def test_sweep_single_d_syntax(tmp_path):
     out_dir = tmp_path / "single"
     assert run_cli("sweep", "--d", "2", "--out-dir", out_dir) == 0

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etfforge.errors import IntervalDivisionError, InvalidArgumentError
@@ -32,6 +32,8 @@ from etfforge.rigor import (
     vscale,
     vsqr,
     vsub,
+    _down,
+    _up,
 )
 
 
@@ -374,3 +376,180 @@ def test_iv_norm_inf_encloses_exact_row_sums():
                 for lo, hi in zip(mid - rad, mid + rad))
     assert Fraction(out.lo) <= lower and upper <= Fraction(out.hi)
     assert out.hi <= float(upper) * (1 + 1e-12)
+
+
+# --- the outward nudge -------------------------------------------------
+
+_MAX = np.finfo(np.float64).max
+_TINY = np.finfo(np.float64).tiny  # smallest normal
+_SUB = 2.0 ** -1074  # smallest subnormal
+_POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1074, 1024))
+_SPECIAL = [0.0, -0.0, _SUB, -_SUB, 2 * _SUB, 3 * _SUB, _TINY, -_TINY,
+            _TINY - _SUB, _TINY + _SUB, 1.0, -1.0, _MAX, -_MAX,
+            float(np.nextafter(_MAX, 0.0)), np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def _power_of_two_or_neighbour(draw):
+    x = float(_POWERS_OF_TWO[draw(st.integers(0, len(_POWERS_OF_TWO) - 1))])
+    x = float(np.nextafter(x, draw(st.sampled_from((0.0, x, np.inf)))))
+    return -x if draw(st.booleans()) else x
+
+
+every_float = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.integers(1, 2 ** 52 - 1).map(lambda m: m * _SUB),  # subnormals
+    _power_of_two_or_neighbour(),
+    st.floats(),  # every class, NaN and infinities included
+)
+
+
+def _nudge_brackets(a):
+    """Elementwise: nextafter(a) <= _up(a) <= nextafter^2(a), the mirror
+    for _down, NaN kept where a is NaN, and the input left unchanged."""
+    a = np.asarray(a, dtype=float)
+    before = a.copy()
+    with np.errstate(over="ignore"):
+        up, down = _up(a), _down(a)
+        up1 = np.nextafter(a, np.inf)
+        down1 = np.nextafter(a, -np.inf)
+        up2, down2 = np.nextafter(up1, np.inf), np.nextafter(down1, -np.inf)
+    nan = np.isnan(a)
+    assert np.array_equal(np.isnan(up), nan) and np.array_equal(np.isnan(down), nan)
+    assert np.all((up1 <= up) & (up <= up2) | nan)
+    assert np.all((down2 <= down) & (down <= down1) | nan)
+    assert np.array_equal(a, before, equal_nan=True)
+
+
+@given(every_float)
+@example(0.0)
+@example(1.0)
+@example(-np.inf)
+@settings(max_examples=1000, deadline=None)
+def test_nudge_lies_between_one_and_two_ulps_out(a):
+    _nudge_brackets(np.array([a]))
+    with np.errstate(over="ignore"):
+        up, down, up_array = _up(a), _down(a), _up(np.array([a]))
+    # a Python float in gives a numpy scalar out, as np.nextafter does
+    assert type(up) is np.float64 and type(down) is np.float64
+    assert np.array_equal(up, up_array[0], equal_nan=True)
+
+
+@given(st.lists(every_float, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_nudge_on_arrays_matches_the_elementwise_bracket(values):
+    a = np.array(values, dtype=float).reshape(-1, 1)
+    _nudge_brackets(a)
+    with np.errstate(over="ignore"):
+        assert _up(a).shape == a.shape and type(_down(a)) is np.ndarray
+
+
+def test_nudge_brackets_every_power_of_two_and_its_neighbours():
+    p = _POWERS_OF_TWO
+    near = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+    _nudge_brackets(np.concatenate([near, -near, _SPECIAL]))
+
+
+def test_nudge_maps_special_values_as_nextafter_does():
+    # a hi endpoint that overflowed to -inf stands for a finite value
+    # below -max, so its upper bound is -max (and the mirror for lo)
+    assert _up(-np.inf) == -_MAX and _down(np.inf) == _MAX
+    assert _up(np.inf) == np.inf and _down(-np.inf) == -np.inf
+    with np.errstate(over="ignore"):
+        assert _up(_MAX) == np.inf and _down(-_MAX) == -np.inf
+    assert _up(0.0) == _SUB and _down(-0.0) == -_SUB
+    assert np.isnan(_up(np.nan)) and np.isnan(_down(np.nan))
+    for x in (0.5, np.float64(0.5), np.array(0.5), 3):
+        assert type(_up(x)) is np.float64 and type(_down(x)) is np.float64
+    a = np.array([-np.inf, np.nan, np.inf])
+    assert np.array_equal(_up(a), [-_MAX, np.nan, np.inf], equal_nan=True)
+    assert np.array_equal(_down(a), [-np.inf, np.nan, _MAX], equal_nan=True)
+
+
+# --- the kernels at the extremes of binary64 -----------------------------
+
+# signed zeros, subnormals (products and quotients of these underflow),
+# the smallest normal, magnitudes whose products overflow, and max
+_EXTREMES = np.array(
+    [0.0, _SUB, 3 * _SUB, 2.0 ** -1060, 2.0 ** -1030, _TINY, 1e-200, 1e-160,
+     0.75, 1.0, 3.0, 1e160, 1e200, 2.0 ** 1000, _MAX / 3.0, _MAX]
+)
+
+
+def _extreme_intervals(rng, n, nonzero=False):
+    """n intervals with endpoints drawn from +-_EXTREMES (-0.0 included)."""
+    pool = _EXTREMES[1:] if nonzero else _EXTREMES
+    mag = pool[rng.integers(0, len(pool), size=(2, n))]
+    if nonzero:  # both endpoints of one sign: a valid divisor
+        sign = rng.choice([-1.0, 1.0], size=n)
+        ends = np.sort(mag * sign, axis=0)
+    else:
+        ends = np.sort(mag * rng.choice([-1.0, 1.0], size=(2, n)), axis=0)
+    return ends[0], ends[1]
+
+
+def _check_enclosure(lo, hi, exact_lo, exact_hi):
+    """[lo, hi] holds the exact range [exact_lo, exact_hi].  An exact
+    endpoint past +-max must come out as +-inf on its side; the other
+    endpoint must still bound the exact value."""
+    for i in range(len(exact_lo)):
+        l, h = float(lo[i]), float(hi[i])
+        assert l == l and h == h and l != np.inf and h != -np.inf
+        if exact_lo[i] < -Fraction(_MAX):
+            assert l == -np.inf
+        assert l == -np.inf or Fraction(l) <= exact_lo[i]
+        if exact_hi[i] > Fraction(_MAX):
+            assert h == np.inf
+        assert h == np.inf or exact_hi[i] <= Fraction(h)
+
+
+def _fractions(x):
+    return [Fraction(float(v)) for v in x]
+
+
+def _corners(fa_lo, fa_hi, fb_lo, fb_hi, op):
+    lo, hi = [], []
+    for ends in zip(fa_lo, fa_hi, fb_lo, fb_hi):
+        c = [op(x, y) for x in ends[:2] for y in ends[2:]]
+        lo.append(min(c))
+        hi.append(max(c))
+    return lo, hi
+
+
+def test_kernels_enclose_exact_results_at_the_extremes():
+    rng = np.random.default_rng(17)
+    n = 1500
+    alo, ahi = _extreme_intervals(rng, n)
+    blo, bhi = _extreme_intervals(rng, n)
+    dlo, dhi = _extreme_intervals(rng, n, nonzero=True)
+    b = blo  # a pointwise factor for vscale
+    fa_lo, fa_hi = _fractions(alo), _fractions(ahi)
+    fb_lo, fb_hi = _fractions(blo), _fractions(bhi)
+    fd_lo, fd_hi = _fractions(dlo), _fractions(dhi)
+    with np.errstate(over="ignore", under="ignore"):
+        out_add = vadd(alo, ahi, blo, bhi)
+        out_sub = vsub(alo, ahi, blo, bhi)
+        out_mul = vmul(alo, ahi, blo, bhi)
+        out_scale = vscale(alo, ahi, b)
+        out_div = vdiv(alo, ahi, dlo, dhi)
+        out_sqr = vsqr(alo, ahi)
+    _check_enclosure(*out_add, [x + y for x, y in zip(fa_lo, fb_lo)],
+                     [x + y for x, y in zip(fa_hi, fb_hi)])
+    _check_enclosure(*out_sub, [x - y for x, y in zip(fa_lo, fb_hi)],
+                     [x - y for x, y in zip(fa_hi, fb_lo)])
+    mul_lo, mul_hi = _corners(fa_lo, fa_hi, fb_lo, fb_hi, lambda x, y: x * y)
+    _check_enclosure(*out_mul, mul_lo, mul_hi)
+    scale_lo, scale_hi = _corners(fa_lo, fa_hi, fb_lo, fb_lo, lambda x, y: x * y)
+    _check_enclosure(*out_scale, scale_lo, scale_hi)
+    div_lo, div_hi = _corners(fa_lo, fa_hi, fd_lo, fd_hi, lambda x, y: x / y)
+    _check_enclosure(*out_div, div_lo, div_hi)
+    sqr_lo = [Fraction(0) if l <= 0 <= h else min(l * l, h * h) for l, h in zip(fa_lo, fa_hi)]
+    sqr_hi = [max(l * l, h * h) for l, h in zip(fa_lo, fa_hi)]
+    _check_enclosure(*out_sqr, sqr_lo, sqr_hi)
+    # the draw reaches both ends of the range: exact products that
+    # underflow to zero or a subnormal, and sums and products past max
+    big, tiny = Fraction(_MAX), Fraction(_TINY)
+    assert any(0 < abs(x) < tiny for x in mul_lo + mul_hi + div_lo + div_hi + sqr_hi)
+    assert any(abs(x) > big for x in mul_lo + mul_hi + div_lo + div_hi)
+    assert any(abs(x + y) > big for x, y in zip(fa_hi, fb_hi))
+    assert np.any((alo == 0.0) & np.signbit(alo)) and np.any((ahi == 0.0) & ~np.signbit(ahi))
