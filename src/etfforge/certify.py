@@ -475,13 +475,14 @@ def certify_exact(sig_re, sig_im, witness):
     witness, by harmonic.prove_witnessed_signature, which raises
     CertificationError (reason "infeasible") naming the first identity
     that fails.  Only x0 is then computed in floating point: the
-    generators recovered by circulantize and generators_from_blockgram.
+    generators recovered by harmonic._straighten, which re-checks nothing
+    the proof has checked exactly, and generators_from_blockgram.
     """
-    from .harmonic import circulantize, generators_from_blockgram, prove_witnessed_signature
+    from .harmonic import _straighten, generators_from_blockgram, prove_witnessed_signature
 
     gram = prove_witnessed_signature(sig_re, sig_im, witness)
     d = gram.shape[0] // 2
-    block, _, _ = circulantize(gram, witness)
+    block, _, _ = _straighten(gram, witness)
     gens = generators_from_blockgram(block)
     x0 = pack(CirculantPair(d, gens[0], gens[1]), 0.5)
     return Certificate(

@@ -173,19 +173,14 @@ def _is_irreducible(f, p):
     return True
 
 
-
-
-def _padded(poly, k):
-    return list(poly) + [0] * (k - len(poly))
-
-
 def _first_generator(f, p, q):
     """First multiplicative generator of GF(p)[x]/f in coefficient-lex order,
-    as a coefficient list."""
+    as a coefficient list of length k.  For k > 1 the search starts at
+    n = p: the constants below it have orders dividing p - 1 < q - 1."""
     k = len(f) - 1
     order = q - 1
     prime_divisors = factor_into_primes(order)
-    for n in range(1, q):
+    for n in range(p if k > 1 else 1, q):
         g = [n // p**i % p for i in range(k)]
         if all(_poly_powmod(g, order // r, f, p) != [1] for r in prime_divisors):
             return g
@@ -208,18 +203,22 @@ class GaloisField:
         self.weights = p ** np.arange(k, dtype=np.int64)
         self.digits = np.arange(q, dtype=np.int64)[:, None] // self.weights % p
         # exp by doubling: powers g^(m..2m-1) are powers g^(0..m-1) times
-        # g^m, a linear map on digit vectors whose row j is g^m x^j mod f.
+        # h = g^m, a linear map on digit vectors whose row j is h x^j mod f.
+        # Row j+1 is row j times x: shifted up one digit, less its top
+        # digit times f (f is monic, so x^k = -f[:k] mod f).
+        low = np.array(f[:k], dtype=np.int64)
         powers = np.zeros((q - 1, k), dtype=np.int64)
         powers[0, 0] = 1
-        h, m = _first_generator(f, p, q), 1
+        h, m = np.array(_first_generator(f, p, q), dtype=np.int64), 1
+        times_h = np.empty((k, k), dtype=np.int64)
         while m < q - 1:
-            times_h = np.array(
-                [_padded(_poly_mulmod(h, [0] * j + [1], f, p), k) for j in range(k)],
-                dtype=np.int64,
-            )
+            times_h[0] = h
+            for j in range(1, k):
+                prev = times_h[j - 1]
+                times_h[j] = (np.concatenate(([0], prev[:-1])) - prev[-1] * low) % p
             r = min(m, q - 1 - m)
             powers[m : m + r] = powers[:r] @ times_h % p
-            h = _poly_mulmod(h, h, f, p)
+            h = h @ times_h % p
             m *= 2
         self.exp = powers @ self.weights
         self.log = np.full(q, -1, dtype=np.int64)

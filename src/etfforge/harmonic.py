@@ -34,7 +34,7 @@ from .errors import (
 )
 # gram_of_signature is unused here; perfbench/spans.py patches it on this module
 from .frames import circulant, gram_of_signature, welch_gamma  # noqa: F401
-from .linalg import as_array, dft_matrix, gaussian_signature_defect
+from .linalg import as_array, gaussian_signature_defect
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,12 @@ def detect_harmonic_gram(gram, m, tol=1e-8):
     rows and columns to within tol.  Returns the block decomposition with
     the per-frequency t x t component matrices, which are checked to be
     Hermitian positive semidefinite.
+
+    For the unitary DFT F[a, g] = exp(-2 pi i a g / m) / sqrt(m) and any
+    m x m block B, (F B F*)_aa = ifft(D)[a] with D[s] = sum_g B[g, g+s mod m]
+    (Davis, Circulant Matrices, 1979), so the components are one inverse
+    FFT of the wrapped-diagonal sums, O(t^2 m^2).  The identity needs no
+    circulance: a block within tol of circulant keeps its own components.
     """
     g = as_array(gram)
     m = int(m)
@@ -148,16 +154,13 @@ def detect_harmonic_gram(gram, m, tol=1e-8):
     if m < 1 or n % m != 0:
         raise UnsupportedInputError("block size m must divide the Gram order")
     t = n // m
-    # blocks[i, j] is the m x m block G_ij, laid out contiguously: einsum
-    # over the strided (t, m, t, m) view sums in another order
-    blocks = np.ascontiguousarray(g.reshape(t, m, t, m).transpose(0, 2, 1, 3))
+    blocks = g.reshape(t, m, t, m).transpose(0, 2, 1, 3)  # blocks[i, j] = G_ij
     worst = float(np.max(np.abs(blocks - np.roll(blocks, (1, 1), axis=(2, 3)))))
     if worst > tol:
         raise UnsupportedInputError(
             "blocks are not circulant: worst shift deviation %.3e" % worst
         )
-    f = dft_matrix(m)
-    comps = np.einsum("ag,ijgh,ah->aij", f, blocks, np.conj(f))
+    comps = _frequency_components(blocks)
     herm = float(np.max(np.abs(comps - np.conj(np.transpose(comps, (0, 2, 1))))))
     if herm > tol:
         raise NumericFailureError(
@@ -172,6 +175,15 @@ def detect_harmonic_gram(gram, m, tol=1e-8):
             "frequency component %d has eigenvalue %.3e < 0" % (alpha, float(low[alpha]))
         )
     return block
+
+
+def _frequency_components(blocks):
+    """(F B_ij F*)_aa as an (m, t, t) stack, for a (t, t, m, m) block
+    stack B, by the identity stated on detect_harmonic_gram."""
+    m = blocks.shape[-1]
+    g = np.arange(m)
+    wrapped = blocks[:, :, g, (g[:, None] + g) % m].sum(axis=-1)
+    return np.moveaxis(np.fft.ifft(wrapped, axis=-1), -1, 0)
 
 
 def check_regular_representation(block, tol=1e-8):
@@ -239,13 +251,12 @@ def circulantize(gram, witness, tol=1e-8):
 
     Needs a verified witness whose cycles all share one length m and a
     Gram with no zero entries off the diagonal of the relation track.
-    Reindexing by cycles and conjugating by a diagonal unimodular matrix
-    built from the witness scalars (with the cycle holonomy split evenly
-    by a principal m-th root) produces a Gram that passes
-    detect_harmonic_gram.  Returns (block_gram, diagonal, permutation).
+    Checks the witness on the Gram and the cycle holonomies' agreement to
+    within tol, then straightens by _straighten.  Returns (block_gram,
+    diagonal, permutation).
     """
     g = as_array(gram)
-    res = verify_automorphism(gram, witness)
+    res = verify_automorphism(g, witness)
     if res > tol:
         raise InconsistentWitnessError(
             "witness fails on this Gram: residual %.3e" % res
@@ -256,15 +267,26 @@ def circulantize(gram, witness, tol=1e-8):
         raise InconsistentWitnessError(
             "cycle lengths %s are not all equal" % sorted(lengths)
         )
-    m = lengths.pop()
-    cyc, path = _cycle_paths(witness.c, cycles)
-    holonomy = path[:, m]
+    holonomy = _cycle_paths(witness.c, cycles)[1][:, lengths.pop()]
     spread = float(np.max(np.abs(holonomy - holonomy[0])))
     if spread > tol:
         raise InconsistentWitnessError(
             "cycle scalar products disagree by %.3e" % spread
         )
-    mean = np.mean(holonomy)
+    return _straighten(g, witness, tol)
+
+
+def _straighten(g, witness, tol=1e-8):
+    """Reindex the Gram g by the cycles of a witness that holds on it,
+    all of one length m and with equal holonomies, and conjugate it by a
+    diagonal unimodular matrix built from the witness scalars (the
+    holonomy split evenly by a principal m-th root); the result passes
+    detect_harmonic_gram.  Returns (block_gram, diagonal, permutation).
+    circulantize checks those premises first; certify_exact has proved
+    them exactly."""
+    cyc, path = _cycle_paths(witness.c, witness.cycles())
+    m = cyc.shape[1]
+    mean = np.mean(path[:, m])
     mean = mean / abs(mean)
     beta = complex(mean) ** (1.0 / m)
     diag = np.empty(witness.n, dtype=complex)

@@ -325,7 +325,7 @@ CERTIFICATE_KEYS = [
 ]
 # sha256 of dumps(certify_exact(*family_signature("paley_plus", 7)).to_obj()),
 # key order included (PINNED_CERTIFY_OUTPUTS sorts the keys)
-EXACT_D4_CERTIFICATE = "306553b10820d8b2b6db0e7a9a577eb093ef57de65d5710d753d3aa5328d0a7f"
+EXACT_D4_CERTIFICATE = "aafe4c42c37214377bdaa28d10c7606b59beaad5dd732e0cf9744e77557bd2b1"
 
 
 def test_certificate_json_keeps_its_key_order():
@@ -390,6 +390,27 @@ def test_certify_exact_proves_every_listed_construction(d, family, q):
     cert = certify_exact(*family_signature(family, q))
     assert cert.verified and cert.method == "exact-construction"
     assert (cert.d, cert.kernel_dim) == (d, 4 * d + 1 - residual_count(d))
+
+
+@pytest.mark.parametrize("d, family, q", [(500, "double_paley_plus", 499),
+                                           (499, "paley_plus", 997)])
+def test_certify_exact_proves_a_large_q_sample_of_each_family(d, family, q):
+    # about 0.5 s each for family_signature and certify_exact on one
+    # thread of a 2-vCPU VM; the host's speed drifts by tens of per cent,
+    # so no time is asserted
+    cert = certify_exact(*family_signature(family, q))
+    assert cert.verified and cert.d == d
+    assert check_etf(_frame_of_x0(cert), tol=1e-8).verdict
+
+
+def test_certify_exact_runs_no_float_recheck_of_its_proved_witness(monkeypatch):
+    import etfforge.harmonic as harmonic
+
+    def refuse(*args):
+        raise AssertionError("verify_automorphism re-ran after the exact proof")
+
+    monkeypatch.setattr(harmonic, "verify_automorphism", refuse)
+    assert certify_exact(*family_signature("double_paley_plus", 13)).verified
 
 
 def test_certify_refuses_the_singular_exact_point_at_d7():

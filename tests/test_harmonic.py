@@ -451,12 +451,45 @@ def test_blockgram_spectrum_matches_per_frequency_eigh():
             assert np.array_equal(b.eigenvectors[alpha], vec)
 
 
+def _einsum_components(blocks):
+    """(F B_ij F*)_aa over a (t, t, m, m) block stack, by the dense DFT:
+    the oracle for the FFT of the wrapped-diagonal sums."""
+    m = blocks.shape[-1]
+    f = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / math.sqrt(m)
+    return np.einsum("ag,ijgh,ah->aij", f, blocks, np.conj(f))
+
+
+def _assert_components_match_the_oracle(comps, blocks):
+    want = _einsum_components(blocks)
+    assert comps.shape == want.shape
+    assert np.max(np.abs(comps - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("family", ["paley_plus", "double_paley_plus"])
+def test_fft_components_match_the_einsum_oracle_on_both_families(family):
+    for q in filter(is_odd_prime_power, range(5, 82)):
+        block, _, _ = circulantize(*family_automorphism(family, q))
+        m, t = block.m, block.t
+        blocks = block.gram.reshape(t, m, t, m).transpose(0, 2, 1, 3)
+        _assert_components_match_the_oracle(block.frequency_components, blocks)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 5, 8])
+def test_fft_components_match_the_einsum_oracle_on_any_blocks(t, m):
+    # the wrapped-diagonal identity needs no circulance and no symmetry
+    rng = np.random.default_rng(10 * t + m)
+    blocks = rng.standard_normal((t, t, m, m)) + 1j * rng.standard_normal((t, t, m, m))
+    _assert_components_match_the_oracle(harmonic._frequency_components(blocks), blocks)
+
+
 # sha256 over the float64 bytes of the frequency components, recovered
 # generators and regular-representation deviations of both symplectic
-# families at every odd prime power 5..81, as the per-frequency loops
-# computed them; a change in the order of any floating-point operation
-# shows here (a different BLAS or LAPACK build may also move it)
-HARMONIC_DIGEST = "d6c635706b783d610ccd9ade9d1de289a0b23653832d83f10e30b3302de54654"
+# families at every odd prime power 5..81, with the components taken by
+# the FFT of the wrapped-diagonal sums; a change in the order of any
+# floating-point operation shows here (a different BLAS or LAPACK build
+# may also move it)
+HARMONIC_DIGEST = "c09f247e269ea297144bf68262bf33d7adf7e905c2403c0978e4dafc2a36ecb9"
 
 
 def test_harmonic_outputs_pinned_bit_for_bit():
