@@ -107,20 +107,25 @@ class Run:
             write_json(path, doc)
         return digest
 
+    def write(self, path, payload, *lines):
+        """Stage payload at path and flush, then print lines and the
+        "wrote" line; a failed write prints none of them."""
+        self.stage(path, payload)
+        digest = self.flush()
+        for line in lines:
+            print(line)
+        print("wrote %s (manifest %s)" % (path, digest[:16]))
 
-def _print_report(report, stream=None):
-    stream = stream or sys.stdout
-    stream.write(
-        "etf d=%d n=%d gamma=%.12g norm_dev=%.3e tight_dev=%.3e equi_dev=%.3e verdict=%s\n"
-        % (
-            report.d,
-            report.n,
-            report.gamma,
-            report.max_norm_dev,
-            report.max_tight_dev,
-            report.max_equi_dev,
-            "pass" if report.verdict else "fail",
-        )
+
+def _report_line(report):
+    return "etf d=%d n=%d gamma=%.12g norm_dev=%.3e tight_dev=%.3e equi_dev=%.3e verdict=%s" % (
+        report.d,
+        report.n,
+        report.gamma,
+        report.max_norm_dev,
+        report.max_tight_dev,
+        report.max_equi_dev,
+        "pass" if report.verdict else "fail",
     )
 
 
@@ -237,10 +242,7 @@ def cmd_construct(args, argv):
     payload, report = _build_construction(
         args.family, args.q, args.v, args.m, args.epsilon
     )
-    run.stage(args.out, payload)
-    digest = run.flush()
-    _print_report(report)
-    print("wrote %s (manifest %s)" % (args.out, digest[:16]))
+    run.write(args.out, payload, _report_line(report))
     return EXIT_OK
 
 
@@ -267,12 +269,9 @@ def _gram_from_payload(obj):
     or a a^H overflows."""
     if obj.get("kind") == "construction" and obj.get("gram"):
         return matrix_from_obj(obj["gram"])[0]
-    phi = _frame_from_payload(obj)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = phi.conj().T @ phi
-        finite = np.all(np.isfinite(gram)) and np.all(np.isfinite(phi @ phi.conj().T))
-    _require(finite, "the Gram or frame operator of the input frame overflows")
-    return gram
+    from .frames import frame_products
+
+    return frame_products(_frame_from_payload(obj))[1]
 
 
 def _pair_from_payload(obj):
@@ -291,7 +290,7 @@ def cmd_check(args, argv):
     run = Run(argv)
     obj = run.read(args.in_path)
     report = check_etf(_frame_from_payload(obj), tol=args.tol)
-    _print_report(report)
+    print(_report_line(report))
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 
@@ -301,15 +300,12 @@ def cmd_solve(args, argv):
     d = _parse_single_d(args.d)
     run = Run(argv, seeds=[args.seed])
     result = solve(d, seed=args.seed, tol=args.tol, max_iter=args.max_iter)
-    payload = result.to_obj()
     print(
         "solve d=%d seed=%d iterations=%d residual=%.3e converged=%s"
         % (d, args.seed, result.iterations, result.residual_inf, result.converged)
     )
     if args.out:
-        run.stage(args.out, payload)
-        digest = run.flush()
-        print("wrote %s (manifest %s)" % (args.out, digest[:16]))
+        run.write(args.out, result.to_obj())
     return EXIT_OK if result.converged else EXIT_FAIL
 
 
@@ -351,9 +347,7 @@ def cmd_certify(args, argv):
         % (cert.d, cert.epsilon, cert.kernel_dim, cert.lhs_upper, cert.rhs_lower)
     )
     if args.out:
-        run.stage(args.out, cert.to_obj())
-        digest = run.flush()
-        print("wrote %s (manifest %s)" % (args.out, digest[:16]))
+        run.write(args.out, cert.to_obj())
     return EXIT_OK
 
 
@@ -495,10 +489,7 @@ def cmd_circulantize(args, argv):
     payload["perm"] = [int(p) for p in perm]
     payload["diag_re"] = [float(v) for v in np.real(diag)]
     payload["diag_im"] = [float(v) for v in np.imag(diag)]
-    run.stage(args.out, payload)
-    digest = run.flush()
-    print("circulantize: pass (m=%d, t=%d)" % (block.m, block.t))
-    print("wrote %s (manifest %s)" % (args.out, digest[:16]))
+    run.write(args.out, payload, "circulantize: pass (m=%d, t=%d)" % (block.m, block.t))
     return EXIT_OK
 
 

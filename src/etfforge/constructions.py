@@ -103,11 +103,20 @@ class ConferenceMatrix:
             raise ConstructionError("C^T C = (n-1) I fails exactly")
 
 
-def _odd_field(q):
-    decomp = galois.prime_power_decomposition(q)
-    if decomp is None or decomp[0] == 2:
-        raise InvalidArgumentError("q must be an odd prime power")
-    return galois.make_field(*decomp)
+def _conference(q, c):
+    """c as a ConferenceMatrix of a chi table over GF(q): c^T = chi(-1) c,
+    and chi(-1) = 1 exactly when q = 1 mod 4."""
+    return ConferenceMatrix(n=len(c), data=c, symmetry="symmetric" if q % 4 == 1 else "skew")
+
+
+def _paley_core(q):
+    """chi(e_j - e_i) at row i, column j, over GF(q), q <= 10^4."""
+    field = galois.make_field(*galois.odd_prime_power(q))
+    elements = np.arange(q)
+    core = np.empty((q, q), dtype=np.int64)
+    for i in range(q):
+        core[i] = field.chi(field.sub(elements, i))
+    return core
 
 
 def paley_graph(q):
@@ -118,12 +127,7 @@ def paley_graph(q):
         raise InvalidArgumentError("q exceeds the Paley construction cap")
     if q % 4 != 1:
         raise InvalidArgumentError("Paley graphs need q = 1 mod 4")
-    field = _odd_field(q)
-    elements = np.arange(q)
-    a = np.zeros((q, q), dtype=np.int64)
-    for i in range(q):
-        a[i] = field.chi(field.sub(i, elements)) == 1
-    return ConferenceGraph(v=q, adjacency=a)
+    return ConferenceGraph(v=q, adjacency=_paley_core(q) == 1)
 
 
 def paley_conference(q):
@@ -135,16 +139,11 @@ def paley_conference(q):
     q = int(q)
     if q > _MAX_PALEY_Q:
         raise InvalidArgumentError("q exceeds the Paley construction cap")
-    field = _odd_field(q)
-    elements = np.arange(q)
-    n = q + 1
-    c = np.zeros((n, n), dtype=np.int64)
-    c[0, 1:] = 1
-    c[1:, 0] = field.chi(field.sub(0, 1))
-    for i in range(q):
-        c[i + 1, 1:] = field.chi(field.sub(elements, i))
-    symmetry = "symmetric" if q % 4 == 1 else "skew"
-    return ConferenceMatrix(n=n, data=c, symmetry=symmetry)
+    c = np.ones((q + 1, q + 1), dtype=np.int64)
+    c[1:, 1:] = _paley_core(q)
+    c[0, 0] = 0
+    c[1:, 0] = c[2, 1]  # chi(e_0 - e_1) = chi(-1)
+    return _conference(q, c)
 
 
 def appendix_line_reps(field):
@@ -158,7 +157,7 @@ def symplectic_conference(q, reps):
     representatives over GF(q)^2, pairs of element indices in 0..q-1,
     with the determinant pairing."""
     q = int(q)
-    field = _odd_field(q)
+    field = galois.make_field(*galois.odd_prime_power(q))
     t = np.array(reps, dtype=np.int64)
     if t.ndim != 2 or t.shape[1] != 2:
         raise InvalidArgumentError("line representatives must be pairs")
@@ -177,8 +176,7 @@ def symplectic_conference(q, reps):
                 "representatives %d and %d span the same line" % (i, i + 1 + zero[0])
             )
         c[i] = field.chi(det)
-    symmetry = "symmetric" if q % 4 == 1 else "skew"
-    return ConferenceMatrix(n=n, data=c, symmetry=symmetry)
+    return _conference(q, c)
 
 
 def line_system_conference(system):
@@ -187,8 +185,7 @@ def line_system_conference(system):
     off = logs >= 0
     c = np.zeros(logs.shape, dtype=np.int64)
     c[off] = system.chi(logs[off])
-    symmetry = "symmetric" if system.q % 4 == 1 else "skew"
-    return ConferenceMatrix(n=len(c), data=c, symmetry=symmetry)
+    return _conference(system.q, c)
 
 
 def double_signature(sig, d, n, epsilon):

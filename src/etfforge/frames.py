@@ -7,7 +7,7 @@ signature matrix S (Hermitian, zero diagonal, unimodular off-diagonal).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,15 +47,7 @@ class EtfReport:
     verdict: bool
 
     def to_obj(self):
-        return {
-            "d": self.d,
-            "n": self.n,
-            "max_norm_dev": self.max_norm_dev,
-            "max_tight_dev": self.max_tight_dev,
-            "max_equi_dev": self.max_equi_dev,
-            "gamma": self.gamma,
-            "verdict": self.verdict,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -85,18 +77,10 @@ class CirculantPair:
         return cls(d, x, y)
 
 
-def check_etf(phi, tol=1e-10):
-    """Measure how far phi is from being a d x n ETF.
-
-    Deviations: column norms vs 1, frame operator vs (n/d) I, off-diagonal
-    Gram moduli vs the Welch constant.  A single unit vector (d = n) passes
-    vacuously with gamma = 0.  Raises InvalidArgumentError when a^H a or
-    a a^H is not finite, as when finite entries overflow.
-    """
-    a = as_array(phi)
-    d, n = a.shape
-    if d < 1 or n < d:
-        raise InvalidArgumentError("check_etf expects d x n with n >= d >= 1")
+def frame_products(a):
+    """The frame operator a a^H and the Gram a^H a of a 2-D array a.
+    Raises InvalidArgumentError when either is not finite, as when finite
+    entries overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         frame_op = a @ a.conj().T
         gram = a.conj().T @ a
@@ -104,6 +88,22 @@ def check_etf(phi, tol=1e-10):
         raise InvalidArgumentError(
             "the Gram or frame operator of the frame overflows or is not finite"
         )
+    return frame_op, gram
+
+
+def check_etf(phi, tol=1e-10):
+    """Measure how far phi is from being a d x n ETF.
+
+    Deviations: column norms vs 1, frame operator vs (n/d) I, off-diagonal
+    Gram moduli vs the Welch constant.  A single unit vector (d = n) passes
+    vacuously with gamma = 0.  Raises InvalidArgumentError as
+    frame_products does.
+    """
+    a = as_array(phi)
+    d, n = a.shape
+    if d < 1 or n < d:
+        raise InvalidArgumentError("check_etf expects d x n with n >= d >= 1")
+    frame_op, gram = frame_products(a)
     norms = np.linalg.norm(a, axis=0)
     max_norm_dev = float(np.max(np.abs(norms - 1.0)))
     max_tight_dev = float(np.max(np.abs(frame_op - (n / d) * np.eye(d))))

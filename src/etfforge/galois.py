@@ -32,52 +32,44 @@ from .errors import InvalidArgumentError, NumericFailureError
 _MAX_FIELD_ORDER = 10**6
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _prime_powers(n):
+    """Yield (p, k) for each prime power p^k exactly dividing n, p
+    ascending, by trial division; nothing for n < 2.  Lazy, so a caller
+    that needs only the least prime stops there."""
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            k = 0
+            while n % f == 0:
+                n //= f
+                k += 1
+            yield f, k
+        f += 1 if f == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
+def is_prime(n):
+    return next(_prime_powers(n), None) == (n, 1)
 
 
 def prime_power_decomposition(n):
     """Return (p, k) with n = p^k for prime p, or None."""
-    if n < 2:
-        return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1)
-        if n % p == 0:
-            k = 0
-            m = n
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-    return None
+    least = next(_prime_powers(n), None)
+    return least if least is not None and least[0] ** least[1] == n else None
+
+
+def odd_prime_power(q):
+    """(p, k) with q = p^k for an odd prime p; InvalidArgumentError otherwise."""
+    decomp = prime_power_decomposition(q)
+    if decomp is None or decomp[0] == 2:
+        raise InvalidArgumentError("q must be an odd prime power")
+    return decomp
 
 
 def factor_into_primes(n):
     """Distinct prime divisors of n (trial division)."""
-    primes = []
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            primes.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1 if f == 2 else 2
-    if m > 1:
-        primes.append(m)
-    return primes
+    return [p for p, _ in _prime_powers(n)]
 
 
 # Polynomial helpers over GF(p), little-endian coefficient lists.
@@ -331,12 +323,9 @@ def build_line_system(q, variant):
     q = int(q)
     if variant not in ("halfturn", "fullturn"):
         raise InvalidArgumentError("variant must be 'halfturn' or 'fullturn'")
-    decomp = prime_power_decomposition(q)
-    if decomp is None or decomp[0] == 2:
-        raise InvalidArgumentError("q must be an odd prime power")
+    p, k = odd_prime_power(q)
     if not within_line_system_cap(q):
         raise InvalidArgumentError("q = %d is past the line-system cap q^2 <= 10^6" % q)
-    p, k = decomp
     ext = make_field(p, 2 * k)
     order = q * q - 1
     if variant == "halfturn":

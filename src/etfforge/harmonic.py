@@ -249,11 +249,10 @@ def generators_from_blockgram(block, tol=1e-8):
 def circulantize(gram, witness, tol=1e-8):
     """Straighten a scaled permutation symmetry into block circulance.
 
-    Needs a verified witness whose cycles all share one length m and a
-    Gram with no zero entries off the diagonal of the relation track.
-    Checks the witness on the Gram and the cycle holonomies' agreement to
-    within tol, then straightens by _straighten.  Returns (block_gram,
-    diagonal, permutation).
+    Needs a witness whose cycles all share one length m.  Checks the
+    witness on the Gram and the cycle holonomies' agreement to within
+    tol, then straightens by _straighten.  Returns (block_gram, diagonal,
+    permutation).
     """
     g = as_array(gram)
     res = verify_automorphism(g, witness)
@@ -479,7 +478,7 @@ def brute_force_automorphism_search(gram, m, t, budget=200000, seed=0, tol=1e-8)
             exhausted = False
             break
         tested += 1
-        witness = _witness_from_sigma(g, sigma, n)
+        witness = _witness_from_sigma(g, sigma)
         if witness is not None and verify_automorphism(g, witness) <= tol:
             return witness
     if exhausted:
@@ -488,21 +487,17 @@ def brute_force_automorphism_search(gram, m, t, budget=200000, seed=0, tol=1e-8)
     while tested < 2 * budget:
         tested += 1
         sigma = _random_cycle_type_permutation(n, m, rng)
-        witness = _witness_from_sigma(g, sigma, n)
+        witness = _witness_from_sigma(g, sigma)
         if witness is not None and verify_automorphism(g, witness) <= tol:
             return witness
     return None
 
 
-def _witness_from_sigma(g, sigma, n):
-    s0 = sigma[0]
-    c = np.empty(n, dtype=complex)
-    c[0] = 1.0
-    for j in range(1, n):
-        denom = g[s0, sigma[j]]
-        if abs(denom) < 1e-12:
-            return None
-        c[j] = g[0, j] / denom
+def _witness_from_sigma(g, sigma):
+    denom = g[sigma[0], list(sigma[1:])]
+    if np.any(np.abs(denom) < 1e-12):
+        return None
+    c = np.concatenate(([1.0], g[0, 1:] / denom))
     if float(np.max(np.abs(np.abs(c) - 1.0))) > 1e-8:
         return None
     c = c / np.abs(c)

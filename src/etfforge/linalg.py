@@ -60,7 +60,9 @@ def gaussian_signature_defect(re, im):
     hermiticity; S^2 = (n-1) I.  S^2 is formed in float64 BLAS and is
     still exact: the entries are checked to lie in {-1, 0, 1} first, so
     every partial sum is an integer of size at most 2n < 2^53, whatever
-    order the sum is taken in."""
+    order the sum is taken in.  It takes three products, not four: with
+    re = re^T and im = -im^T checked, im @ re = -(re @ im)^T exactly, so
+    the imaginary part re @ im + im @ re is P - P^T for P = re @ im."""
     n = re.shape[0]
     eye = np.eye(n, dtype=np.int64)
     # first, as np.abs wraps at -2^63; then |re| + |im| = 1 is re^2 + im^2 = 1
@@ -71,7 +73,8 @@ def gaussian_signature_defect(re, im):
     if np.any(re != re.T) or np.any(im != -im.T):
         return "hermiticity"
     fre, fim = re.astype(np.float64), im.astype(np.float64)
-    if np.any(fre @ fre - fim @ fim != (n - 1) * eye) or np.any(fre @ fim + fim @ fre):
+    p = fre @ fim
+    if np.any(fre @ fre - fim @ fim != (n - 1) * eye) or np.any(p != p.T):
         return "S^2 = (n-1) I"
     return None
 

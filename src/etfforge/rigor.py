@@ -42,6 +42,8 @@ Additions alone are exact in the subnormal range, so a sum of m terms
 needs only gamma_(m-1).
 """
 
+import functools
+
 import numpy as np
 
 from .errors import IntervalDivisionError, InvalidArgumentError
@@ -90,33 +92,24 @@ def vsub(alo, ahi, blo, bhi):
     return _down(alo - bhi), _up(ahi - blo)
 
 
+def _hull(*ends):
+    """The candidate endpoints' [min, max], nudged outward."""
+    return _down(functools.reduce(np.minimum, ends)), _up(functools.reduce(np.maximum, ends))
+
+
 def vmul(alo, ahi, blo, bhi):
-    p1 = alo * blo
-    p2 = alo * bhi
-    p3 = ahi * blo
-    p4 = ahi * bhi
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return _down(lo), _up(hi)
+    return _hull(alo * blo, alo * bhi, ahi * blo, ahi * bhi)
 
 
 def vscale(alo, ahi, b):
     """Multiply interval data by a pointwise float array b (exact input)."""
-    p1 = alo * b
-    p2 = ahi * b
-    return _down(np.minimum(p1, p2)), _up(np.maximum(p1, p2))
+    return _hull(alo * b, ahi * b)
 
 
 def vdiv(alo, ahi, blo, bhi):
     if np.any((blo <= 0.0) & (bhi >= 0.0)):
         raise IntervalDivisionError("division by an interval containing zero")
-    q1 = alo / blo
-    q2 = alo / bhi
-    q3 = ahi / blo
-    q4 = ahi / bhi
-    lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
-    hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
-    return _down(lo), _up(hi)
+    return _hull(alo / blo, alo / bhi, ahi / blo, ahi / bhi)
 
 
 def vabs(alo, ahi):
@@ -200,34 +193,27 @@ class Interval:
         return max(abs(self.lo), abs(self.hi))
 
 
-def _coerce(x):
-    if isinstance(x, Interval):
-        return x
-    return Interval(float(x))
-
-
-def _wrap1(lo, hi):
+def _scalar_op(op, a, b):
+    """op on the endpoints of a and b, each an Interval or a float."""
+    a, b = (x if isinstance(x, Interval) else Interval(float(x)) for x in (a, b))
+    lo, hi = op(a.lo, a.hi, b.lo, b.hi)
     return Interval(float(lo), float(hi))
 
 
 def iv_add(a, b):
-    a, b = _coerce(a), _coerce(b)
-    return _wrap1(*vadd(a.lo, a.hi, b.lo, b.hi))
+    return _scalar_op(vadd, a, b)
 
 
 def iv_sub(a, b):
-    a, b = _coerce(a), _coerce(b)
-    return _wrap1(*vsub(a.lo, a.hi, b.lo, b.hi))
+    return _scalar_op(vsub, a, b)
 
 
 def iv_mul(a, b):
-    a, b = _coerce(a), _coerce(b)
-    return _wrap1(*vmul(a.lo, a.hi, b.lo, b.hi))
+    return _scalar_op(vmul, a, b)
 
 
 def iv_div(a, b):
-    a, b = _coerce(a), _coerce(b)
-    return _wrap1(*vdiv(a.lo, a.hi, b.lo, b.hi))
+    return _scalar_op(vdiv, a, b)
 
 
 class IntervalMatrix:

@@ -18,9 +18,7 @@ def format_float(x):
     x = float(x)
     if not math.isfinite(x):
         raise InvalidArgumentError("cannot serialize non-finite float %r" % x)
-    text = format(x, ".17g")
-    # ".17g" may produce bare integers like "1"; keep them valid JSON numbers.
-    return text
+    return format(x, ".17g")  # "1" and "1e+100" are valid JSON numbers too
 
 
 def dumps(obj, indent=None):

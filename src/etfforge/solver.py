@@ -26,7 +26,7 @@ bit the one-start result, alternating_projections_gram.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -87,23 +87,31 @@ def gather_rows(d, quantities):
     return out
 
 
+def _float_rows(d, u_re, v_re, s, abs2_u, abs2_c):
+    """The rows of row_spec in float64, from the real parts of u and v,
+    s = u + v, |u_j|^2 and |c_j|^2: values over the lags, or their
+    derivatives with a variable axis after the lag.  The pivot |c_0|^2
+    enters every modulus row.  certify._assemble_rows is the same map in
+    interval arithmetic."""
+    pivot = abs2_c[0]
+    return gather_rows(d, {
+        "u_re": u_re,
+        "v_re": v_re,
+        "s_re": s.real,
+        "s_im": s.imag,
+        "mod_u": abs2_u - pivot,
+        "mod_c": abs2_c - pivot,
+    })
+
+
 def residual(pair, w):
     """Real residual vector of length 2d + floor(d/2) + 1, in the layout
     of row_spec."""
-    d = pair.d
     u, v, c = correlations(pair.x, pair.y)
-    s = u + v
     # hypot then pow matches scalar abs(z) ** 2 bit for bit, so a seed's solve path is stable
     abs2_u = np.float_power(np.hypot(u.real, u.imag), 2.0)
     abs2_c = np.float_power(np.hypot(c.real, c.imag), 2.0)
-    rows = gather_rows(d, {
-        "u_re": u.real,
-        "v_re": v.real,
-        "s_re": s.real,
-        "s_im": s.imag,
-        "mod_u": abs2_u - abs2_c[0],
-        "mod_c": abs2_c - abs2_c[0],
-    })
+    rows = _float_rows(pair.d, u.real, v.real, u + v, abs2_u, abs2_c)
     rows[:3] -= (1.0, 1.0, 4.0 * w)
     return rows
 
@@ -137,18 +145,12 @@ def analytic_jacobian(pair, w):
     cx = np.conj(c)[:, None] * np.conj(x2)[ahead]
     abs2_c = 2.0 * np.concatenate([cy.real, cy.imag, cx.real, -cx.imag, np.zeros((d, 1))], axis=1)
     abs2_u = 2.0 * (np.conj(u[:half])[:, None] * ds[:, :2 * d]).real
-    # the pivot |c_0|^2 enters every modulus row; u_j does not move with y
-    pivot = abs2_c[0]
+    # u_j does not move with y, nor v_j with x: abs2_u is zero on the y
+    # columns, and the lag-0 row of ds is d|x|^2 beside d|y|^2
+    abs2_u = np.concatenate([abs2_u, np.zeros((half, 2 * d + 1))], axis=1)
     x_vars = np.arange(4 * d + 1) < 2 * d
-    norm = 2.0 * pack(pair, 0.0)[None, :]  # d|x|^2 beside d|y|^2
-    jac = gather_rows(d, {
-        "u_re": np.where(x_vars, norm, 0.0),
-        "v_re": np.where(x_vars, 0.0, norm),
-        "s_re": ds.real,
-        "s_im": ds.imag,
-        "mod_u": np.concatenate([abs2_u, np.zeros((half, 2 * d + 1))], axis=1) - pivot,
-        "mod_c": abs2_c - pivot,
-    })
+    norm = ds[:1].real
+    jac = _float_rows(d, np.where(x_vars, norm, 0.0), np.where(x_vars, 0.0, norm), ds, abs2_u, abs2_c)
     jac[2, 4 * d] = -4.0  # the -4w of the lag-0 tightness row
     return jac
 
@@ -164,11 +166,7 @@ class SolveResult:
 
     def to_obj(self):
         obj = self.pair.to_obj()
-        obj["w"] = self.w
-        obj["residual_inf"] = self.residual_inf
-        obj["iterations"] = self.iterations
-        obj["converged"] = self.converged
-        obj["seed"] = self.seed
+        obj.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "pair")
         return obj
 
 

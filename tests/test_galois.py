@@ -33,6 +33,33 @@ def test_prime_power_decomposition():
     assert prime_power_decomposition(0) is None
 
 
+def test_trial_division_matches_a_sieve():
+    # the least prime factor of every n <= 10^4 by the sieve of Eratosthenes
+    top = 10**4
+    least = list(range(top + 1))
+    for f in range(2, 101):
+        if least[f] == f:
+            for m in range(f * f, top + 1, f):
+                least[m] = min(least[m], f)
+    for n in range(top + 1):
+        primes, m = [], n
+        while m > 1:
+            primes.append(least[m])
+            while m % primes[-1] == 0:
+                m //= primes[-1]
+        assert is_prime(n) == (n >= 2 and least[n] == n)
+        assert factor_into_primes(n) == primes
+        expected = None
+        if len(primes) == 1:
+            k = 0
+            while primes[0] ** (k + 1) <= n:
+                k += 1
+            expected = (primes[0], k)
+        assert prime_power_decomposition(n) == expected
+    assert prime_power_decomposition(2**31 - 1) == (2**31 - 1, 1)
+    assert factor_into_primes(2**31 - 2) == [2, 3, 7, 11, 31, 151, 331]
+
+
 def test_prime_field_arithmetic():
     f = make_field(7)
     assert f.add(3, 5) == 1  # 3+5 = 8 = 1 mod 7

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from etfforge.errors import (
     InvalidArgumentError,
     RankDeficiencyError,
 )
+from etfforge.harmonic import family_signature
 from etfforge.linalg import (
     as_array,
     dft_matrix,
@@ -152,6 +155,51 @@ def test_gaussian_signature_defect_refuses_entries_where_abs_wraps():
     re, im = _int64_pair([[0, 1], [1, 0]])
     re[0, 0] = im[0, 0] = np.iinfo(np.int64).min
     assert gaussian_signature_defect(re, im) == "entries in {-1, 0, 1}"
+
+
+def _four_product_defect(re, im):
+    """gaussian_signature_defect with S^2 formed from four products: the
+    oracle for the three-product form."""
+    defect = gaussian_signature_defect(re, im)
+    if defect not in (None, "S^2 = (n-1) I"):
+        return defect  # an earlier identity, which forms no product
+    n = re.shape[0]
+    fre, fim = re.astype(np.float64), im.astype(np.float64)
+    if np.any(fre @ fre - fim @ fim != (n - 1) * np.eye(n)) or np.any(fre @ fim + fim @ fre):
+        return "S^2 = (n-1) I"
+    return None
+
+
+def _hermitian(n, upper):
+    s = np.zeros((n, n), dtype=complex)
+    s[np.triu_indices(n, 1)] = upper
+    return _int64_pair(s + s.conj().T)
+
+
+def test_gaussian_signature_defect_matches_four_products():
+    units = np.array([1, -1, 1j, -1j])
+    cases = [_hermitian(4, units[list(idx)])  # every unimodular one of order 4
+             for idx in itertools.product(range(4), repeat=6)]
+    rng = np.random.default_rng(0)
+    for n in range(2, 13):
+        for _ in range(50):
+            cases.append(_hermitian(n, rng.choice(np.append(units, 0), n * (n - 1) // 2,
+                                                  p=[0.24, 0.24, 0.24, 0.24, 0.04])))
+    re, im, _ = family_signature("double_paley_plus", 5)
+    for i, j in zip(*np.triu_indices(len(re), 1)):
+        for u in units:
+            s = re + 1j * im
+            s[i, j], s[j, i] = u, np.conj(u)
+            cases.append(_int64_pair(s))
+    # the imaginary part alone decides some: 144 of order 4, 6 of the family's
+    im_only = 0
+    for re, im in cases:
+        n = re.shape[0]
+        defect = gaussian_signature_defect(re, im)
+        assert defect == _four_product_defect(re, im)
+        im_only += defect == "S^2 = (n-1) I" and np.array_equal(
+            re @ re - im @ im, (n - 1) * np.eye(n, dtype=np.int64))
+    assert im_only == 150
 
 
 def test_as_array_unwraps_and_validates():

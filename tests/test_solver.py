@@ -134,6 +134,25 @@ def test_jacobian_frozen_entries():
     assert np.max(np.abs(jac[3:, 4 * d])) == 0.0
 
 
+def test_float_residual_system_matches_pinned_digest():
+    # residual and analytic_jacobian at seeded random points, d = 2..40;
+    # "+ 0.0" folds -0 into +0, so only the signs of zeros may move
+    res, jac = hashlib.sha256(), hashlib.sha256()
+    for d in range(2, 41):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        y = rng.normal(size=d) + 1j * rng.normal(size=d)
+        pair, w = CirculantPair(d, x / 2, y / 2), rng.uniform(0.25, 0.75)
+        res.update(residual(pair, w).tobytes())
+        jac.update((analytic_jacobian(pair, w) + 0.0).tobytes())
+    assert res.hexdigest() == (
+        "3cc2bfed73348828bfaf090f7ba8d971bca55cb2d183c54619f0c1fc7c7b61a2"
+    )
+    assert jac.hexdigest() == (
+        "7572145ec9e7c8522b1412ce8c51bad712e7af9bd3ba712459006151ffa3d3b9"
+    )
+
+
 @pytest.mark.parametrize("d", list(range(2, 21)))
 def test_solve_converges_and_builds_etf(d):
     result = solve(d)
