@@ -23,8 +23,7 @@ difference quotient for the float step h_l = fl(fl(x0_l + delta) - x0_l),
 enclosed from its closed form as an interval slope (see
 secant_jacobian), so S costs O(d^2) and its entries are a few ulps
 wide.  T is pseudoinverse's right inverse of S's midpoint, from one
-column-pivoted QR whose R diagonal also decides the rank; that QR is the
-package's one use of scipy, so only this module imports it.  Both
+numpy QR whose R diagonal also decides the rank.  Both
 sums of products, S T and the correlations behind u, v and c
 (_correlations_interval), are midpoint-radius products on BLAS
 (rigor.iv_matmul).  certify encloses u, v and c at x0 once and shares
@@ -47,7 +46,6 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 
 from .errors import (
     CertificationError,
@@ -241,13 +239,15 @@ _RANK_RTOL = 1e-8
 
 def pseudoinverse(a):
     """Right inverse T (A @ T = I) of a wide n x m real matrix from one
-    pivoted QR, A^T P = Q R, which also decides the rank: |R_11| is the
-    largest row norm of A, at most sigma_max, and |R_nn| >= sigma_min, so
-    the guard |R_nn| <= _RANK_RTOL |R_11| refuses no matrix whose
-    singular value ratio exceeds _RANK_RTOL.  Raises RankDeficiencyError,
-    carrying |R_nn|, then or when A @ T misses I by more than 1e-8.  That
-    residual test is absolute, so near the threshold it can still refuse
-    a matrix the R guard passed (a ratio of 1.1e-8 can leave 1.2e-8).
+    QR, A^T = Q R, whose diagonal also decides the rank.  Each |R_ii| is
+    an eigenvalue of the triangular R, so at least sigma_min (R and A
+    share singular values), and at most the norm of R's column i, so at
+    most sigma_max; the guard min |R_ii| <= _RANK_RTOL max |R_ii| thus
+    refuses no matrix whose singular value ratio exceeds _RANK_RTOL.
+    Raises RankDeficiencyError, carrying min |R_ii|, then or when A @ T
+    misses I by more than 1e-8.  That residual test is absolute, so near
+    the threshold it can still refuse a matrix the R guard passed (a
+    ratio of 1.1e-8 can leave 1.2e-8).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
@@ -257,23 +257,23 @@ def pseudoinverse(a):
         raise InvalidArgumentError(
             "pseudoinverse expects a wide matrix, got %d x %d" % (n, m)
         )
-    # A^T P = Q R, so A = P R^T Q^T and the right inverse is T = Q R^{-T} P^T:
-    # Q R^{-T} scattered to columns piv (a column gather would be F-ordered).
-    q, r, piv = qr(a.T, mode="economic", pivoting=True)
-    r_first, r_last = abs(float(r[0, 0])), abs(float(r[-1, -1]))
-    if r_first == 0.0 or r_last <= _RANK_RTOL * r_first:
+    # A^T = Q R, so A = R^T Q^T and the right inverse is T = Q R^{-T}.
+    q, r = np.linalg.qr(a.T)
+    diag = np.abs(np.diagonal(r))
+    r_min, r_max = float(diag.min()), float(diag.max())
+    if r_max == 0.0 or r_min <= _RANK_RTOL * r_max:
         raise RankDeficiencyError(
-            "matrix is rank deficient (|R_nn| %.3e, |R_11| %.3e)" % (r_last, r_first),
-            smallest_sv=r_last,
+            "matrix is rank deficient (min |R_ii| %.3e, max |R_ii| %.3e)" % (r_min, r_max),
+            smallest_sv=r_min,
         )
-    rt_inv = solve_triangular(r, np.eye(n), trans="T", lower=False)
-    t = np.empty((m, n))
-    t[:, piv] = q @ rt_inv
+    # R is upper triangular with a nonzero diagonal, so the partial
+    # pivoting of inv swaps no rows.
+    t = q @ np.linalg.inv(r).T
     residual = float(np.max(np.abs(a @ t - np.eye(n))))
     if residual > 1e-8:
         raise RankDeficiencyError(
-            "right inverse residual %.3e exceeds 1e-8 (|R_nn| %.3e)" % (residual, r_last),
-            smallest_sv=r_last,
+            "right inverse residual %.3e exceeds 1e-8 (min |R_ii| %.3e)" % (residual, r_min),
+            smallest_sv=r_min,
         )
     return t
 

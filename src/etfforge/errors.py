@@ -12,7 +12,7 @@ class InvalidArgumentError(ToolkitError, ValueError):
 class RankDeficiencyError(ToolkitError):
     """A matrix required to have full rank does not.
 
-    Carries smallest_sv: in pseudoinverse, |R_nn| of its QR (>= sigma_min).
+    Carries smallest_sv: in pseudoinverse, min |R_ii| of its QR (>= sigma_min).
     """
 
     def __init__(self, message, smallest_sv):
@@ -54,7 +54,7 @@ class ConstructionError(ToolkitError):
 class CertificationError(ToolkitError):
     """Certification could not be completed.
 
-    `reason` is "rank" or "infeasible"; `detail` carries |R_nn| (rank,
+    `reason` is "rank" or "infeasible"; `detail` carries min |R_ii| (rank,
     see RankDeficiencyError) or the best lhs/rhs gap seen (infeasible).
     """
 

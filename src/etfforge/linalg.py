@@ -4,9 +4,9 @@ Matrices are plain complex ndarrays.  as_array is the one 2-D coercion
 and check; require_signature checks the signature contract (Hermitian,
 zero diagonal, unimodular off-diagonal to 1e-10) where a caller's matrix
 must be one, and gaussian_signature_defect is its exact counterpart for
-Gaussian-integer conference signatures.  The module needs numpy only;
-the one pivoted QR of the package, certify.pseudoinverse, lives with its
-one caller, so that no command that factors no matrix loads scipy.
+Gaussian-integer conference signatures.  The one QR of the package,
+certify.pseudoinverse, lives with its one caller; a rank refusal there
+carries min |R_ii|, an upper bound on the smallest singular value.
 """
 
 import numpy as np

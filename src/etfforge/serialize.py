@@ -74,14 +74,6 @@ def sha256_text(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def sha256_file(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_json(path, obj, indent=2):
     """Write obj as JSON, return the sha256 digest of the file text."""
     text = dumps(obj, indent=indent) + "\n"
@@ -90,9 +82,15 @@ def write_json(path, obj, indent=2):
     return sha256_text(text)
 
 
+def _json_int(text):
+    """A JSON integer, except "-0": only format_float writes it, for -0.0,
+    so it reads back as -0.0 and the float survives the round trip."""
+    return -0.0 if text == "-0" else int(text)
+
+
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=_json_int)
 
 
 def _real_grid(arr):

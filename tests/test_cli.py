@@ -254,7 +254,7 @@ def test_sweep_verdicts_agree_on_one_and_two_blas_threads(tmp_path):
     assert rows["1"] == rows["2"]
 
 
-README_SWEEP_MANIFEST = "1e15f9bba0cd5aab"
+README_SWEEP_MANIFEST = "ecb18f76eb54a23b"
 
 
 def test_readme_sweep_example_prints_its_manifest(tmp_path):
@@ -341,6 +341,32 @@ def test_manifest_digest_deterministic_across_directories(tmp_path, monkeypatch)
     doc_a["manifest"].pop("wall_time")
     doc_b["manifest"].pop("wall_time")
     assert doc_a == doc_b
+
+
+@pytest.mark.parametrize("writer, reader", [
+    (["solve", "--d", "5"], ["certify"]),
+    (["construct", "--family", "paley-plus", "--q", "5"], ["circulantize"]),
+])
+def test_reading_command_manifest_reproduces(tmp_path, monkeypatch, capsys, writer, reader):
+    # the reader's input digest is the writer's output digest, which leaves
+    # out the written manifest and its wall time, so the whole pipeline
+    # prints the same lines on every run
+    monkeypatch.chdir(tmp_path)
+    printed = []
+    for _ in range(2):
+        assert run_cli(*writer, "--out", "in.json") == 0
+        assert run_cli(*reader, "--in", "in.json", "--out", "out.json") == 0
+        printed.append(capsys.readouterr().out)
+        written = read_json(tmp_path / "in.json")["manifest"]["outputs"]["in.json"]
+        assert read_json(tmp_path / "out.json")["manifest"]["inputs"] == {"in.json": written}
+    assert printed[0] == printed[1]
+    # a key this tool never writes (NaN, nesting past what dumps can
+    # emit) leaves the input without a digest, and the command runs
+    doc = read_json(tmp_path / "in.json")
+    doc["note"] = [math.nan, functools.reduce(lambda inner, _: [inner], range(600), [])]
+    (tmp_path / "odd.json").write_text(json.dumps(doc))
+    assert run_cli(*reader, "--in", "odd.json", "--out", "out.json") == 0
+    assert read_json(tmp_path / "out.json")["manifest"]["inputs"] == {"odd.json": None}
 
 
 def test_manifest_structure(tmp_path):
@@ -625,27 +651,27 @@ import importlib, os, pkgutil, sys
 import etfforge
 from etfforge import cli
 for info in pkgutil.iter_modules(etfforge.__path__):
-    if info.name != "certify":
-        importlib.import_module("etfforge." + info.name)
+    importlib.import_module("etfforge." + info.name)
 tmp = sys.argv[1]
-bundle, gens, solved = (os.path.join(tmp, name) for name in ("pp5.json", "gens.json", "s3.json"))
+bundle, gens, solved, cert, sweep = (os.path.join(tmp, name) for name in (
+    "pp5.json", "gens.json", "s3.json", "c3.json", "sweep"))
 codes = [cli.main(argv) for argv in (
     ["construct", "--family", "paley-plus", "--q", "5", "--out", bundle],
     ["check", "--in", bundle],
     ["detect", "--in", bundle],
     ["circulantize", "--in", bundle, "--out", gens],
     ["solve", "--d", "3", "--out", solved],
+    ["certify", "--in", solved, "--out", cert],
+    ["sweep", "--d", "2..3", "--jobs", "1", "--out-dir", sweep],
 )]
-assert codes == [0] * 5, codes
+assert codes == [0] * 7, codes
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
-import etfforge.certify
-assert "scipy.linalg" in sys.modules
 """
 
 
-def test_only_certify_loads_scipy(tmp_path):
-    # scipy serves certify's pivoted QR alone; every other module and the
-    # commands that never factor a matrix run on numpy only
+def test_no_command_loads_scipy(tmp_path):
+    # every module, and every command certify and sweep included, runs on
+    # numpy alone
     run = _cli_subprocess(tmp_path, code=SCIPY_GUARD)
     assert run.returncode == 0, run.stdout + run.stderr
 

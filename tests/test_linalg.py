@@ -88,6 +88,17 @@ def test_pseudoinverse_rank_deficiency_reports_sv():
         pseudoinverse(np.zeros((0, 3)))
 
 
+def test_pseudoinverse_rank_guard_reads_the_whole_r_diagonal():
+    # a repeated first row: the QR of A^T meets the dependence at its
+    # second column, so R_22 is round-off while R_33 is of order one
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((3, 5))
+    a[1] = a[0]
+    with pytest.raises(RankDeficiencyError, match="rank deficient") as err:
+        pseudoinverse(a)
+    assert err.value.smallest_sv < 1e-12
+
+
 @pytest.mark.parametrize("ratio", [1e-12, 1e-10, 1e-9, 1e-7, 1e-6, 1e-4, 1e-2])
 def test_pseudoinverse_rank_guard_against_svd_oracle(ratio):
     # random wide matrices with singular values geomspace(1, ratio) times a

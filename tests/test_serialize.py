@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -14,7 +15,6 @@ from etfforge.serialize import (
     pair_from_obj,
     pair_to_obj,
     read_json,
-    sha256_file,
     sha256_text,
     witness_from_obj,
     witness_to_obj,
@@ -85,9 +85,19 @@ def test_sha256_text_known_value():
 def test_write_json_digest_matches_file(tmp_path):
     path = tmp_path / "doc.json"
     digest = write_json(str(path), {"v": [0.1, 0.2, 0.30000000000000004]})
-    assert digest == sha256_file(str(path))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     back = read_json(str(path))
     assert back["v"][2] == 0.30000000000000004
+
+
+def test_read_json_keeps_negative_zero(tmp_path):
+    # format_float writes -0.0 as "-0", which json alone reads as the int 0
+    path = tmp_path / "zeros.json"
+    write_json(str(path), {"v": [-0.0, 0.0, 0, -1.0, 3]})
+    back = read_json(str(path))
+    assert [_bits(x) for x in back["v"]] == [_bits(x) for x in (-0.0, 0.0, 0, -1.0, 3)]
+    assert [type(x) for x in back["v"]] == [float, int, int, int, int]
+    assert dumps(back) == dumps({"v": [-0.0, 0.0, 0, -1.0, 3]})
 
 
 def test_matrix_round_trip_exact():
