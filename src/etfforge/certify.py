@@ -58,7 +58,6 @@ from .frames import CirculantPair
 from .rigor import (
     IntervalMatrix,
     iv_matmul,
-    iv_mat_sub,
     iv_norm_inf,
     vadd,
     vdiv,
@@ -387,8 +386,8 @@ def certify(pair, delta=1e-10, w=0.5, seed=-1):
             detail=exc.smallest_sv,
         ) from exc
     st = iv_matmul(s_mat, t)
-    eye = IntervalMatrix.from_point(np.eye(st.shape[0]))
-    a_bound = iv_norm_inf(iv_mat_sub(st, eye)).hi
+    eye = np.eye(st.shape[0])
+    a_bound = iv_norm_inf(IntervalMatrix(*vsub(st.lo, st.hi, eye, eye))).hi
     bt = iv_norm_inf(IntervalMatrix.from_point(t)).hi
     f0_lo, f0_hi = _residual_rows(uvc, x0[4 * d], x0[4 * d])
     c0 = float(np.max(np.maximum(np.abs(f0_lo), np.abs(f0_hi))))

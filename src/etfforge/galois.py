@@ -323,9 +323,10 @@ def build_line_system(q, variant):
     q = int(q)
     if variant not in ("halfturn", "fullturn"):
         raise InvalidArgumentError("variant must be 'halfturn' or 'fullturn'")
-    p, k = odd_prime_power(q)
+    # size first: odd_prime_power factors q by trial division up to sqrt(q)
     if not within_line_system_cap(q):
         raise InvalidArgumentError("q = %d is past the line-system cap q^2 <= 10^6" % q)
+    p, k = odd_prime_power(q)
     ext = make_field(p, 2 * k)
     order = q * q - 1
     if variant == "halfturn":

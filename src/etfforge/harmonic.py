@@ -3,8 +3,8 @@
 A Gram on n = m*t vectors is "harmonic" when, under some ordering, it
 splits into t x t blocks of m x m circulants.  Such a Gram is the Gram of
 t generator vectors and their m cyclic translates.  The tools here detect
-that structure, recover generators, straighten a scaled permutation
-symmetry into honest block circulance, and search for such symmetries.
+that structure, recover generators, and straighten a scaled permutation
+symmetry into honest block circulance.
 
 A BlockGram carries the spectrum of its m frequency components, computed
 once by one stacked eigh; the PSD check, the regular-representation
@@ -16,7 +16,6 @@ Gaussian-integer signatures with their shift witnesses
 both family_automorphism and certify's exact route call.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -416,89 +415,3 @@ def prove_witnessed_signature(sig_re, sig_im, witness):
         raise _refusal("equal cycle holonomies")
     return np.eye(n) + welch_gamma(d, n) * s
 
-
-def _cycle_type_permutations(n, m):
-    """Lazily enumerate permutations of [n] with all cycles of length m,
-    in a canonical order (cycles led by least remaining element)."""
-    if n % m != 0:
-        return
-
-    def rec(remaining, assignment):
-        if not remaining:
-            yield dict(assignment)
-            return
-        rest = sorted(remaining)
-        lead = rest[0]
-        pool = rest[1:]
-        for tail in itertools.permutations(pool, m - 1):
-            cyc = (lead,) + tail
-            for a, b in zip(cyc, cyc[1:] + (lead,)):
-                assignment[a] = b
-            yield from rec(remaining - set(cyc), assignment)
-        for a in rest:
-            assignment.pop(a, None)
-
-    for mapping in rec(set(range(n)), {}):
-        yield tuple(mapping[i] for i in range(n))
-
-
-def _random_cycle_type_permutation(n, m, rng):
-    order = list(rng.permutation(n))
-    sigma = [0] * n
-    for start in range(0, n, m):
-        cyc = order[start : start + m]
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            sigma[a] = b
-    return tuple(sigma)
-
-
-def brute_force_automorphism_search(gram, m, t, budget=200000, seed=0, tol=1e-8):
-    """Search for a shift symmetry with cycle type m^t.
-
-    Scalars are forced by the permutation through the pivot row:
-    c_0 = 1 and c_j = G[0,j] / G[sigma(0), sigma(j)], which is complete
-    whenever the Gram has no zero off-diagonal entries (the witness
-    scalars are only ever determined up to one global phase).  Candidate
-    permutations are enumerated canonically up to `budget`, then sampled
-    at random.  Returns a witness or None.
-    """
-    g = as_array(gram)
-    n = g.shape[0]
-    if g.shape != (n, n) or n != m * t:
-        raise InvalidArgumentError("gram order must equal m*t")
-    offdiag = np.abs(g[~np.eye(n, dtype=bool)])
-    if float(np.min(offdiag)) < 1e-12:
-        raise UnsupportedInputError(
-            "scalar recovery needs all off-diagonal entries nonzero"
-        )
-    tested = 0
-    exhausted = True
-    for sigma in _cycle_type_permutations(n, m):
-        if tested >= budget:
-            exhausted = False
-            break
-        tested += 1
-        witness = _witness_from_sigma(g, sigma)
-        if witness is not None and verify_automorphism(g, witness) <= tol:
-            return witness
-    if exhausted:
-        return None
-    rng = np.random.default_rng(seed)
-    while tested < 2 * budget:
-        tested += 1
-        sigma = _random_cycle_type_permutation(n, m, rng)
-        witness = _witness_from_sigma(g, sigma)
-        if witness is not None and verify_automorphism(g, witness) <= tol:
-            return witness
-    return None
-
-
-def _witness_from_sigma(g, sigma):
-    denom = g[sigma[0], list(sigma[1:])]
-    if np.any(np.abs(denom) < 1e-12):
-        return None
-    c = np.concatenate(([1.0], g[0, 1:] / denom))
-    if float(np.max(np.abs(np.abs(c) - 1.0))) > 1e-8:
-        return None
-    c = c / np.abs(c)
-    return AutomorphismWitness(sigma=sigma, c=c)

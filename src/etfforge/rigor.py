@@ -156,41 +156,8 @@ class Interval:
         self.lo = lo
         self.hi = hi
 
-    @classmethod
-    def point(cls, x):
-        return cls(float(x))
-
     def __repr__(self):
         return "Interval(%r, %r)" % (self.lo, self.hi)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Interval)
-            and self.lo == other.lo
-            and self.hi == other.hi
-        )
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
-    def __contains__(self, x):
-        return self.lo <= x <= self.hi
-
-    def contains_interval(self, other):
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    @property
-    def mid(self):
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def mag(self):
-        """Upper bound on |x| over the interval."""
-        return max(abs(self.lo), abs(self.hi))
 
 
 def _scalar_op(op, a, b):
@@ -238,23 +205,8 @@ class IntervalMatrix:
     def shape(self):
         return self.lo.shape
 
-    def entry(self, i, j):
-        return Interval(self.lo[i, j], self.hi[i, j])
-
     def mid(self):
         return 0.5 * (self.lo + self.hi)
-
-    def width(self):
-        return self.hi - self.lo
-
-    def contains_point(self, arr):
-        arr = np.asarray(arr, dtype=float)
-        return bool(np.all(self.lo <= arr) and np.all(arr <= self.hi))
-
-
-def iv_mat_sub(a, b):
-    lo, hi = vsub(a.lo, a.hi, b.lo, b.hi)
-    return IntervalMatrix(lo, hi)
 
 
 def _gamma(k):

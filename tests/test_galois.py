@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import etfforge.galois as galois
 from etfforge.errors import InvalidArgumentError
 from etfforge.galois import (
     _poly_mulmod,
@@ -232,3 +233,14 @@ def test_line_system_rejects_bad_q():
         build_line_system(5, "sideways")
     with pytest.raises(InvalidArgumentError):
         build_line_system(1009, "fullturn")  # q^2 past the field cap
+
+
+def test_line_system_refuses_q_by_size_before_factoring(monkeypatch):
+    # factoring is trial division up to sqrt(q): a huge q must meet the
+    # cap first, or a 19-digit prime q divides by every odd f up to 10^9
+    def no_factoring(n):
+        raise AssertionError("q was factored before the cap check")
+
+    monkeypatch.setattr(galois, "_prime_powers", no_factoring)
+    with pytest.raises(InvalidArgumentError, match="past the line-system cap"):
+        build_line_system(1009, "fullturn")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import etfforge.harmonic as harmonic
-from etfforge.constructions import family_3x6, is_odd_prime_power, zauner_2x4_signature
+from etfforge.constructions import is_odd_prime_power, zauner_2x4_signature
 from etfforge.errors import (
     CertificationError,
     InconsistentWitnessError,
@@ -28,13 +28,13 @@ from etfforge.frames import (
 from etfforge.harmonic import (
     AutomorphismWitness,
     BlockGram,
-    brute_force_automorphism_search,
     check_regular_representation,
     circulantize,
     detect_harmonic_gram,
     family_automorphism,
     family_signature,
     generators_from_blockgram,
+    prove_witnessed_signature,
     verify_automorphism,
 )
 
@@ -156,6 +156,70 @@ def test_family_automorphism_refuses_flipped_entry(monkeypatch, family, q):
     assert err.value.reason == "infeasible"
 
 
+def test_prove_refuses_scalars_off_the_units():
+    # a global phase keeps the witness identity but leaves Z[i]
+    re, im, witness = family_signature("paley_plus", 5)
+    turned = AutomorphismWitness(sigma=witness.sigma, c=witness.c * np.exp(1j * np.pi / 4))
+    with pytest.raises(CertificationError, match=r"scalars are not all in \{\+-1, \+-i\}") as err:
+        prove_witnessed_signature(re, im, turned)
+    assert err.value.reason == "infeasible"
+
+
+def test_prove_refuses_cycle_type_other_than_d_squared():
+    re, im, _ = family_signature("paley_plus", 5)
+    n = re.shape[0]
+    identity = AutomorphismWitness(sigma=tuple(range(n)), c=np.ones(n))
+    with pytest.raises(CertificationError, match=r"cycle type \(1, 1, 1, 1, 1, 1\) is not 3\^2"):
+        prove_witnessed_signature(re, im, identity)
+
+
+@pytest.mark.parametrize("family, q", [("paley_plus", 5), ("double_paley_plus", 3)])
+def test_prove_refuses_nonzero_cycle_trace(monkeypatch, family, q):
+    # no cycle-type-d^2 symmetry of a signature has turned up with a
+    # nonzero trace, so the trace is forged
+    real = harmonic._cycle_traces
+
+    def forged(s, c, cycles):
+        traces, holonomy = real(s, c, cycles)
+        traces = traces.copy()
+        traces[-1] += 1
+        return traces, holonomy
+
+    monkeypatch.setattr(harmonic, "_cycle_traces", forged)
+    re, im, witness = family_signature(family, q)
+    k = witness.n // 2 - 1
+    with pytest.raises(CertificationError, match=r"tr V\^%d = 0 fails exactly" % k):
+        prove_witnessed_signature(re, im, witness)
+
+
+@pytest.mark.parametrize("family, q", [("paley_plus", 5), ("double_paley_plus", 3)])
+def test_prove_refuses_unequal_holonomies(monkeypatch, family, q):
+    # the witness identity with nonzero off-diagonal entries already
+    # forces equal holonomies, so the holonomy is forged
+    real = harmonic._cycle_traces
+
+    def forged(s, c, cycles):
+        traces, holonomy = real(s, c, cycles)
+        return traces, holonomy * np.array([1, -1])
+
+    monkeypatch.setattr(harmonic, "_cycle_traces", forged)
+    re, im, witness = family_signature(family, q)
+    with pytest.raises(CertificationError, match="equal cycle holonomies fails exactly"):
+        prove_witnessed_signature(re, im, witness)
+
+
+def test_prove_refuses_malformed_inputs():
+    re, im, witness = family_signature("paley_plus", 5)
+    shape_msg = "signature must be two n x n int64 arrays"
+    with pytest.raises(InvalidArgumentError, match=shape_msg):
+        prove_witnessed_signature(re.astype(float), im, witness)
+    with pytest.raises(InvalidArgumentError, match=shape_msg):
+        prove_witnessed_signature(re[:5, :5], im[:5, :5], witness)  # odd order
+    short = AutomorphismWitness(sigma=(1, 0, 3, 2), c=np.ones(4))
+    with pytest.raises(InvalidArgumentError, match="witness length disagrees"):
+        prove_witnessed_signature(re, im, short)
+
+
 def _loop_cycle_traces(re, im, c_re, c_im, sigma, d):
     """The per-k loop of reductions that certify_exact ran before the
     array form, kept as the oracle for harmonic._cycle_traces: the sums
@@ -177,6 +241,14 @@ def _loop_cycle_traces(re, im, c_re, c_im, sigma, d):
     return traces, p_re + 1j * p_im
 
 
+def _random_cycle_type_permutation(n, m, rng):
+    """A random permutation of range(n) whose cycles all have length m."""
+    cycles = rng.permutation(n).reshape(-1, m)
+    sigma = np.empty(n, dtype=np.int64)
+    sigma[cycles] = np.roll(cycles, -1, axis=1)
+    return sigma
+
+
 @settings(max_examples=200, deadline=None)
 @given(d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_cycle_traces_match_the_per_k_loop(d, seed):
@@ -184,7 +256,7 @@ def test_cycle_traces_match_the_per_k_loop(d, seed):
     # {0, +-1, +-i} matrices, which need not be signatures
     rng = np.random.default_rng(seed)
     n = 2 * d
-    sigma = np.array(harmonic._random_cycle_type_permutation(n, d, rng))
+    sigma = _random_cycle_type_permutation(n, d, rng)
     c = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, n)]
     entries = np.array([0, 1, -1, 1j, -1j])[rng.integers(0, 5, (n, n))]
     re, im = entries.real.astype(np.int64), entries.imag.astype(np.int64)
@@ -234,6 +306,17 @@ def test_detect_rejects_bad_inputs():
         detect_harmonic_gram(bad, 3)
 
 
+def test_detect_refuses_non_hermitian_components():
+    # m = 1: every block is circulant and the components are the Gram itself
+    with pytest.raises(NumericFailureError, match="lost hermiticity"):
+        detect_harmonic_gram(np.array([[1.0, 1.0], [0.0, 1.0]]), 1)
+
+
+def test_detect_refuses_negative_eigenvalue():
+    with pytest.raises(NumericFailureError, match="frequency component 0 has eigenvalue"):
+        detect_harmonic_gram(-np.eye(4), 2)
+
+
 def test_detect_t1_circulant_psd():
     gen = np.array([1.0, 0.5, 0.25, 0.5])
     g = circulant(gen)
@@ -280,6 +363,14 @@ def test_generators_reject_rank_two_frequency():
     block = BlockGram(m=m, t=t, gram=g, frequency_components=comps)
     with pytest.raises(UnsupportedInputError):
         generators_from_blockgram(block)
+
+
+def test_generators_refuse_gram_the_components_disagree_with():
+    block = detect_harmonic_gram(icosahedral_gram(), 3)
+    doubled = BlockGram(m=3, t=2, gram=2.0 * block.gram,
+                        frequency_components=block.frequency_components)
+    with pytest.raises(NumericFailureError, match="reproduce the Gram only to"):
+        generators_from_blockgram(doubled)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 13])
@@ -388,43 +479,6 @@ def test_circulantize_matches_the_loop_under_random_phases(family, q, seed):
     want_diag, want_perm = _loop_diag_perm(rescaled)
     assert perm == want_perm
     assert np.max(np.abs(diag - want_diag)) <= 1e-12
-
-
-def test_brute_force_finds_zauner_witness():
-    g = gram_of_signature(zauner_2x4_signature(), 2)
-    w = brute_force_automorphism_search(g, 2, 2)
-    assert w is not None
-    assert w.cycle_type() == (2, 2)
-    assert w.sigma == (1, 0, 3, 2)  # first hit in canonical order
-    assert verify_automorphism(g, w) <= 1e-8
-    # deterministic across calls
-    w2 = brute_force_automorphism_search(g, 2, 2)
-    assert w2.sigma == w.sigma
-    assert np.array_equal(w2.c, w.c)
-
-
-def test_brute_force_finds_3x6_family_witness():
-    g = gram_of_signature(family_3x6(np.exp(0.41j)), 3)
-    w = brute_force_automorphism_search(g, 3, 2)
-    assert w is not None
-    assert w.cycle_type() == (3, 3)
-    block, _, _ = circulantize(g, w)
-    check_regular_representation(block)
-
-
-def test_brute_force_returns_none_on_junk():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    g = a + a.conj().T
-    g = g / np.max(np.abs(g)) + 3.0 * np.eye(4)
-    assert brute_force_automorphism_search(g, 2, 2) is None
-
-
-def test_brute_force_rejects_zero_entries():
-    with pytest.raises(UnsupportedInputError):
-        brute_force_automorphism_search(np.eye(4, dtype=complex), 2, 2)
-    with pytest.raises(InvalidArgumentError):
-        brute_force_automorphism_search(icosahedral_gram(), 4, 2)
 
 
 def test_blockgram_validation():
