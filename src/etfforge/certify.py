@@ -21,17 +21,18 @@ FFTs in the floating solver never enter the rigorous path.  S is not
 built from differences of residual values: each column is the exact
 difference quotient for the float step h_l = fl(fl(x0_l + delta) - x0_l),
 enclosed from its closed form as an interval slope (see
-secant_jacobian), so S costs O(d^2) and its entries are a few ulps
-wide.  T is pseudoinverse's right inverse of S's midpoint, from one
-numpy QR whose R diagonal also decides the rank.  Both
-sums of products, S T and the correlations behind u, v and c
-(_correlations_interval), are midpoint-radius products on BLAS
+secant_jacobian) on only the blocks and lags that can be nonzero; the
+rest (u against y, v against x) are exact point zeros.  So S costs
+O(d^2) and its entries are a few ulps wide.  T is pseudoinverse's right
+inverse of S's midpoint, from one numpy QR whose R diagonal also decides
+the rank.  Both sums of products, S T and the correlations behind u, v
+and c (_correlations_interval), are midpoint-radius products on BLAS
 (rigor.iv_matmul).  certify encloses u, v and c at x0 once and shares
-that enclosure between S and the residual bound C0.  epsilon_search tests
-every candidate eps at once, on the same array kernels.  The residual
-row layout is solver's (solver.row_spec): f_eval_interval and
-secant_jacobian gather their rows with solver.gather_rows, and
-_residual_polynomials iterates the spec.
+that enclosure between S and the residual bound C0.  epsilon_search
+tests every candidate eps at once, on the same array kernels.  The
+residual row layout is solver's (solver.row_spec): f_eval_interval
+gathers its rows with solver.gather_rows, secant_jacobian fills S row
+by row from the same index, and _residual_polynomials iterates the spec.
 
 Where that argument cannot close (at d = 4 every zero is singular beyond
 the gauge kernel), a dimension covered by a witnessed symplectic
@@ -68,7 +69,7 @@ from .rigor import (
 )
 # certify calls none of these; perfbench/spans.py counts them on this module
 from .rigor import iv_add, iv_div, iv_mul, iv_sub  # noqa: F401
-from .solver import gather_rows, pack, residual_count, row_spec, unpack
+from .solver import _row_index, gather_rows, pack, residual_count, row_spec
 
 
 def _correlations_interval(lo, hi, d):
@@ -99,28 +100,6 @@ def _correlations_interval(lo, hi, d):
     return tuple(((re_lo[k], re_hi[k]), (im_lo[k], im_hi[k])) for k in range(3))
 
 
-def _assemble_rows(u, v, abs2_u, abs2_c):
-    """Interval residual rows, without the constants of rows 0..2.
-
-    u and v are (re, im) pairs of (lo, hi) intervals, abs2_u and abs2_c
-    (lo, hi) intervals for |u_j|^2 and |c_j|^2, all with the lag on the
-    first axis.  f_eval_interval passes values; secant_jacobian passes
-    difference quotients with a column axis after the lag, which every
-    row is linear in.  Returns (lo, hi) gathered by solver.gather_rows.
-    """
-    (u_re, u_im), (v_re, v_im) = u, v
-    pivot = (abs2_c[0][0], abs2_c[1][0])
-    data = {
-        "u_re": u_re,
-        "v_re": v_re,
-        "s_re": vadd(*u_re, *v_re),
-        "s_im": vadd(*u_im, *v_im),
-        "mod_u": vsub(*abs2_u, *pivot),
-        "mod_c": vsub(*abs2_c, *pivot),
-    }
-    return tuple(gather_rows(len(u_re[0]), {k: q[end] for k, q in data.items()}) for end in (0, 1))
-
-
 def _abs2(re, im):
     return vadd(*vsqr(*re), *vsqr(*im))
 
@@ -143,9 +122,22 @@ def f_eval_interval(z, d):
 
 def _residual_rows(uvc, w_lo, w_hi):
     """f_eval_interval's rows from an enclosure uvc of u, v and c, as
-    _correlations_interval returns it, and the interval [w_lo, w_hi]."""
-    u, v, c = uvc
-    rows_lo, rows_hi = _assemble_rows(u, v, _abs2(*u), _abs2(*c))
+    _correlations_interval returns it, and the interval [w_lo, w_hi]:
+    solver._float_rows in interval arithmetic, then the constants of
+    rows 0..2."""
+    (u_re, u_im), (v_re, v_im), c = uvc
+    abs2_c = _abs2(*c)
+    pivot = (abs2_c[0][0], abs2_c[1][0])
+    data = {
+        "u_re": u_re,
+        "v_re": v_re,
+        "s_re": vadd(*u_re, *v_re),
+        "s_im": vadd(*u_im, *v_im),
+        "mod_u": vsub(*_abs2(u_re, u_im), *pivot),
+        "mod_c": vsub(*abs2_c, *pivot),
+    }
+    d = len(u_re[0])
+    rows_lo, rows_hi = (gather_rows(d, {k: q[end] for k, q in data.items()}) for end in (0, 1))
     w4_lo, w4_hi = vscale(w_lo, w_hi, 4.0)
     rows_lo[:3], rows_hi[:3] = vsub(
         rows_lo[:3], rows_hi[:3], np.array([1.0, 1.0, w4_lo]), np.array([1.0, 1.0, w4_hi])
@@ -155,14 +147,16 @@ def _residual_rows(uvc, w_lo, w_hi):
 
 def _slope_abs2(z, dz, h):
     """Enclosure of (|z + h dz|^2 - |z|^2) / h = 2 Re(conj(z) dz) + h |dz|^2,
-    for z over lags (first axis) and dz, h over lags x columns."""
-    (zr_lo, zr_hi), (zi_lo, zi_hi) = z
-    dz_re, dz_im = dz
-    cross = vadd(
-        *vmul(zr_lo[:, None], zr_hi[:, None], *dz_re),
-        *vmul(zi_lo[:, None], zi_hi[:, None], *dz_im),
-    )
-    return vadd(*vscale(*cross, 2.0), *vscale(*_abs2(dz_re, dz_im), h))
+    for z over lags (first axis) and dz, h over lags x columns.  A part
+    of dz whose two ends are one array is a point: vscale gives vmul's
+    bits for it with two products instead of four."""
+
+    def times(zp, dzp):
+        lo, hi = zp[0][:, None], zp[1][:, None]
+        return vscale(lo, hi, dzp[0]) if dzp[0] is dzp[1] else vmul(lo, hi, *dzp)
+
+    cross = vadd(*times(z[0], dz[0]), *times(z[1], dz[1]))
+    return vadd(*vscale(*cross, 2.0), *vscale(*_abs2(*dz), h))
 
 
 def secant_jacobian(x0, delta, d, uvc=None):
@@ -177,16 +171,21 @@ def secant_jacobian(x0, delta, d, uvc=None):
     No f is evaluated at a moved point.  Each entry is enclosed from the
     exact algebraic difference quotient (an interval slope, Neumaier,
     Interval Methods for Systems of Equations, 1990): moving x_l by h e
-    (e = 1 for Re x_l, e = i for Im x_l) changes u_j by
-    h (e conj(x_(l+j)) + conj(e) x_(l-j)), plus h^2 when j = 0, and c_j
-    by h conj(e) y_(l-j); moving y_l changes v_j likewise and c_j by
+    (e = 1 for Re x_l, e = i for Im x_l) changes u_j by h D,
+    D = e conj(x_(l+j)) + conj(e) x_(l-j) + h [j = 0], and c_j by
+    h conj(e) y_(l-j); moving y_l changes v_j likewise and c_j by
     h e conj(x_(l+j)).  A modulus row |z|^2 has the slope
-    2 Re(conj(z) D) + h |D|^2 with D = (change of z) / h, and the w
-    column is exactly -4 in the lag-0 tightness row and 0 elsewhere.
-    These are evaluated for all lags and columns at once on one interval
-    enclosure of u, v and c at x0, and assembled by the same row helper
-    as f_eval_interval, so the cost is O(d^2) and the entries are a few
-    ulps wide: nothing nearly equal is subtracted.
+    2 Re(conj(z) D) + h |D|^2, and the w column is exactly -4 in the
+    lag-0 tightness row and 0 elsewhere.  As e and conj(e) only swap and
+    negate real and imaginary parts, each part of D is taken from x0 by
+    index.  Only the blocks that can be nonzero are evaluated, on one
+    enclosure of u, v and c at x0: D and the |u_j|^2 slope on the columns
+    that move u (x) and D on those that move v (y), at the lags 0..d/2
+    that row_spec reads, and the |c_j|^2 slope, for a point change of c,
+    at every lag and column.  u does not move with y nor v with x, so
+    those entries are exact point zeros, and the s and mod_u rows there
+    add the zero in interval arithmetic.  The cost is O(d^2), and the
+    entries are a few ulps wide: nothing nearly equal is subtracted.
     """
     x0 = np.asarray(x0, dtype=float)
     d = int(d)
@@ -200,37 +199,52 @@ def secant_jacobian(x0, delta, d, uvc=None):
         raise NumericFailureError(
             "secant step vanished at coordinate %d" % int(np.argmax(steps <= 0.0))
         )
-    pair, _ = unpack(x0, d)
-    u, v, c = _correlations_interval(x0, x0, d) if uvc is None else uvc
-    h = steps[None, :4 * d]
-    lag = np.arange(d)[:, None]
-    col = np.arange(4 * d)[None, :]
-    plus, minus = (col + lag) % d, (col - lag) % d  # (lag, column) index tables
-    # direction e of each column (Re x, Im x, Re y, Im y blocks); multiplying
-    # by e or conj(e) only permutes and negates real and imaginary parts
-    e = np.tile(np.repeat([1.0, 1j], d), 2)[None, :]
-    x_col = col < 2 * d
+    u, _, c = _correlations_interval(x0, x0, d) if uvc is None else uvc
+    s_lo, s_hi = _secant_rows(x0[:4 * d].reshape(4, d), steps, u, c)
+    return IntervalMatrix(s_lo, s_hi), float(np.max(steps))
 
-    def moved(z, mine):
-        """Enclosure of D = e conj(z_(l+j)) + conj(e) z_(l-j) + h [j = 0]
-        in the columns that move z, 0 elsewhere."""
-        t1 = np.where(mine, e * np.conj(z[plus]), 0.0)
-        t2 = np.where(mine, np.conj(e) * z[minus], 0.0)
-        re = vadd(t1.real, t1.real, t2.real, t2.real)
-        im = vadd(t1.imag, t1.imag, t2.imag, t2.imag)
-        h0 = np.where(mine[0], h[0], 0.0)
-        re[0][0], re[1][0] = vadd(re[0][0], re[1][0], h0, h0)
-        return re, im
 
-    du = moved(pair.x, x_col)
-    dv = moved(pair.y, ~x_col)
-    dc_point = np.where(x_col, np.conj(e) * pair.y[minus], e * np.conj(pair.x[plus]))
-    dc = ((dc_point.real, dc_point.real), (dc_point.imag, dc_point.imag))
-    rows_lo, rows_hi = _assemble_rows(du, dv, _slope_abs2(u, du, h), _slope_abs2(c, dc, h))
-    w_col = np.zeros((rows_lo.shape[0], 1))
-    w_col[2] = -4.0
-    s_mat = IntervalMatrix(np.hstack([rows_lo, w_col]), np.hstack([rows_hi, w_col]))
-    return s_mat, float(np.max(steps))
+def _secant_rows(parts, steps, u, c):
+    """secant_jacobian's endpoint arrays from the parts (Re x, Im x, Re y,
+    Im y) of x0 as rows, the steps and u and c at x0: a function of its
+    own, so that its temporaries are freed before IntervalMatrix copies."""
+    d = parts.shape[1]
+    half, col = d // 2 + 1, np.arange(4 * d)
+    block, lag = col // d, np.arange(d)[:, None]
+    # c's change: conj(e) y_(l-j) on the x columns, e conj(x_(l+j)) on the y columns
+    at = (col + np.where(col < 2 * d, -1, 1) * lag) % d
+    dc = (parts[block ^ 2, at], np.array([1.0, -1.0, -1.0, 1.0])[block] * parts[block ^ 3, at])
+    c_slope = _slope_abs2(c, tuple((p, p) for p in dc), steps[:4 * d])
+    del at, dc  # three d x 4d arrays, gone before D's are made
+    # D on each column's own generator: e conj(z_(l+j)) has the parts
+    # (z_re, -z_im) for e = 1 and (z_im, z_re) for e = i, conj(e) z_(l-j)
+    # the parts (z_re, z_im) and (z_im, -z_re)
+    plus, minus = (col + lag[:half]) % d, (col - lag[:half]) % d
+    sign = np.array([1.0, -1.0, 1.0, -1.0])[block]
+    t_re = (parts[block, plus], parts[block, minus])
+    t_im = (-sign * parts[block ^ 1, plus], sign * parts[block ^ 1, minus])
+    d_re, d_im = (vadd(t1, t1, t2, t2) for t1, t2 in (t_re, t_im))
+    d_re[0][0], d_re[1][0] = vadd(d_re[0][0], d_re[1][0], steps[:4 * d], steps[:4 * d])
+    x, y, xy = slice(0, 2 * d), slice(2 * d, 4 * d), slice(0, 4 * d)
+    cut = lambda ends, cols: tuple(e[:, cols] for e in ends)
+    u_half = tuple((lo[:half], hi[:half]) for lo, hi in u)
+    u_slope = _slope_abs2(u_half, (cut(d_re, x), cut(d_im, x)), steps[:2 * d])
+    pivot = (c_slope[0][:1], c_slope[1][:1])
+    pad = lambda e: np.concatenate([e, np.zeros_like(e)], axis=1)  # u does not move with y
+    blocks = {
+        "u_re": (x, cut(d_re, x)),
+        "v_re": (y, cut(d_re, y)),
+        "s_re": (xy, vadd(*d_re, 0.0, 0.0)),
+        "s_im": (xy, vadd(*d_im, 0.0, 0.0)),
+        "mod_u": (xy, vsub(*map(pad, u_slope), *pivot)),
+        "mod_c": (xy, vsub(*c_slope, *pivot)),
+    }
+    s_lo, s_hi = np.zeros((2, residual_count(d), 4 * d + 1))
+    for name, rows, lags in _row_index(d):
+        cols, (lo, hi) = blocks[name]
+        s_lo[rows, cols], s_hi[rows, cols] = lo[lags], hi[lags]
+    s_lo[2, 4 * d] = s_hi[2, 4 * d] = -4.0
+    return s_lo, s_hi
 
 
 _RANK_RTOL = 1e-8

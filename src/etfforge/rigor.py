@@ -209,8 +209,9 @@ class IntervalMatrix:
         return 0.5 * (self.lo + self.hi)
 
 
+@functools.lru_cache(maxsize=256)
 def _gamma(k):
-    """A float upper bound on gamma_k = k u / (1 - k u)."""
+    """A float upper bound on gamma_k = k u / (1 - k u), cached by k."""
     ku = k * _UNIT_ROUNDOFF  # exact: an integer times a power of two
     if ku >= 0.5:
         raise InvalidArgumentError("reduction length %d is too long for the error bound" % k)

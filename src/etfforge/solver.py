@@ -91,7 +91,7 @@ def _float_rows(d, u_re, v_re, s, abs2_u, abs2_c):
     """The rows of row_spec in float64, from the real parts of u and v,
     s = u + v, |u_j|^2 and |c_j|^2: values over the lags, or their
     derivatives with a variable axis after the lag.  The pivot |c_0|^2
-    enters every modulus row.  certify._assemble_rows is the same map in
+    enters every modulus row.  certify._residual_rows is the same map in
     interval arithmetic."""
     pivot = abs2_c[0]
     return gather_rows(d, {

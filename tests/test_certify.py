@@ -31,9 +31,21 @@ from etfforge.certify import (
 from etfforge.errors import CertificationError, InvalidArgumentError
 from etfforge.frames import CirculantPair, assemble_2circulant, check_etf
 from etfforge.harmonic import AutomorphismWitness, family_signature
-from etfforge.rigor import Interval, iv_add, iv_div, iv_mul, iv_sub
+from etfforge.rigor import (
+    Interval,
+    IntervalMatrix,
+    iv_add,
+    iv_div,
+    iv_mul,
+    iv_sub,
+    vadd,
+    vmul,
+    vscale,
+    vsqr,
+    vsub,
+)
 from etfforge.serialize import dumps
-from etfforge.solver import analytic_jacobian, residual, residual_count, solve
+from etfforge.solver import analytic_jacobian, gather_rows, residual, residual_count, solve, unpack
 
 
 def _pack(pair, w):
@@ -545,47 +557,154 @@ def test_certify_verifies_large_dimensions(d):
     assert cert.lhs_upper < cert.rhs_lower
 
 
-# sha256 of the outputs below with u, v and c enclosed by one
-# midpoint-radius product (rigor.iv_matmul) and T from one unpivoted QR;
-# any change to how an endpoint is rounded, or to T's bits, moves it.
-PINNED_CERTIFY_OUTPUTS = "75168bf5833e41c55e4e0c37ab62aeb8872b688157ae52ded40dd993ed306a53"
+# sha256 of certify's outputs at d = 2..12: each Certificate.to_obj(), or
+# the CertificationError reason and detail.  It was pinned while
+# secant_jacobian still evaluated every lag and column, so it shows that
+# skipping S's structural zeros moved no certificate.
+PINNED_CERTIFICATES = "255f7fa38d9477fbde01ebefcd20253ad51f4506580d6352948bbb364d7f2a3f"
+# sha256 of the secant_jacobian endpoint bytes at d = 3, 8 and 30 and of
+# f_eval_interval boxes, with u, v and c enclosed by one midpoint-radius
+# product (rigor.iv_matmul) and S's structural zeros exact points; any
+# change to how an endpoint is rounded moves it.
+PINNED_SECANT_AND_BOXES = "174cd40dd3f65799ae7c4f7ea1bb8656aff7631195bad9c8f248547761e50055"
 
 
-def _certify_outputs_digest():
-    h = hashlib.sha256()
+def _certify_outputs_digests():
+    """(certificates digest, S-and-boxes digest), as pinned above."""
+    certs, boxes = hashlib.sha256(), hashlib.sha256()
     for d in range(2, 13):
         try:
             obj = certify(solve(d, seed=0).pair).to_obj()
         except CertificationError as exc:  # d = 4: NK cannot close
             obj = {"reason": exc.reason, "detail": exc.detail}
-        h.update(json.dumps(obj, sort_keys=True).encode())
+        certs.update(json.dumps(obj, sort_keys=True).encode())
     for d in (3, 8, 30):
         x0 = _pack(solve(d, seed=0).pair, 0.5)
         s_mat, step = secant_jacobian(x0, 1e-10, d)
-        h.update(s_mat.lo.tobytes())
-        h.update(s_mat.hi.tobytes())
-        h.update(np.float64(step).tobytes())
+        boxes.update(s_mat.lo.tobytes())
+        boxes.update(s_mat.hi.tobytes())
+        boxes.update(np.float64(step).tobytes())
         center = np.random.default_rng(d).uniform(-0.5, 0.5, 4 * d + 1)
         lo, hi = f_eval_interval((center - 1e-6, center + 1e-6), d)
-        h.update(lo.tobytes())
-        h.update(hi.tobytes())
-    return h.hexdigest()
+        boxes.update(lo.tobytes())
+        boxes.update(hi.tobytes())
+    return certs.hexdigest(), boxes.hexdigest()
 
 
 def test_certify_outputs_match_pinned_digest():
-    # The pin was taken with BLAS on two threads, and solve(30) returns
-    # other bits on one (its dense LM step), so the digest is computed in
+    # The pins were taken with BLAS on two threads, and solve(30) returns
+    # other bits on one (its dense LM step), so the digests are computed in
     # a fresh interpreter on two threads, whatever this one runs with.
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(etfforge.__file__)))
     path = [src_dir, tests_dir, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p),
                OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
-    script = "import test_certify; print(test_certify._certify_outputs_digest())"
+    script = "import test_certify; print(*test_certify._certify_outputs_digests())"
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == PINNED_CERTIFY_OUTPUTS
+    certs, boxes = run.stdout.split()
+    assert certs == PINNED_CERTIFICATES
+    assert boxes == PINNED_SECANT_AND_BOXES
+
+
+def _dense_secant_oracle(x0, delta, d):
+    """The secant Jacobian evaluated densely: D, the |u_j|^2 slope and the
+    |c_j|^2 slope over every lag and all 4d columns, in complex
+    temporaries, with the changes of u on the y columns and of v on the x
+    columns formed as interval zeros and carried through the arithmetic.
+    Kept as the oracle for secant_jacobian, which evaluates only the
+    blocks that can be nonzero."""
+    def abs2(re, im):
+        return vadd(*vsqr(*re), *vsqr(*im))
+
+    def slope_abs2(z, dz, h):
+        (zr_lo, zr_hi), (zi_lo, zi_hi) = z
+        dz_re, dz_im = dz
+        cross = vadd(
+            *vmul(zr_lo[:, None], zr_hi[:, None], *dz_re),
+            *vmul(zi_lo[:, None], zi_hi[:, None], *dz_im),
+        )
+        return vadd(*vscale(*cross, 2.0), *vscale(*abs2(dz_re, dz_im), h))
+
+    steps = (x0 + delta) - x0
+    pair, _ = unpack(x0, d)
+    u, v, c = certify_module._correlations_interval(x0, x0, d)
+    h = steps[None, :4 * d]
+    lag = np.arange(d)[:, None]
+    col = np.arange(4 * d)[None, :]
+    plus, minus = (col + lag) % d, (col - lag) % d
+    e = np.tile(np.repeat([1.0, 1j], d), 2)[None, :]
+    x_col = col < 2 * d
+
+    def moved(z, mine):
+        t1 = np.where(mine, e * np.conj(z[plus]), 0.0)
+        t2 = np.where(mine, np.conj(e) * z[minus], 0.0)
+        re = vadd(t1.real, t1.real, t2.real, t2.real)
+        im = vadd(t1.imag, t1.imag, t2.imag, t2.imag)
+        h0 = np.where(mine[0], h[0], 0.0)
+        re[0][0], re[1][0] = vadd(re[0][0], re[1][0], h0, h0)
+        return re, im
+
+    du = moved(pair.x, x_col)
+    dv = moved(pair.y, ~x_col)
+    dc_point = np.where(x_col, np.conj(e) * pair.y[minus], e * np.conj(pair.x[plus]))
+    dc = ((dc_point.real, dc_point.real), (dc_point.imag, dc_point.imag))
+    abs2_u, abs2_c = slope_abs2(u, du, h), slope_abs2(c, dc, h)
+    (du_re, du_im), (dv_re, dv_im) = du, dv
+    pivot = (abs2_c[0][0], abs2_c[1][0])
+    data = {
+        "u_re": du_re,
+        "v_re": dv_re,
+        "s_re": vadd(*du_re, *dv_re),
+        "s_im": vadd(*du_im, *dv_im),
+        "mod_u": vsub(*abs2_u, *pivot),
+        "mod_c": vsub(*abs2_c, *pivot),
+    }
+    rows_lo, rows_hi = (gather_rows(d, {k: q[end] for k, q in data.items()}) for end in (0, 1))
+    w_col = np.zeros((rows_lo.shape[0], 1))
+    w_col[2] = -4.0
+    return IntervalMatrix(np.hstack([rows_lo, w_col]), np.hstack([rows_hi, w_col]))
+
+
+def _structural_zeros(d):
+    """Mask of the entries of S that are exact point zeros but that the
+    dense oracle forms as interval zeros: u_re (row 0) on the y columns
+    and v_re (row 1) on the x columns."""
+    mask = np.zeros((residual_count(d), 4 * d + 1), dtype=bool)
+    mask[0, 2 * d:4 * d] = mask[1, :2 * d] = True
+    return mask
+
+
+@pytest.mark.parametrize("d", range(2, 41))
+def test_secant_jacobian_matches_dense_oracle_off_its_structural_zeros(d):
+    x0 = _pack(solve(d, seed=0).pair, 0.5)
+    s, _ = secant_jacobian(x0, 1e-10, d)
+    oracle = _dense_secant_oracle(x0, 1e-10, d)
+    zeros = _structural_zeros(d)
+    assert np.array_equal(s.lo[~zeros], oracle.lo[~zeros])
+    assert np.array_equal(s.hi[~zeros], oracle.hi[~zeros])
+    assert np.all(s.lo[zeros] == 0.0) and np.all(s.hi[zeros] == 0.0)
+    assert np.all(oracle.lo[zeros] < 0.0) and np.all(oracle.hi[zeros] > 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_secant_jacobian_lies_inside_dense_oracle_at_degenerate_points(d):
+    # the points of test_secant_jacobian_contains_exact_rational_secant:
+    # exact zeros and 0 < |x0_l| < delta, where sums can cancel to zero
+    # and an added interval zero can widen an entry
+    delta = 1e-10
+    rng = np.random.default_rng(500 + d)
+    x0 = rng.standard_normal(4 * d + 1) * 0.4
+    picks = rng.permutation(4 * d + 1)
+    x0[picks[:2]] = 0.0
+    x0[picks[2:5]] = rng.choice([-1.0, 1.0], size=3) * delta * rng.uniform(0.01, 1.0, size=3)
+    s, _ = secant_jacobian(x0, delta, d)
+    oracle = _dense_secant_oracle(x0, delta, d)
+    assert np.all(oracle.lo <= s.lo) and np.all(s.hi <= oracle.hi)
+    zeros = _structural_zeros(d)
+    assert np.all(s.lo[zeros] == 0.0) and np.all(s.hi[zeros] == 0.0)
 
 
 def test_certify_encloses_u_v_c_once(monkeypatch):
@@ -615,6 +734,23 @@ def test_u_v_c_enclosure_memory_stays_quadratic_at_d300():
     finally:
         tracemalloc.stop()
     assert peak < 30e6
+
+
+def test_secant_jacobian_memory_stays_quadratic_at_d300():
+    # S is 751 x 1201, 7.2 MB per endpoint array, held twice while
+    # IntervalMatrix copies it; the |c_j|^2 slope over d x 4d entries
+    # holds a few more of 2.9 MB.  Evaluating every quantity over all
+    # lags and columns in complex temporaries took 86 MB.
+    d = 300
+    x = np.random.default_rng(d).uniform(-0.1, 0.1, 4 * d + 1)
+    uvc = certify_module._correlations_interval(x, x, d)
+    tracemalloc.start()
+    try:
+        secant_jacobian(x, 1e-10, d, uvc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70e6
 
 
 def _scalar_epsilon_search(a, bt, c0, delta_eff, norm_x0, f_abs):

@@ -215,7 +215,7 @@ def test_interval_matrix_refuses_nan_and_reversed_endpoints():
         IntervalMatrix(np.array([[0.0, 2.0]]), np.array([[1.0, 1.0]]))
 
 
-def test_iv_mat_sub_and_abs_upper():
+def test_vsub_on_interval_matrices():
     a = IntervalMatrix(np.array([[1.0, -1.0]]), np.array([[1.5, -0.5]]))
     b = IntervalMatrix.from_point(np.array([[0.25, 0.25]]))
     out = IntervalMatrix(*vsub(a.lo, a.hi, b.lo, b.hi))
