@@ -207,7 +207,7 @@ def secant_jacobian(x0, delta, d, uvc=None):
 def _secant_rows(parts, steps, u, c):
     """secant_jacobian's endpoint arrays from the parts (Re x, Im x, Re y,
     Im y) of x0 as rows, the steps and u and c at x0: a function of its
-    own, so that its temporaries are freed before IntervalMatrix copies."""
+    own, so that its temporaries are freed when it returns."""
     d = parts.shape[1]
     half, col = d // 2 + 1, np.arange(4 * d)
     block, lag = col // d, np.arange(d)[:, None]

@@ -7,8 +7,10 @@ field in coefficient-lex order.  make_field returns the field as three
 tables: digits[n] (those coefficients), exp[e] = g^e for the first
 generator g in coefficient-lex order, and log, the inverse of exp.
 Addition and subtraction act digit-wise mod p, multiplication adds logs
-mod q-1, and the quadratic character is the parity of log.  Everything
-is exact integer arithmetic; no floats.
+mod q-1, and the quadratic character is the parity of log.  The tables
+are built in exact integer arithmetic modulo the modulus f, written once
+as k x k matrices of multiplication by an element (Lidl and Niederreiter,
+Finite Fields, ch. 2): Rabin's test, the generator search, the doubling.
 
 A symplectic line system over GF(q^2) stores each representative
 t_i = zeta^(a_i) by its exponent a_i, with zeta the generator.  The form
@@ -72,110 +74,74 @@ def factor_into_primes(n):
     return [p for p, _ in _prime_powers(n)]
 
 
-# Polynomial helpers over GF(p), little-endian coefficient lists.
+# Arithmetic modulo a monic f of degree k over GF(p), on digit row vectors,
+# exact in int64: for k = 1 entries are below p < 10^6, so a product is
+# below 2^40; for k > 1, p <= 10^3 and k <= 19, so a k-term row sum is below 2^25.
 
-def _poly_trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _poly_mulmod(a, b, f, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_modred(out, f, p)
+def _digits(n, p, k):
+    """The k base-p digits of n, least significant first, on a new last axis."""
+    return np.asarray(n, dtype=np.int64)[..., None] // p ** np.arange(k, dtype=np.int64) % p
 
 
-def _poly_modred(a, f, p):
-    a = list(a)
-    deg_f = len(f) - 1
-    for i in range(len(a) - 1, deg_f - 1, -1):
-        c = a[i] % p
-        if c:
-            # subtract c * x^(i - deg_f) * f; f is monic.
-            shift = i - deg_f
-            for j, fj in enumerate(f):
-                a[shift + j] = (a[shift + j] - c * fj) % p
-    return _poly_trim(a[:deg_f])
+def _times(g, f, p):
+    """The matrix of multiplication by g modulo f: v @ _times(g) is the
+    digits of v g.  Row j is g x^j mod f; row j+1 is row j shifted up one
+    digit, less its top digit times f (f is monic, so x^k = -f[:k] mod f)."""
+    k = len(f) - 1
+    low = np.asarray(f[:k], dtype=np.int64)
+    rows = np.zeros((k, k), dtype=np.int64)
+    rows[0] = g
+    for j in range(1, k):
+        rows[j, 1:] = rows[j - 1, :-1]
+        rows[j] = (rows[j] - rows[j - 1, -1] * low) % p
+    return rows
 
 
-def _poly_powmod(base, e, f, p):
-    result = [1]
-    acc = _poly_modred(base, f, p)
+def _power(m, e, p):
+    """m^e mod p by square and multiply."""
+    out = np.eye(len(m), dtype=np.int64)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, acc, f, p)
-        acc = _poly_mulmod(acc, acc, f, p)
-        e >>= 1
-    return result
+            out = out @ m % p
+        m, e = m @ m % p, e >> 1
+    return out
 
 
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    return a
-
-
-def _poly_divmod(a, b, p):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p)
-    deg_b = len(b) - 1
-    quot = [0] * max(1, len(a) - deg_b)
-    while len(_poly_trim(a)) - 1 >= deg_b and _poly_trim(a):
-        a = _poly_trim(a)
-        shift = len(a) - 1 - deg_b
-        c = (a[-1] * inv_lead) % p
-        quot[shift] = c
-        for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - c * bj) % p
-    return _poly_trim(quot), _poly_trim(a)
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _poly_trim(out)
+def _singular(m, p):
+    """Whether the square matrix m is singular over GF(p), by elimination."""
+    m = m % p
+    for j in range(len(m)):
+        i = j + np.argmax(m[j:, j] != 0)
+        if m[i, j] == 0:
+            return True
+        m[[j, i]] = m[[i, j]]
+        m[j] = m[j] * pow(int(m[j, j]), -1, p) % p
+        m[j + 1:] = (m[j + 1:] - m[j + 1:, j, None] * m[j]) % p
+    return False
 
 
 def _is_irreducible(f, p):
-    """Rabin's test for a monic polynomial f over GF(p)."""
+    """Rabin's test for a monic f of degree k > 1 over GF(p): with X the
+    multiplication by x, X^(p^k) = X, and X^(p^(k/r)) - X is invertible,
+    that is gcd(x^(p^(k/r)) - x, f) = 1, for each prime r | k."""
     k = len(f) - 1
-    x = [0, 1]
-    xq = _poly_powmod(x, p**k, f, p)
-    if _poly_trim(_poly_sub(xq, x, p)):
-        return False
-    for r in factor_into_primes(k):
-        xe = _poly_powmod(x, p ** (k // r), f, p)
-        g = _poly_gcd(_poly_sub(xe, x, p), f, p)
-        if len(g) != 1:
-            return False
-    return True
+    x = _times(_digits(p, p, k), f, p)  # the element x has index p
+    return np.array_equal(_power(x, p**k, p), x) and not any(
+        _singular(_power(x, p ** (k // r), p) - x, p) for r in factor_into_primes(k))
 
 
 def _first_generator(f, p, q):
-    """First multiplicative generator of GF(p)[x]/f in coefficient-lex order,
-    as a coefficient list of length k.  For k > 1 the search starts at
-    n = p: the constants below it have orders dividing p - 1 < q - 1."""
+    """_times(g) for the first multiplicative generator g of GF(p)[x]/f in
+    coefficient-lex order: g^((q-1)/r), row 0 of _times(g)^((q-1)/r), is
+    not 1 for any prime r | q - 1.  For k > 1 the search starts at n = p: the
+    constants below it have orders dividing p - 1 < q - 1."""
     k = len(f) - 1
-    order = q - 1
-    prime_divisors = factor_into_primes(order)
+    one = _digits(1, p, k)
+    prime_divisors = factor_into_primes(q - 1)
     for n in range(p if k > 1 else 1, q):
-        g = [n // p**i % p for i in range(k)]
-        if all(_poly_powmod(g, order // r, f, p) != [1] for r in prime_divisors):
-            return g
+        times_g = _times(_digits(n, p, k), f, p)
+        if all(np.any(_power(times_g, (q - 1) // r, p)[0] != one) for r in prime_divisors):
+            return times_g
     raise NumericFailureError("no generator found")  # pragma: no cover
 
 
@@ -190,27 +156,17 @@ class GaloisField:
         self.p = p
         self.k = k
         self.q = q = p**k
-        self.modulus = tuple(modulus)
-        f = list(self.modulus)
+        self.modulus = f = tuple(modulus)
         self.weights = p ** np.arange(k, dtype=np.int64)
-        self.digits = np.arange(q, dtype=np.int64)[:, None] // self.weights % p
-        # exp by doubling: powers g^(m..2m-1) are powers g^(0..m-1) times
-        # h = g^m, a linear map on digit vectors whose row j is h x^j mod f.
-        # Row j+1 is row j times x: shifted up one digit, less its top
-        # digit times f (f is monic, so x^k = -f[:k] mod f).
-        low = np.array(f[:k], dtype=np.int64)
+        self.digits = _digits(np.arange(q), p, k)
+        # exp by doubling: powers g^(m..2m-1) are powers g^(0..m-1) times h = g^m
         powers = np.zeros((q - 1, k), dtype=np.int64)
         powers[0, 0] = 1
-        h, m = np.array(_first_generator(f, p, q), dtype=np.int64), 1
-        times_h = np.empty((k, k), dtype=np.int64)
+        times_h, m = _first_generator(f, p, q), 1
         while m < q - 1:
-            times_h[0] = h
-            for j in range(1, k):
-                prev = times_h[j - 1]
-                times_h[j] = (np.concatenate(([0], prev[:-1])) - prev[-1] * low) % p
             r = min(m, q - 1 - m)
             powers[m : m + r] = powers[:r] @ times_h % p
-            h = h @ times_h % p
+            times_h = times_h @ times_h % p
             m *= 2
         self.exp = powers @ self.weights
         self.log = np.full(q, -1, dtype=np.int64)
@@ -255,9 +211,9 @@ def make_field(p, k=1):
     if k == 1:
         return GaloisField(p, 1, (0, 1))
     for n in range(p**k):
-        f = [n // p**i % p for i in range(k)] + [1]
+        f = (*_digits(n, p, k).tolist(), 1)
         if _is_irreducible(f, p):
-            return GaloisField(p, k, tuple(f))
+            return GaloisField(p, k, f)
     raise NumericFailureError("no irreducible polynomial found")  # pragma: no cover
 
 

@@ -184,13 +184,17 @@ def iv_div(a, b):
 
 
 class IntervalMatrix:
-    """A rectangular matrix of intervals stored as lo/hi endpoint arrays."""
+    """A rectangular matrix of intervals stored as lo/hi endpoint arrays.
+
+    Float arrays are wrapped, not copied, and may be views or one shared
+    array (from_point): no code mutates an endpoint array once wrapped.
+    """
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo = np.array(lo, dtype=float)
-        hi = np.array(hi, dtype=float)
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 2:
             raise InvalidArgumentError("endpoint arrays must share a 2-D shape")
         _validate(lo, hi)
@@ -199,7 +203,7 @@ class IntervalMatrix:
 
     @classmethod
     def from_point(cls, arr):
-        return cls(arr, arr)  # __init__ copies each endpoint
+        return cls(arr, arr)
 
     @property
     def shape(self):

@@ -1,19 +1,69 @@
+import hashlib
+from itertools import zip_longest
+
 import numpy as np
 import pytest
 
 import etfforge.galois as galois
 from etfforge.errors import InvalidArgumentError
 from etfforge.galois import (
-    _poly_mulmod,
-    _poly_powmod,
-    _poly_sub,
-    _poly_trim,
     build_line_system,
     factor_into_primes,
     is_prime,
     make_field,
     prime_power_decomposition,
 )
+
+
+# A list-polynomial oracle over GF(p), on little-endian coefficient lists
+# of Python ints, independent of galois's matrix arithmetic.
+
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _mulmod(a, b, f, p):
+    out = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    deg = len(f) - 1
+    for i in range(len(out) - 1, deg - 1, -1):
+        c = out[i] % p  # subtract c x^(i - deg) f; f is monic
+        for j, fj in enumerate(f):
+            out[i - deg + j] -= c * fj
+    return _trim(c % p for c in out[:deg])
+
+
+def _sub(a, b, p):
+    return _trim((x - y) % p for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _powmod(a, e, f, p):
+    out, a = [1], _mulmod(a, [1], f, p)
+    while e:
+        if e & 1:
+            out = _mulmod(out, a, f, p)
+        a = _mulmod(a, a, f, p)
+        e >>= 1
+    return out
+
+
+def _poly(field, n):
+    """Element n of the field as a trimmed coefficient list."""
+    return _trim(field.digits[n].tolist())
+
+
+def _index(poly, p):
+    return sum(c * p**i for i, c in enumerate(poly))
+
+
+# the largest prime field, and the largest fields of the longest moduli
+# with p = 3 and p = 2, under the 10^6 order cap
+_EXTREMES = [(999983, 1), (3, 12), (2, 19)]
 
 
 def test_is_prime_small_table():
@@ -81,8 +131,19 @@ def test_extension_field_fermat():
     assert sorted(f.exp) == list(range(1, 25))
     assert np.array_equal(f.digits @ f.weights, np.arange(25))
     for n in range(25):
-        x = _poly_trim(list(f.digits[n]))
-        assert _poly_powmod(x, 25, list(f.modulus), 5) == x
+        x = _poly(f, n)
+        assert _powmod(x, 25, list(f.modulus), 5) == x
+
+
+@pytest.mark.parametrize("p, counts", [(2, [1, 2, 3, 6, 9, 18, 30]), (3, [3, 8, 18]),
+                                       (5, [10, 40]), (7, [21])])
+def test_rabin_counts_the_irreducibles(p, counts):
+    # Gauss's count of monic irreducibles of degree k = 2, 3, ... over
+    # GF(p), (1/k) sum over d | k of mu(d) p^(k/d), against Rabin's test
+    # run on every monic polynomial of that degree
+    for k, count in enumerate(counts, start=2):
+        polys = [tuple(n // p**i % p for i in range(k)) + (1,) for n in range(p**k)]
+        assert sum(galois._is_irreducible(f, p) for f in polys) == count
 
 
 def test_make_field_validates():
@@ -125,26 +186,44 @@ def test_character_of_minus_one_by_residue():
 
 
 def test_find_generator_has_full_order():
-    for q in [7, 9, 13, 25]:
-        p, k = prime_power_decomposition(q)
+    for p, k in [(7, 1), (3, 2), (13, 1), (5, 2)] + _EXTREMES:
         f = make_field(p, k)
+        q = f.q
         assert sorted(f.exp) == list(range(1, q))
         assert f.exp[0] == 1 and f.mul(f.exp[q - 2], f.exp[1]) == 1
-        g = _poly_trim(list(f.digits[f.exp[1]]))
+        g = _poly(f, f.exp[1])
         for r in factor_into_primes(q - 1):
-            assert _poly_powmod(g, (q - 1) // r, list(f.modulus), p) != [1]
+            assert _powmod(g, (q - 1) // r, list(f.modulus), p) != [1]
 
 
-@pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3)] + _EXTREMES)
 def test_table_mul_matches_polynomial_product(p, k):
+    # every pair in the small fields, 300 sampled pairs in the extremes
     f = make_field(p, k)
-    a, b = np.meshgrid(np.arange(f.q), np.arange(f.q), indexing="ij")
+    if f.q <= 27:
+        a, b = (m.ravel() for m in np.meshgrid(np.arange(f.q), np.arange(f.q), indexing="ij"))
+    else:
+        a, b = np.random.default_rng(0).integers(0, f.q, size=(2, 300))
     table = f.mul(a, b)
-    for x in range(f.q):
-        for y in range(f.q):
-            prod = _poly_mulmod(_poly_trim(list(f.digits[x])), _poly_trim(list(f.digits[y])),
-                                list(f.modulus), p)
-            assert table[x, y] == sum(c * p**i for i, c in enumerate(prod))
+    for x, y, got in zip(a, b, table):
+        assert got == _index(_mulmod(_poly(f, x), _poly(f, y), list(f.modulus), p), p)
+
+
+def test_field_tables_match_pinned_digest():
+    # modulus, exp and log of every prime power q < 4096, then of GF(q^2)
+    # for each odd prime power q <= 81: any change to the modulus search,
+    # the generator search or the table build moves this digest
+    fields = [prime_power_decomposition(q) for q in range(2, 4096)]
+    fields += [(pk[0], 2 * pk[1]) for pk in map(prime_power_decomposition, range(3, 82, 2)) if pk]
+    digest = hashlib.sha256()
+    count = 0
+    for p, k in filter(None, fields):
+        f = make_field(p, k)
+        for table in (f.modulus, f.exp, f.log):
+            digest.update(np.asarray(table, dtype=np.int64).tobytes())
+        count += 1
+    assert count == 629
+    assert digest.hexdigest() == "00256476abe1cfc7e5bb0f452ee0e3d5b79e6d27dec0dbaa66ddb3388474e36c"
 
 
 def _form_by_polynomials(system, x, y):
@@ -152,12 +231,11 @@ def _form_by_polynomials(system, x, y):
     with polynomial arithmetic; returns the element index."""
     ext, q = system.ext, system.q
     f, p = list(ext.modulus), ext.p
-    zeta = _poly_trim(list(ext.digits[ext.exp[1]]))
-    tx, ty = _poly_powmod(zeta, x, f, p), _poly_powmod(zeta, y, f, p)
-    diff = _poly_sub(_poly_mulmod(tx, _poly_powmod(ty, q, f, p), f, p),
-                     _poly_mulmod(ty, _poly_powmod(tx, q, f, p), f, p), p)
-    val = _poly_mulmod(_poly_powmod(zeta, (q + 1) // 2, f, p), diff, f, p)
-    return sum(c * p**i for i, c in enumerate(val))
+    zeta = _poly(ext, ext.exp[1])
+    tx, ty = _powmod(zeta, x, f, p), _powmod(zeta, y, f, p)
+    diff = _sub(_mulmod(tx, _powmod(ty, q, f, p), f, p),
+                _mulmod(ty, _powmod(tx, q, f, p), f, p), p)
+    return _index(_mulmod(_powmod(zeta, (q + 1) // 2, f, p), diff, f, p), p)
 
 
 @pytest.mark.parametrize("variant", ["halfturn", "fullturn"])
