@@ -154,7 +154,7 @@ def _doc_field(obj, key, kind, default=None):
         ) from exc
 
 
-def _build_construction(family, q, v, m, epsilon):
+def _build_construction(family, q, m, epsilon):
     """Returns (payload_without_manifest, report)."""
     from . import constructions as cons
     from . import harmonic
@@ -176,13 +176,11 @@ def _build_construction(family, q, v, m, epsilon):
         witness = witness_to_obj(wit.sigma, wit.c, m=len(cycles[0]), t=len(cycles))
         params = {"q": int(q)}
     elif family == "double-paley":
-        order = q if q is not None else v
-        _require(order is not None, "--q or --v is required for double-paley")
+        _require(q is not None, "--q is required for double-paley")
         eps = 1 if epsilon is None else epsilon
-        order = int(order)
-        d = order
-        if order % 4 == 1:
-            graph = cons.paley_graph(order)
+        d = int(q)
+        if d % 4 == 1:
+            graph = cons.paley_graph(d)
             built = cons.synthesize_doubled_frame(graph, eps)
             sig = cons.double_conference_graph(graph, eps)
             gram = gram_of_signature(sig, d)
@@ -191,8 +189,8 @@ def _build_construction(family, q, v, m, epsilon):
                 frame = assemble_2circulant(built)
             else:
                 frame = built
-        elif order % 4 == 3:
-            sig = cons.double_renes_strohmer_signature(order, eps)
+        elif d % 4 == 3:
+            sig = cons.double_renes_strohmer_signature(d, eps)
             gram = gram_of_signature(sig, d)
             frame = frame_from_gram(gram, d)
         else:
@@ -247,9 +245,7 @@ def _build_construction(family, q, v, m, epsilon):
 
 def cmd_construct(args, argv):
     run = Run(argv)
-    payload, report = _build_construction(
-        args.family, args.q, args.v, args.m, args.epsilon
-    )
+    payload, report = _build_construction(args.family, args.q, args.m, args.epsilon)
     run.write(args.out, payload, _report_line(report))
     return EXIT_OK
 
@@ -541,7 +537,6 @@ def build_parser():
     p = sub.add_parser("construct", help="build a named frame family and write its bundle")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--q", type=int)
-    p.add_argument("--v", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--epsilon", type=int, choices=(-1, 1))
     p.add_argument("--out", required=True)

@@ -3,10 +3,10 @@
 An element of GF(p^k) is an int n in 0..q-1.  Its base-p digits are the
 little-endian coefficients of a polynomial residue modulo the
 lexicographically least monic irreducible of degree k, so n counts the
-field in coefficient-lex order.  make_field returns the field as three
-tables: digits[n] (those coefficients), exp[e] = g^e for the first
-generator g in coefficient-lex order, and log, the inverse of exp.
-Addition and subtraction act digit-wise mod p, multiplication adds logs
+field in coefficient-lex order.  make_field returns the field as two
+tables: exp[e] = g^e for the first generator g in coefficient-lex order,
+and log, the inverse of exp.  Addition and subtraction act digit-wise
+mod p on digits computed from the indices, multiplication adds logs
 mod q-1, and the quadratic character is the parity of log.  The tables
 are built in exact integer arithmetic modulo the modulus f, written once
 as k x k matrices of multiplication by an element (Lidl and Niederreiter,
@@ -146,7 +146,7 @@ def _first_generator(f, p, q):
 
 
 class GaloisField:
-    """GF(p^k) as digit, exp and log tables over element indices 0..q-1.
+    """GF(p^k) as exp and log tables over element indices 0..q-1.
 
     Arithmetic takes ints or integer arrays of element indices and
     broadcasts.  log[0] is -1: zero has no logarithm.
@@ -158,7 +158,6 @@ class GaloisField:
         self.q = q = p**k
         self.modulus = f = tuple(modulus)
         self.weights = p ** np.arange(k, dtype=np.int64)
-        self.digits = _digits(np.arange(q), p, k)
         # exp by doubling: powers g^(m..2m-1) are powers g^(0..m-1) times h = g^m
         powers = np.zeros((q - 1, k), dtype=np.int64)
         powers[0, 0] = 1
@@ -178,10 +177,10 @@ class GaloisField:
         return "GaloisField(p=%d, k=%d)" % (self.p, self.k)
 
     def add(self, a, b):
-        return (self.digits[a] + self.digits[b]) % self.p @ self.weights
+        return (_digits(a, self.p, self.k) + _digits(b, self.p, self.k)) % self.p @ self.weights
 
     def sub(self, a, b):
-        return (self.digits[a] - self.digits[b]) % self.p @ self.weights
+        return (_digits(a, self.p, self.k) - _digits(b, self.p, self.k)) % self.p @ self.weights
 
     def mul(self, a, b):
         a, b = np.asarray(a), np.asarray(b)

@@ -1,73 +1,38 @@
 """JSON emission and parsing helpers.
 
-All floats are written as decimal literals with 17 significant digits so
-that binary64 values survive a write/read round trip bit for bit.
+Documents are written with the standard json module, which spells each
+float as its repr: the shortest decimal text that reads back to the same
+binary64, so every value survives a write/read round trip bit for bit.
 """
 
 import hashlib
 import json
-import math
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
 
-def format_float(x):
-    """Decimal text for a finite binary64 with 17 significant digits."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise InvalidArgumentError("cannot serialize non-finite float %r" % x)
-    return format(x, ".17g")  # "1" and "1e+100" are valid JSON numbers too
+def _numpy_scalar(obj):
+    """json's fallback: a numpy integer or float as the Python number it holds."""
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError("cannot serialize %r" % type(obj))
 
 
 def dumps(obj, indent=None):
-    """Serialize to JSON text, routing floats through format_float."""
-    out = []
-    _emit(obj, out, indent, 0)
-    return "".join(out)
+    """Serialize to JSON text; NaN, infinities and unknown types are refused.
 
-
-def _emit(obj, out, indent, level):
-    if isinstance(obj, dict):
-        _emit_container(obj.items(), out, indent, level, "{", "}", True)
-    elif isinstance(obj, (list, tuple)):
-        _emit_container(obj, out, indent, level, "[", "]", False)
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    else:
-        raise InvalidArgumentError("cannot serialize %r" % type(obj))
-
-
-def _emit_container(items, out, indent, level, open_ch, close_ch, is_map):
-    items = list(items)
-    if not items:
-        out.append(open_ch + close_ch)
-        return
-    if indent is None:
-        pre, joiner, post = "", ",", ""
-    else:
-        pad = " " * (indent * (level + 1))
-        pre, joiner, post = "\n" + pad, ",\n" + pad, "\n" + " " * (indent * level)
-    out.append(open_ch + pre)
-    for i, item in enumerate(items):
-        if i:
-            out.append(joiner)
-        if is_map:
-            key, value = item
-            if not isinstance(key, str):
-                raise InvalidArgumentError("JSON object keys must be strings")
-            out.append(json.dumps(key) + (": " if indent else ":"))
-            _emit(value, out, indent, level + 1)
-        else:
-            _emit(item, out, indent, level + 1)
-    out.append(post + close_ch)
+    Nesting past the recursion limit raises RecursionError, as json does.
+    """
+    separators = (",", ":") if indent is None else (",", ": ")
+    try:
+        return json.dumps(obj, indent=indent, separators=separators,
+                          allow_nan=False, default=_numpy_scalar)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError("cannot serialize: %s" % exc) from exc
 
 
 def sha256_text(text):
@@ -82,15 +47,9 @@ def write_json(path, obj, indent=2):
     return sha256_text(text)
 
 
-def _json_int(text):
-    """A JSON integer, except "-0": only format_float writes it, for -0.0,
-    so it reads back as -0.0 and the float survives the round trip."""
-    return -0.0 if text == "-0" else int(text)
-
-
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_int=_json_int)
+        return json.load(fh)
 
 
 def _real_grid(arr):

@@ -25,7 +25,6 @@ which is where a run from that start alone stops.  Every Gram is bit for
 bit the one-start result, alternating_projections_gram.
 """
 
-import csv
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -325,7 +324,7 @@ class D4Report:
     records: tuple
 
 
-def d4_uniqueness_experiment(trials=1000, iterations=2000, seed=0, csv_path=None):
+def d4_uniqueness_experiment(trials=1000, iterations=2000, seed=0):
     """Alternating projections at d=4, n=8 from random starts.
 
     Every run's signature is switched so the first row and column become
@@ -354,12 +353,6 @@ def d4_uniqueness_experiment(trials=1000, iterations=2000, seed=0, csv_path=None
         np.fill_diagonal(im_r, 0)
         ok = gaussian_signature_defect(re_r, im_r) is None
         records.append(D4Record(trial=trial, max_abs_re=max_abs_re, rounding_ok=ok))
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "max_abs_re", "rounding_ok"])
-            for rec in records:
-                writer.writerow([rec.trial, "%.17g" % rec.max_abs_re, rec.rounding_ok])
     worst = max((rec.max_abs_re for rec in records), default=0.0)
     all_ok = all(rec.rounding_ok for rec in records)
     return D4Report(

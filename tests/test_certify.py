@@ -333,7 +333,7 @@ CERTIFICATE_KEYS = [
 ]
 # sha256 of dumps(certify_exact(*family_signature("paley_plus", 7)).to_obj()),
 # key order included (PINNED_CERTIFY_OUTPUTS sorts the keys)
-EXACT_D4_CERTIFICATE = "aafe4c42c37214377bdaa28d10c7606b59beaad5dd732e0cf9744e77557bd2b1"
+EXACT_D4_CERTIFICATE = "c328ca1f60e0961e16e5d7b643e88f629239edfc9ac01e495db1b7ba8e66d85b"
 
 
 def test_certificate_json_keeps_its_key_order():

@@ -54,7 +54,7 @@ def _powmod(a, e, f, p):
 
 def _poly(field, n):
     """Element n of the field as a trimmed coefficient list."""
-    return _trim(field.digits[n].tolist())
+    return _trim(galois._digits(n, field.p, field.k).tolist())
 
 
 def _index(poly, p):
@@ -129,7 +129,7 @@ def test_extension_field_fermat():
     f = make_field(5, 2)
     assert f.q == 25
     assert sorted(f.exp) == list(range(1, 25))
-    assert np.array_equal(f.digits @ f.weights, np.arange(25))
+    assert np.array_equal(galois._digits(np.arange(25), 5, 2) @ f.weights, np.arange(25))
     for n in range(25):
         x = _poly(f, n)
         assert _powmod(x, 25, list(f.modulus), 5) == x

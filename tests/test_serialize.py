@@ -9,7 +9,6 @@ import pytest
 from etfforge.errors import InvalidArgumentError
 from etfforge.serialize import (
     dumps,
-    format_float,
     matrix_from_obj,
     matrix_to_obj,
     pair_from_obj,
@@ -26,11 +25,12 @@ def _bits(x):
     return struct.pack("<d", float(x))
 
 
-def test_format_float_round_trips_bitwise():
+def test_write_json_round_trips_floats_bitwise(tmp_path):
     samples = [
         0.0,
         -0.0,
         1.0,
+        1e16,
         1.0 / 3.0,
         0.1 + 0.2,
         math.pi,
@@ -40,16 +40,19 @@ def test_format_float_round_trips_bitwise():
         -1.2345678901234567e-5,
     ]
     rng = np.random.default_rng(7)
-    samples += list(rng.standard_normal(200))
-    samples += list(rng.standard_normal(50) * 1e12)
-    for x in samples:
-        assert _bits(float(format_float(x))) == _bits(x)
+    samples += [float(x) for x in rng.standard_normal(200)]
+    samples += [float(x) for x in rng.standard_normal(50) * 1e12]
+    path = tmp_path / "floats.json"
+    write_json(str(path), {"v": samples})
+    back = read_json(str(path))["v"]
+    assert [type(x) for x in back] == [float] * len(samples)
+    assert [_bits(x) for x in back] == [_bits(x) for x in samples]
 
 
-def test_format_float_rejects_non_finite():
-    for bad in [float("inf"), float("-inf"), float("nan")]:
+def test_dumps_rejects_non_finite():
+    for bad in [float("inf"), float("-inf"), float("nan"), np.float64("nan")]:
         with pytest.raises(InvalidArgumentError):
-            format_float(bad)
+            dumps({"v": [bad]})
 
 
 def test_dumps_is_valid_json_and_stable():
@@ -64,15 +67,13 @@ def test_dumps_is_valid_json_and_stable():
 
 
 def test_dumps_handles_numpy_scalars():
-    text = dumps({"i": np.int64(3), "f": np.float64(0.25)})
-    assert json.loads(text) == {"i": 3, "f": 0.25}
+    text = dumps({"i": np.int64(3), "f": np.float64(0.25), "g": np.float32(0.5)})
+    assert text == '{"i":3,"f":0.25,"g":0.5}'
 
 
 def test_dumps_rejects_unserializable():
     with pytest.raises(InvalidArgumentError):
         dumps({"x": object()})
-    with pytest.raises(InvalidArgumentError):
-        dumps({1: "non-string key"})
 
 
 def test_sha256_text_known_value():
@@ -91,12 +92,12 @@ def test_write_json_digest_matches_file(tmp_path):
 
 
 def test_read_json_keeps_negative_zero(tmp_path):
-    # format_float writes -0.0 as "-0", which json alone reads as the int 0
+    # floats are written as repr, so -0.0 and integral floats stay floats
     path = tmp_path / "zeros.json"
     write_json(str(path), {"v": [-0.0, 0.0, 0, -1.0, 3]})
     back = read_json(str(path))
     assert [_bits(x) for x in back["v"]] == [_bits(x) for x in (-0.0, 0.0, 0, -1.0, 3)]
-    assert [type(x) for x in back["v"]] == [float, int, int, int, int]
+    assert [type(x) for x in back["v"]] == [float, float, int, float, int]
     assert dumps(back) == dumps({"v": [-0.0, 0.0, 0, -1.0, 3]})
 
 

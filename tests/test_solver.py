@@ -1,4 +1,3 @@
-import csv
 import hashlib
 import math
 
@@ -269,15 +268,3 @@ def test_d4_experiment_short_run_rounds():
     assert rep.worst_re < 0.1
     assert rep.all_rounded
 
-
-def test_d4_experiment_csv_format(tmp_path):
-    path = tmp_path / "d4.csv"
-    rep = d4_uniqueness_experiment(trials=2, iterations=50, seed=1, csv_path=str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["trial", "max_abs_re", "rounding_ok"]
-    assert len(rows) == 3
-    for line, rec in zip(rows[1:], rep.records):
-        assert int(line[0]) == rec.trial
-        assert float(line[1]) == rec.max_abs_re
-        assert line[2] == str(rec.rounding_ok)
