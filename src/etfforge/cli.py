@@ -5,7 +5,7 @@ Every command that writes files embeds a run manifest (command line,
 seeds, tool version, input/output digests, wall time).  The manifest
 digest covers everything except the wall time, so identical flags and
 seeds reproduce identical digests on a fixed BLAS build and thread count
-(from d = 30 up the LM solve's bits depend on the thread count).
+(from d = 39 up the LM solve's bits depend on the thread count).
 
 Exit codes: 0 success, 1 semantic failure (check/detection/certification
 negative), 2 invalid parameters or unreadable input, 3 construction or

@@ -561,12 +561,12 @@ def test_certify_verifies_large_dimensions(d):
 # the CertificationError reason and detail.  It was pinned while
 # secant_jacobian still evaluated every lag and column, so it shows that
 # skipping S's structural zeros moved no certificate.
-PINNED_CERTIFICATES = "255f7fa38d9477fbde01ebefcd20253ad51f4506580d6352948bbb364d7f2a3f"
+PINNED_CERTIFICATES = "71c85131dde301ccd4252403c173840f7fa4d3b64a302896cf07c9284b82caf6"
 # sha256 of the secant_jacobian endpoint bytes at d = 3, 8 and 30 and of
 # f_eval_interval boxes, with u, v and c enclosed by one midpoint-radius
 # product (rigor.iv_matmul) and S's structural zeros exact points; any
 # change to how an endpoint is rounded moves it.
-PINNED_SECANT_AND_BOXES = "174cd40dd3f65799ae7c4f7ea1bb8656aff7631195bad9c8f248547761e50055"
+PINNED_SECANT_AND_BOXES = "1180e2329d102fa5baa529c5c6d12fceb3c82c6d67d84d8ad134d24889c79793"
 
 
 def _certify_outputs_digests():
@@ -592,9 +592,11 @@ def _certify_outputs_digests():
 
 
 def test_certify_outputs_match_pinned_digest():
-    # The pins were taken with BLAS on two threads, and solve(30) returns
-    # other bits on one (its dense LM step), so the digests are computed in
-    # a fresh interpreter on two threads, whatever this one runs with.
+    # The pins were taken with BLAS on two threads.  They read the same on
+    # one, since solve's bits move with the thread count only from d = 39
+    # (test_sweep_manifest_is_the_same_on_one_and_two_blas_threads), but
+    # the digests are still computed in a fresh interpreter on two threads,
+    # whatever this one runs with.
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(etfforge.__file__)))
     path = [src_dir, tests_dir, os.environ.get("PYTHONPATH", "")]

@@ -227,7 +227,7 @@ def test_sweep_with_d4_reports_partial(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_verdicts_agree_on_one_and_two_blas_threads(tmp_path):
-    # at d >= 30 the LM solve's bits depend on the BLAS thread count, so
+    # at d >= 39 the LM solve's bits depend on the BLAS thread count, so
     # digests are only reproducible at a fixed count; the verdicts are not
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(etfforge.__file__)))
     path = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH", "")) if p)
@@ -248,7 +248,32 @@ def test_sweep_verdicts_agree_on_one_and_two_blas_threads(tmp_path):
     assert rows["1"] == rows["2"]
 
 
-README_SWEEP_MANIFEST = "51353219a2d85bb2"
+def test_sweep_manifest_is_the_same_on_one_and_two_blas_threads(tmp_path):
+    # below d = 39 the LM solve's bits do not move with the BLAS thread
+    # count, so sweep --d 2..30 writes the same digests on 1 and 2
+    # threads.  That was measured with the OpenBLAS 0.3.31 build numpy
+    # 2.4 ships; a BLAS that splits smaller products over threads may
+    # move bits at a smaller d.  The manifest hashes the --out-dir
+    # string, so each run writes "out" in a working directory of its own.
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(etfforge.__file__)))
+    path = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH", "")) if p)
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env.pop("ETFFORGE_THREADS", None)
+        cwd = tmp_path / ("threads%s" % threads)
+        cwd.mkdir()
+        run = subprocess.run(
+            [sys.executable, "-m", "etfforge.cli", "sweep", "--d", "2..30",
+             "--jobs", "1", "--out-dir", "out"],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stdout + run.stderr
+        digests[threads] = read_json(cwd / "out" / "summary.json")["manifest"]["digest"]
+    assert digests["1"] == digests["2"]
+
+
+README_SWEEP_MANIFEST = "37f4db38dd56c48b"
 
 
 def test_readme_sweep_example_prints_its_manifest(tmp_path):

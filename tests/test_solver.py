@@ -12,15 +12,18 @@ from etfforge.frames import (
     check_etf,
 )
 from etfforge.solver import (
+    _lm_step,
     alternating_projections_gram,
     alternating_projections_grams,
     analytic_jacobian,
     correlations,
     D4Report,
     d4_uniqueness_experiment,
+    pack,
     residual,
     residual_count,
     solve,
+    unpack,
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -150,6 +153,93 @@ def test_float_residual_system_matches_pinned_digest():
     assert jac.hexdigest() == (
         "7572145ec9e7c8522b1412ce8c51bad712e7af9bd3ba712459006151ffa3d3b9"
     )
+
+
+def test_residual_and_jacobian_take_shared_correlations():
+    # solve passes each accepted point's correlations on; the bytes are
+    # those of evaluating them again
+    for d in (2, 3, 8, 17):
+        rng = np.random.default_rng(50 + d)
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        y = rng.normal(size=d) + 1j * rng.normal(size=d)
+        pair, w = CirculantPair(d, x / 2, y / 2), rng.uniform(0.25, 0.75)
+        uvc = correlations(pair.x, pair.y)
+        assert residual(pair, w, uvc).tobytes() == residual(pair, w).tobytes()
+        assert analytic_jacobian(pair, w, uvc).tobytes() == analytic_jacobian(pair, w).tobytes()
+
+
+def _svd_step(jac, r, lam):
+    """(step, s): the damped step -V diag(s / (s^2 + lam)) U^T r from the
+    SVD of jac, and its singular values.  Rows 0 + 1 - 2 of jac are
+    exactly zero, so its last singular value is exactly zero; the
+    rounding the SVD returns in its place is dropped."""
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    gain = s / (s * s + lam)
+    gain[-1] = 0.0
+    return -vt.T @ (gain * (u.T @ r)), s
+
+
+@pytest.mark.parametrize("d", list(range(2, 31)))
+def test_row_space_step_matches_svd_step(d):
+    rng = np.random.default_rng(700 + d)
+    points = []
+    for _ in range(2):
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        y = rng.normal(size=d) + 1j * rng.normal(size=d)
+        points.append(CirculantPair(d, x / np.linalg.norm(x), y / np.linalg.norm(y)))
+    points.append(solve(d, 0).pair)
+    for k, pair in enumerate(points):
+        jac = analytic_jacobian(pair, 0.5)[:, :4 * d]
+        r = residual(pair, 0.5)
+        assert not np.any(jac[0] + jac[1] - jac[2])
+        for lam in (1e-3, 1e-8, 1e-14):
+            ref, s = _svd_step(jac, r, lam)
+            step = _lm_step(jac, jac @ jac.T, r, lam)
+            tol = 1e-10
+            if d == 4 and k == 2:
+                # solve(4, 0) is a singular zero: J's second-smallest
+                # singular value is about 2e-6, and a step through J J^T
+                # loses digits in proportion to that system's condition
+                # number, as any normal-equations step does
+                assert s[-2] < 1e-5
+                tol = 16 * np.finfo(float).eps * (s[0] ** 2 + lam) / (s[-2] ** 2 + lam)
+            assert np.linalg.norm(step - ref) <= tol * np.linalg.norm(ref)
+
+
+def _column_space_solve(d, seed, tol=1e-12, max_iter=500):
+    """(iterations, converged) of solve's loop with each damped step from
+    the 4d x 4d system (J^T J + lam I) step = -J^T r, the column-space
+    form of solve's row-space step.  Kept as the oracle for solve's path."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=d) + 1j * rng.normal(size=d)
+    y = rng.normal(size=d) + 1j * rng.normal(size=d)
+    vec = pack(CirculantPair(d, x / np.linalg.norm(x), y / np.linalg.norm(y)), 0.5)
+    n_var = 4 * d
+    r = residual(unpack(vec, d)[0], 0.5)
+    cost, lam = float(r @ r), 1e-3
+    for iterations in range(1, max_iter + 1):
+        if np.max(np.abs(r)) <= tol:
+            return iterations - 1, True
+        jac = analytic_jacobian(unpack(vec, d)[0], 0.5)[:, :n_var]
+        for _ in range(60):
+            trial = vec.copy()
+            trial[:n_var] += np.linalg.solve(jac.T @ jac + lam * np.eye(n_var), -jac.T @ r)
+            trial_r = residual(unpack(trial, d)[0], 0.5)
+            if float(trial_r @ trial_r) < cost:
+                vec, r, cost = trial, trial_r, float(trial_r @ trial_r)
+                lam = max(lam / 2.0, 1e-14)
+                break
+            lam *= 2.0
+        else:
+            return iterations, False
+    return max_iter, bool(np.max(np.abs(r)) <= tol)
+
+
+@pytest.mark.parametrize("d", list(range(2, 21)))
+def test_solve_follows_the_column_space_path(d):
+    for seed in range(3):
+        result = solve(d, seed)
+        assert (result.iterations, result.converged) == _column_space_solve(d, seed)
 
 
 @pytest.mark.parametrize("d", list(range(2, 21)))
