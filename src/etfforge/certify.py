@@ -24,10 +24,14 @@ enclosed from its closed form as an interval slope (see
 secant_jacobian) on only the blocks and lags that can be nonzero; the
 rest (u against y, v against x) are exact point zeros.  So S costs
 O(d^2) and its entries are a few ulps wide.  T is pseudoinverse's right
-inverse of S's midpoint, from one numpy QR whose R diagonal also decides
-the rank.  Both sums of products, S T and the correlations behind u, v
-and c (_correlations_interval), are midpoint-radius products on BLAS
-(rigor.iv_matmul).  certify encloses u, v and c at x0 once and shares
+inverse of S's midpoint, Q R^-T from one numpy QR whose R diagonal also
+decides the rank, with R^-1 a blocked triangular inverse
+(_upper_inverse).  Both sums of products, S T and the correlations
+behind u, v and c (_correlations_interval), are midpoint-radius products
+on BLAS (rigor.iv_matmul).  S T is formed once, in right_inverse: its
+enclosure bounds A, and its midpoint is the residual that refuses a T
+missing I by more than 1e-8 (reason "rank").  B_T is one pass over |T|
+(rigor.norm_inf_upper).  certify encloses u, v and c at x0 once and shares
 that enclosure between S and the residual bound C0.  epsilon_search
 tests every candidate eps at once, on the same array kernels.  The
 residual row layout is solver's (solver.row_spec): f_eval_interval
@@ -60,6 +64,7 @@ from .rigor import (
     IntervalMatrix,
     iv_matmul,
     iv_norm_inf,
+    norm_inf_upper,
     vadd,
     vdiv,
     vmul,
@@ -69,7 +74,7 @@ from .rigor import (
 )
 # certify calls none of these; perfbench/spans.py counts them on this module
 from .rigor import iv_add, iv_div, iv_mul, iv_sub  # noqa: F401
-from .solver import _row_index, gather_rows, pack, residual_count, row_spec
+from .solver import _row_index, gather_rows, pack, require_sizable, residual_count, row_spec
 
 
 def _correlations_interval(lo, hi, d):
@@ -248,19 +253,20 @@ def _secant_rows(parts, steps, u, c):
 
 
 _RANK_RTOL = 1e-8
+# orders below this are inverted by np.linalg.inv (see _upper_inverse)
+_UPPER_INVERSE_BASE = 64
 
 
 def pseudoinverse(a):
-    """Right inverse T (A @ T = I) of a wide n x m real matrix from one
-    QR, A^T = Q R, whose diagonal also decides the rank.  Each |R_ii| is
-    an eigenvalue of the triangular R, so at least sigma_min (R and A
-    share singular values), and at most the norm of R's column i, so at
-    most sigma_max; the guard min |R_ii| <= _RANK_RTOL max |R_ii| thus
-    refuses no matrix whose singular value ratio exceeds _RANK_RTOL.
-    Raises RankDeficiencyError, carrying min |R_ii|, then or when A @ T
-    misses I by more than 1e-8.  That residual test is absolute, so near
-    the threshold it can still refuse a matrix the R guard passed (a
-    ratio of 1.1e-8 can leave 1.2e-8).
+    """Right inverse T (A @ T = I up to rounding) of a wide n x m real
+    matrix and min |R_ii|, from one QR, A^T = Q R, whose diagonal also
+    decides the rank.  Each |R_ii| is an eigenvalue of the triangular R,
+    so at least sigma_min (R and A share singular values), and at most
+    the norm of R's column i, so at most sigma_max; the guard
+    min |R_ii| <= _RANK_RTOL max |R_ii| thus refuses no matrix whose
+    singular value ratio exceeds _RANK_RTOL.  Raises RankDeficiencyError,
+    carrying min |R_ii|, then.  How far A @ T misses I is not checked
+    here: right_inverse reads it off the product that certify forms anyway.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
@@ -279,16 +285,47 @@ def pseudoinverse(a):
             "matrix is rank deficient (min |R_ii| %.3e, max |R_ii| %.3e)" % (r_min, r_max),
             smallest_sv=r_min,
         )
-    # R is upper triangular with a nonzero diagonal, so the partial
-    # pivoting of inv swaps no rows.
-    t = q @ np.linalg.inv(r).T
-    residual = float(np.max(np.abs(a @ t - np.eye(n))))
-    if residual > 1e-8:
+    return q @ _upper_inverse(r).T, r_min
+
+
+def _upper_inverse(r):
+    """R^-1 of an upper triangular R with a nonzero diagonal, by blocks:
+    R = [[R11, R12], [0, R22]] has R^-1 = [[X11, -X11 R12 X22], [0, X22]]
+    with X11 = R11^-1 and X22 = R22^-1 inverted the same way, about
+    2 n^3 / 3 flops in dense products where LU inversion takes 2 n^3.
+    Below _UPPER_INVERSE_BASE it is np.linalg.inv, whose partial pivoting
+    swaps no rows of a triangular matrix with a nonzero diagonal."""
+    n = r.shape[0]
+    if n < _UPPER_INVERSE_BASE:
+        return np.linalg.inv(r)
+    h = n // 2
+    out = np.zeros_like(r)
+    out[:h, :h] = x11 = _upper_inverse(r[:h, :h])
+    out[h:, h:] = x22 = _upper_inverse(r[h:, h:])
+    out[:h, h:] = -x11 @ (r[:h, h:] @ x22)
+    return out
+
+
+def right_inverse(s):
+    """T = pseudoinverse(S_mid) for an interval matrix S, and the
+    enclosure of S T - I from the one product iv_matmul(S, T).  Raises
+    RankDeficiencyError, carrying pseudoinverse's min |R_ii|, when
+    pseudoinverse does or when the enclosure's midpoint, S_mid T - I to
+    within the rounding of the product, has an entry of modulus above
+    1e-8 (or NaN).  That test is absolute, so near the rank threshold it
+    can still refuse a matrix the R guard passed (a singular value ratio
+    of 1.1e-8 can leave 1.2e-8)."""
+    t, r_min = pseudoinverse(s.mid())
+    st = iv_matmul(s, t)
+    eye = np.eye(st.shape[0])
+    defect = IntervalMatrix(*vsub(st.lo, st.hi, eye, eye))
+    residual = float(np.max(np.abs(defect.mid())))
+    if not residual <= 1e-8:
         raise RankDeficiencyError(
             "right inverse residual %.3e exceeds 1e-8 (min |R_ii| %.3e)" % (residual, r_min),
             smallest_sv=r_min,
         )
-    return t
+    return t, defect
 
 
 METHOD_NK = "newton-kantorovich"
@@ -392,17 +429,15 @@ def certify(pair, delta=1e-10, w=0.5, seed=-1):
             "infeasible", "delta %.3e is too small to move x0: %s" % (delta, exc)
         ) from exc
     try:
-        t = pseudoinverse(s_mat.mid())
+        t, defect = right_inverse(s_mat)
     except RankDeficiencyError as exc:
         raise CertificationError(
             "rank",
             "secant Jacobian midpoint is numerically rank deficient: %s" % exc,
             detail=exc.smallest_sv,
         ) from exc
-    st = iv_matmul(s_mat, t)
-    eye = np.eye(st.shape[0])
-    a_bound = iv_norm_inf(IntervalMatrix(*vsub(st.lo, st.hi, eye, eye))).hi
-    bt = iv_norm_inf(IntervalMatrix.from_point(t)).hi
+    a_bound = iv_norm_inf(defect).hi
+    bt = norm_inf_upper(t)
     f0_lo, f0_hi = _residual_rows(uvc, x0[4 * d], x0[4 * d])
     c0 = float(np.max(np.maximum(np.abs(f0_lo), np.abs(f0_hi))))
     f_abs = float(16 * d * d)
@@ -584,6 +619,7 @@ def certify_range(d_lo, d_hi, seeds=(0, 1, 2, 3, 4), delta=1e-10, jobs=1,
         raise InvalidArgumentError("certification starts at d = 2")
     if d_hi < d_lo:
         return []
+    require_sizable(d_hi)
     work = [(d, tuple(seeds), delta, tol, max_iter) for d in range(d_lo, d_hi + 1)]
     # the pool starts all its workers at the first submit
     jobs = min(int(jobs), len(work))

@@ -12,7 +12,8 @@ class InvalidArgumentError(ToolkitError, ValueError):
 class RankDeficiencyError(ToolkitError):
     """A matrix required to have full rank does not.
 
-    Carries smallest_sv: in pseudoinverse, min |R_ii| of its QR (>= sigma_min).
+    Carries smallest_sv: min |R_ii| of pseudoinverse's QR (>= sigma_min),
+    also when right_inverse refuses the T built from it.
     """
 
     def __init__(self, message, smallest_sv):

@@ -40,6 +40,13 @@ at most k such errors grows by less than a factor 2 through the later
 roundings.
 Additions alone are exact in the subnormal range, so a sum of m terms
 needs only gamma_(m-1).
+
+One rule keeps subnormal operands out of iv_matmul's radius products
+without changing the FPU mode: where an entry of the left factor is an
+exact point zero (midpoint M = 0 and radius R = 0), R + g |M| and R + |M|
+are exactly 0, so 0 is stored there, not the nudged _up(_up(0)) = 2 eta.
+Every other entry keeps its outward nudges, so a subnormal operand that
+stands for a nonzero bound is never lowered.
 """
 
 import functools
@@ -229,7 +236,9 @@ def iv_norm_inf(a):
     norm of every point matrix contained in `a`.  Each row of |a| is summed
     once by np.sum; a sum s of m nonnegative terms computed in any order
     satisfies |fl(s) - s| <= gamma_(m-1) s, so the exact row sum lies in
-    [fl(s) (1 - g), fl(s) (1 + 2 g)] for any g >= gamma_m <= 1/2.
+    [fl(s) (1 - g), fl(s) (1 + 2 g)] for any g >= gamma_m <= 1/2.  The
+    nudged products are nondecreasing in fl(s) (each rounding is), so the
+    bound of the largest row sum is the largest row bound, bit for bit.
     """
     if not isinstance(a, IntervalMatrix):
         raise InvalidArgumentError("iv_norm_inf expects an IntervalMatrix")
@@ -237,11 +246,19 @@ def iv_norm_inf(a):
     if n == 0 or m == 0:
         return Interval(0.0)
     abs_lo, abs_hi = vabs(a.lo, a.hi)
-    g = _gamma(m)
-    row_lo = _down(np.sum(abs_lo, axis=1) * _down(1.0 - g))
-    row_hi = _up(np.sum(abs_hi, axis=1) * _up(1.0 + 2.0 * g))
-    # max of intervals: both endpoints are componentwise maxima, exactly.
-    return Interval(float(np.max(row_lo)), float(np.max(row_hi)))
+    lo = _down(np.max(np.sum(abs_lo, axis=1)) * _down(1.0 - _gamma(m)))
+    return Interval(float(lo), norm_inf_upper(abs_hi))
+
+
+def norm_inf_upper(a):
+    """iv_norm_inf(IntervalMatrix.from_point(a)).hi for a float matrix a,
+    bit for bit, from one pass over |a|: a certified upper bound on
+    ||a||_inf.  a is not validated; a NaN entry gives NaN, which no
+    comparison accepts."""
+    n, m = a.shape
+    if n == 0 or m == 0:
+        return 0.0
+    return float(_up(np.max(np.sum(np.abs(a), axis=1)) * _up(1.0 + 2.0 * _gamma(m))))
 
 
 def _mid_rad(lo, hi):
@@ -251,6 +268,14 @@ def _mid_rad(lo, hi):
     # a float difference rounds to <= 0 only when it is exactly <= 0
     radius = np.maximum(hi - mid, mid - lo)
     return mid, np.where(radius > 0.0, _up(radius), 0.0)
+
+
+def _radius_operand(mid, radius, g=None):
+    """iv_matmul's X >= R + g |M| (Y >= R + |M| when g is None) for the
+    midpoint M and radius R of its left factor, nudged upward, and 0
+    exactly where M = R = 0, since R + g |M| is exactly 0 there."""
+    term = np.abs(mid) if g is None else _up(g * np.abs(mid))
+    return np.where((mid == 0.0) & (radius == 0.0), 0.0, _up(radius + term))
 
 
 def iv_matmul(a, b):
@@ -266,7 +291,10 @@ def iv_matmul(a, b):
                   <= X |N| + Y Q + k eta,
 
     where X >= R + g |M| and Y >= R + |M| entrywise are formed with
-    outward nudges.  The nonnegative product P = fl(X @ |N|) has
+    outward nudges, except at an exact point zero of `a` (M = R = 0),
+    where both are stored as 0: there R + g |M| = R + |M| = 0 exactly.
+    So no subnormal 2 eta from nudging a zero enters the BLAS products.
+    The nonnegative product P = fl(X @ |N|) has
     |P - X |N|| <= gamma_k X |N| + k eta, so X |N| <= (P + k eta) / (1 - g),
     and likewise Y Q with P' = fl(Y @ Q); the radius
 
@@ -294,10 +322,9 @@ def iv_matmul(a, b):
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is mapped below
         mid, radius = _mid_rad(a.lo, a.hi)
         b_mid, b_rad = _mid_rad(b.lo, b.hi) if isinstance(b, IntervalMatrix) else (b, 0.0)
-        x = _up(radius + _up(g * np.abs(mid)))
-        p = _up(x @ np.abs(b_mid) + under)
+        p = _up(_radius_operand(mid, radius, g) @ np.abs(b_mid) + under)
         if np.any(b_rad):
-            p = _up(p + _up(_up(radius + np.abs(mid)) @ b_rad + under))
+            p = _up(p + _up(_radius_operand(mid, radius) @ b_rad + under))
         rad = _up(_up(p / _down(1.0 - g)) + under)
         c = mid @ b_mid
         lo, hi = _down(c - rad), _up(c + rad)

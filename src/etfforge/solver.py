@@ -57,6 +57,18 @@ def residual_count(d):
     return 2 * d + d // 2 + 1
 
 
+def require_sizable(d):
+    """Refuse a d whose dense LM Jacobian, residual_count(d) x 4d float64,
+    has more bytes than numpy can size (np.intp): at such a d no solve
+    can allocate its arrays, and numpy would fail with a ValueError of
+    its own."""
+    if residual_count(d) * 4 * d * 8 > np.iinfo(np.intp).max:
+        raise InvalidArgumentError(
+            "d = %d is too large: its %d x %d float64 Jacobian exceeds numpy's largest array"
+            % (d, residual_count(d), 4 * d)
+        )
+
+
 QUANTITIES = ("u_re", "v_re", "s_re", "s_im", "mod_u", "mod_c")
 
 
@@ -215,6 +227,7 @@ def solve(d, seed=0, tol=1e-12, max_iter=500):
     d = int(d)
     if d < 2:
         raise InvalidArgumentError("solver needs d >= 2")
+    require_sizable(d)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=d) + 1j * rng.normal(size=d)
     y = rng.normal(size=d) + 1j * rng.normal(size=d)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 import etfforge
 from etfforge import certify as certify_module
 from etfforge import cli
-from etfforge.errors import CertificationError, ConstructionError
+from etfforge.errors import CertificationError, ConstructionError, InvalidArgumentError
 from etfforge.serialize import pair_to_obj, read_json
+from etfforge.solver import require_sizable, residual_count
 
 
 def run_cli(*argv):
@@ -276,25 +278,47 @@ def test_sweep_manifest_is_the_same_on_one_and_two_blas_threads(tmp_path):
 README_SWEEP_MANIFEST = "37f4db38dd56c48b"
 
 
-def test_readme_sweep_example_prints_its_manifest(tmp_path):
-    # the README's `etfforge sweep --d 2..3 --out-dir sweep23`, run as
-    # written in a fresh interpreter on two BLAS threads (as the pinned
-    # certify digest), prints the README's lines and manifest digest
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
-        readme = fh.read().split("$ etfforge sweep --d 2..3 --out-dir sweep23\n", 1)[1]
-    documented = readme.split("\n```", 1)[0].splitlines()
-    assert documented[-1] == "2/2 verified (manifest %s)" % README_SWEEP_MANIFEST
+def _readme_cli(argv, cwd):
+    """`etfforge argv` in a fresh interpreter in cwd, on two BLAS threads
+    (as the pinned certify digest)."""
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(etfforge.__file__)))
     path = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH", "")) if p)
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="2",
                OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
     env.pop("ETFFORGE_THREADS", None)
-    run = subprocess.run(
-        [sys.executable, "-m", "etfforge.cli", "sweep", "--d", "2..3", "--out-dir", "sweep23"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    run = subprocess.run([sys.executable, "-m", "etfforge.cli", *argv],
+                         cwd=cwd, env=env, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert run.stdout.splitlines() == documented
+    return run.stdout.splitlines()
+
+
+def _readme_examples():
+    """(argv, documented stdout lines) of each `$ etfforge` line of the
+    README, in order: the lines up to the next blank line or fence."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    return [(command.split(), output.splitlines()) for command, output in
+            re.findall(r"^\$ etfforge (.*)\n((?:[^$`\n].*\n)*)", readme, re.M)]
+
+
+def test_readme_sweep_example_prints_its_manifest(tmp_path):
+    # the README's `etfforge sweep --d 2..3 --out-dir sweep23`, run as
+    # written, prints the README's lines and manifest digest
+    examples = dict((" ".join(argv), lines) for argv, lines in _readme_examples())
+    documented = examples["sweep --d 2..3 --out-dir sweep23"]
+    assert documented[-1] == "2/2 verified (manifest %s)" % README_SWEEP_MANIFEST
+    assert _readme_cli(["sweep", "--d", "2..3", "--out-dir", "sweep23"], tmp_path) == documented
+
+
+def test_readme_command_examples_print_their_lines(tmp_path):
+    # the README's construct, detect, solve and certify lines, run in order
+    # in one directory (detect reads construct's file, certify solve's),
+    # print the README's lines, manifest digests included
+    examples = [(argv, lines) for argv, lines in _readme_examples() if argv[0] != "sweep"]
+    assert [argv[0] for argv, _ in examples] == ["construct", "detect", "solve", "certify"]
+    for argv, documented in examples:
+        assert _readme_cli(argv, tmp_path) == documented
 
 
 def test_sweep_single_d_syntax(tmp_path):
@@ -655,13 +679,42 @@ def test_non_finite_witness_scalar_is_refused_before_any_arithmetic(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_solve_too_large_to_allocate_exits_2(capsys):
-    # about 8 PB of generators: the allocation is refused before anything
-    # is filled
+def test_solve_too_large_to_allocate_exits_2(capsys, monkeypatch):
+    # d = 10^15: its Jacobian has more bytes than numpy can size, so it is
+    # refused before anything is allocated
     assert run_cli("solve", "--d", 10 ** 15) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: d = 1000000000000000 is too large") and len(err.splitlines()) == 1
+    # an allocation that fails is still a one-line exit 2
+    def out_of_memory(d, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 PiB")
+
+    monkeypatch.setattr("etfforge.solver.solve", out_of_memory)
+    assert run_cli("solve", "--d", 6) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_a_d_numpy_cannot_size_is_refused_before_any_allocation(tmp_path, capsys):
+    # refused by the size bound, not by numpy's ValueError ("Maximum
+    # allowed dimension exceeded"); a sweep checks its range's hi before
+    # it lists the range
+    huge = "99999999999999999999"
+    for argv in (["solve", "--d", huge],
+                 ["sweep", "--d", "%s..%s" % (huge, huge), "--out-dir", tmp_path / "x"]):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: d = %s is too large: its 249999999999999999998 x 399999999999999999996"
+            " float64 Jacobian exceeds numpy's largest array" % huge]
+    assert not (tmp_path / "x").exists()
+    # the bound is where residual_count(d) x 4d float64 outgrows np.intp
+    largest = 339546978
+    assert residual_count(largest) * 4 * largest * 8 <= np.iinfo(np.intp).max
+    require_sizable(largest)
+    with pytest.raises(InvalidArgumentError, match="too large"):
+        require_sizable(largest + 1)
 
 
 SCIPY_GUARD = """

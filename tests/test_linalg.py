@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from etfforge.certify import pseudoinverse
+from etfforge.certify import _UPPER_INVERSE_BASE, _upper_inverse, pseudoinverse, right_inverse
 from etfforge.errors import (
     InvalidArgumentError,
     RankDeficiencyError,
 )
 from etfforge.harmonic import family_signature
+from etfforge.rigor import IntervalMatrix
 from etfforge.linalg import (
     as_array,
     dft_matrix,
@@ -66,16 +67,18 @@ def test_pseudoinverse_wide_right_identity():
     for trial in range(5):
         n, m = 6, 11
         a = rng.standard_normal((n, m))
-        t = pseudoinverse(a)
+        t, r_min = pseudoinverse(a)
         assert t.shape == (m, n)
         assert np.max(np.abs(a @ t - np.eye(n))) < 1e-8
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert sv[-1] - 1e-13 * sv[0] <= r_min <= sv[0] * (1 + 1e-12)
 
 
 def test_pseudoinverse_refuses_tall():
     rng = np.random.default_rng(9)
     with pytest.raises(InvalidArgumentError, match="wide"):
         pseudoinverse(rng.standard_normal((9, 4)))
-    t = pseudoinverse(rng.standard_normal((4, 4)))  # square is still wide enough
+    t, _ = pseudoinverse(rng.standard_normal((4, 4)))  # square is still wide enough
     assert t.shape == (4, 4)
 
 
@@ -99,12 +102,27 @@ def test_pseudoinverse_rank_guard_reads_the_whole_r_diagonal():
     assert err.value.smallest_sv < 1e-12
 
 
+# the bound of the triangular inverse tests: max |R X - I| <= n u cond_2(R)
+# for X = _upper_inverse(R); the largest ratio seen on their inputs is 0.21
+_U = 2.0 ** -53
+
+
+def _assert_upper_inverse(r):
+    n = r.shape[0]
+    x = _upper_inverse(r)
+    assert np.array_equal(np.tril(x, -1), np.zeros((n, n)))
+    assert np.max(np.abs(r @ x - np.eye(n))) <= n * _U * np.linalg.cond(r)
+    return x
+
+
 @pytest.mark.parametrize("ratio", [1e-12, 1e-10, 1e-9, 1e-7, 1e-6, 1e-4, 1e-2])
 def test_pseudoinverse_rank_guard_against_svd_oracle(ratio):
     # random wide matrices with singular values geomspace(1, ratio) times a
     # random scale; the SVD is the oracle.  Above sigma_min / sigma_max =
     # 1e-8 every one gets a right inverse; a refusal reports |R_nn|, which
-    # is at least sigma_min.
+    # is at least sigma_min.  right_inverse owns the 1e-8 residual test
+    # that refuses a T, so it is the function called here; the triangular
+    # inverse of each R is checked on the same inputs.
     rng = np.random.default_rng(round(-np.log10(ratio)))
     for trial in range(20):
         n = int(rng.integers(2, 30))
@@ -114,13 +132,46 @@ def test_pseudoinverse_rank_guard_against_svd_oracle(ratio):
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
         a = (u * (scale * np.geomspace(1.0, ratio, n))) @ v.T
         sv = np.linalg.svd(a, compute_uv=False)
+        _assert_upper_inverse(np.linalg.qr(a.T)[1])
         try:
-            t = pseudoinverse(a)
+            t, _ = right_inverse(IntervalMatrix.from_point(a))
         except RankDeficiencyError as err:
             assert sv[-1] <= 1e-8 * sv[0]
             assert err.smallest_sv >= sv[-1] - 1e-13 * sv[0]
             continue
         assert np.max(np.abs(a @ t - np.eye(n))) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 251])
+@pytest.mark.parametrize("ratio", [1.0, 1e-6, 1e-10])
+def test_upper_inverse_against_lu_inverse(n, ratio):
+    # R of the QR of a matrix with singular values geomspace(1, ratio), and
+    # of a Gaussian one; below the base case the bits are np.linalg.inv's
+    assert _UPPER_INVERSE_BASE == 64
+    rng = np.random.default_rng(n)
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    for a in ((u * np.geomspace(1.0, ratio, n)) @ v.T, rng.standard_normal((n, n))):
+        r = np.linalg.qr(a)[1]
+        x = _assert_upper_inverse(r)
+        lu = np.linalg.inv(r)
+        if n < _UPPER_INVERSE_BASE:
+            assert np.array_equal(x, lu)
+        assert np.max(np.abs(x - lu)) <= n * _U * np.linalg.cond(r) * np.max(np.abs(lu))
+
+
+def test_right_inverse_refuses_a_t_that_misses_identity(monkeypatch):
+    # the residual refusal reads S T off the one interval product
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 9))
+    t, defect = right_inverse(IntervalMatrix.from_point(a))
+    assert np.max(np.abs(a @ t - np.eye(5))) < 1e-12
+    assert np.max(defect.hi - defect.lo) < 1e-14
+    exact_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda r: exact_inv(r) * (1.0 + 1e-6))
+    with pytest.raises(RankDeficiencyError, match="right inverse residual") as err:
+        right_inverse(IntervalMatrix.from_point(a))
+    assert err.value.smallest_sv == pseudoinverse(a)[1]
 
 
 def test_op_norm_inf_frozen():

@@ -23,6 +23,7 @@ from etfforge.rigor import (
     iv_mul,
     iv_norm_inf,
     iv_sub,
+    norm_inf_upper,
     vabs,
     vadd,
     vdiv,
@@ -32,6 +33,9 @@ from etfforge.rigor import (
     vsqr,
     vsub,
     _down,
+    _gamma,
+    _mid_rad,
+    _radius_operand,
     _up,
 )
 
@@ -243,6 +247,27 @@ def test_iv_norm_inf_dominates_float_norm():
         assert iv.hi >= op_norm_inf(a)
 
 
+def test_norm_inf_upper_is_iv_norm_inf_hi_bit_for_bit():
+    # the nudged bound of the largest row sum is the largest nudged row
+    # bound, as _up, _down and rounding are nondecreasing: norm_inf_upper
+    # and iv_norm_inf both give the row-by-row bounds' maximum, bit for bit
+    rng = np.random.default_rng(26)
+    for trial in range(300):
+        n, m = (int(v) for v in rng.integers(1, 40, size=2))
+        lo_exp = int(rng.integers(-320, 280))
+        mid = _log_uniform(rng, (n, m), lo_exp, lo_exp + int(rng.integers(0, 20)))
+        mid[rng.random((n, m)) < 0.3] = 0.0
+        rad = np.abs(mid) * 10.0 ** rng.uniform(-16, 0, size=(n, m))
+        g = _gamma(m)
+        for lo, hi in ((mid, mid), (mid - rad, mid + rad)):
+            abs_lo, abs_hi = vabs(lo, hi)
+            out = iv_norm_inf(IntervalMatrix(lo, hi))
+            assert out.lo == np.max(_down(np.sum(abs_lo, axis=1) * _down(1.0 - g)))
+            assert out.hi == np.max(_up(np.sum(abs_hi, axis=1) * _up(1.0 + 2.0 * g)))
+        assert norm_inf_upper(mid) == iv_norm_inf(IntervalMatrix.from_point(mid)).hi
+    assert norm_inf_upper(np.zeros((0, 3))) == 0.0
+
+
 def test_iv_matmul_contains_rational_product():
     rng = np.random.default_rng(42)
     a_mid = rng.standard_normal((3, 4))
@@ -365,6 +390,67 @@ def test_iv_matmul_is_tight_and_maps_overflow_to_the_real_line():
     big = IntervalMatrix.from_point(np.full((1, 2), 1e200))
     out = iv_matmul(big, np.array([[1e200], [1.0]]))
     assert out.lo[0, 0] == -np.inf and out.hi[0, 0] == np.inf
+
+
+_SUBNORMAL = st.integers(-2 ** 52 + 1, 2 ** 52 - 1).map(lambda m: m * 2.0 ** -1074)
+_ENTRY = st.one_of(finite, _SUBNORMAL, st.just(0.0))
+
+
+def _ends(pair):
+    return min(pair), max(pair)
+
+
+# left-factor entries: exact point zeros (either sign of zero), nonzero
+# and subnormal points, intervals symmetric about zero (midpoint 0 with a
+# radius), general and subnormal intervals
+_LEFT_ENTRY = st.one_of(
+    st.sampled_from([(0.0, 0.0), (-0.0, -0.0)]),
+    _ENTRY.map(lambda v: (v, v)),
+    finite.map(lambda v: (-abs(v), abs(v))),
+    st.tuples(finite, finite).map(_ends),
+    st.tuples(_SUBNORMAL, _SUBNORMAL).map(_ends),
+)
+
+
+@st.composite
+def _interval_factor(draw, entry, n, k, zero_lines):
+    """(lo, hi) of an n x k factor from `entry`; with zero_lines, maybe a
+    row and maybe a column of exact point zeros."""
+    ends = np.array(draw(st.lists(entry, min_size=n * k, max_size=n * k)), dtype=float)
+    lo, hi = ends[:, 0].reshape(n, k).copy(), ends[:, 1].reshape(n, k).copy()
+    if zero_lines:
+        for axis, size in ((0, n), (1, k)):
+            line = draw(st.none() | st.integers(0, size - 1))
+            if line is not None:
+                index = (line, slice(None)) if axis == 0 else (slice(None), line)
+                lo[index] = hi[index] = 0.0
+    return lo, hi
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_iv_matmul_encloses_products_with_point_zeros(data):
+    n, k, m = (data.draw(st.integers(1, size)) for size in (3, 5, 3))
+    lo, hi = data.draw(_interval_factor(_LEFT_ENTRY, n, k, True))
+    if data.draw(st.booleans()):
+        b_lo, b_hi = data.draw(_interval_factor(st.tuples(_ENTRY, _ENTRY).map(_ends), k, m, True))
+        b = IntervalMatrix(b_lo, b_hi)
+    else:
+        b = b_lo = b_hi = data.draw(_interval_factor(_ENTRY.map(lambda v: (v, v)), k, m, True))[0]
+    out = iv_matmul(IntervalMatrix(lo, hi), b)
+    for i, row in enumerate(_exact_interval_hull(lo, hi, b_lo, b_hi)):
+        for j, (lo_x, hi_x) in enumerate(row):
+            assert Fraction(out.lo[i, j]) <= lo_x and hi_x <= Fraction(out.hi[i, j])
+    # the radius operands X >= R + g |M| and Y >= R + |M| hold 0, not a
+    # subnormal 2 eta, exactly at the point zeros of the left factor
+    mid, rad = _mid_rad(lo, hi)
+    point_zero = (lo == 0.0) & (hi == 0.0)
+    for g in (_gamma(k), None):
+        operand = _radius_operand(mid, rad, g)
+        assert np.all(operand[point_zero] == 0.0)
+        scale = Fraction(1) if g is None else Fraction(g)
+        for x, r, c in zip(operand.ravel(), rad.ravel(), mid.ravel()):
+            assert Fraction(float(x)) >= Fraction(float(r)) + scale * abs(Fraction(float(c)))
 
 
 def test_iv_norm_inf_encloses_exact_row_sums():
