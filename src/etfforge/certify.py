@@ -46,7 +46,6 @@ harmonic.family_signature.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -570,6 +569,20 @@ class RangeResult:
         }
 
 
+def _prove_exactly(d):
+    """certify_exact on each family exact_constructions lists for d: the
+    first proof, else None and the refusals as a message suffix."""
+    from .harmonic import family_signature
+
+    notes = ""
+    for family, q in exact_constructions(d):
+        try:
+            return certify_exact(*family_signature(family, q)), notes
+        except ToolkitError as exc:
+            notes += "; exact route via %s q=%d: %s" % (family, q, exc)
+    return None, notes
+
+
 def _certify_dimension(args):
     d, seeds, delta, tol, max_iter = args
     from .solver import solve
@@ -577,17 +590,26 @@ def _certify_dimension(args):
     best_residual = math.inf
     reason = None
     message = None
+    exact_notes = None  # the exact route's refusals, once it has run
     for seed in seeds:
         result = solve(d, seed=seed, tol=tol, max_iter=max_iter)
         if not result.converged:
             best_residual = min(best_residual, result.residual_inf)
-            continue
-        try:
-            return RangeResult(d, certify(result.pair, delta=delta, seed=seed))
-        except CertificationError as exc:
-            # certification failures outrank plain non-convergence notes
-            reason = exc.reason
-            message = str(exc)
+        else:
+            try:
+                return RangeResult(d, certify(result.pair, delta=delta, seed=seed))
+            except CertificationError as exc:
+                # certification failures outrank plain non-convergence notes
+                reason = exc.reason
+                message = str(exc)
+        if exact_notes is None:
+            proof, exact_notes = _prove_exactly(d)
+            if proof is not None:
+                return RangeResult(d, proof)
+    if exact_notes is None:  # no seeds were given
+        proof, exact_notes = _prove_exactly(d)
+        if proof is not None:
+            return RangeResult(d, proof)
     if reason is None:
         reason = "no-convergence"
         message = "solver missed tolerance for d=%d over seeds %s (best residual %.3e)" % (
@@ -595,35 +617,34 @@ def _certify_dimension(args):
             list(seeds),
             best_residual,
         )
-    from .harmonic import family_signature
-
-    for family, q in exact_constructions(d):
-        try:
-            return RangeResult(d, certify_exact(*family_signature(family, q)))
-        except ToolkitError as exc:
-            message += "; exact route via %s q=%d: %s" % (family, q, exc)
-    return RangeResult(d, None, reason, message)
+    return RangeResult(d, None, reason, message + exact_notes)
 
 
 def certify_range(d_lo, d_hi, seeds=(0, 1, 2, 3, 4), delta=1e-10, jobs=1,
                   tol=1e-12, max_iter=500):
     """Solve and certify every dimension in [d_lo, d_hi], one RangeResult
-    per dimension.  A dimension that no seed certifies by
-    Newton-Kantorovich is proved by certify_exact when exact_constructions
-    lists a family for it.  Per-dimension failures are recorded in the
-    result, never raised, so one bad dimension cannot abort the sweep.
-    With jobs > 1 the dimensions are distributed over a process pool of
-    at most one worker per dimension."""
+    per dimension.  Each dimension tries its seeds in order, each an LM
+    solve and a Newton-Kantorovich certify.  Right after the first seed
+    that gives no NK certificate, a dimension that exact_constructions
+    lists a family for is proved by certify_exact: that proof is
+    float-free, so it ends the search, and the remaining seeds run only
+    when the exact route refuses (past the line-system cap, say).
+    Per-dimension failures are recorded in the result, never raised, so
+    one bad dimension cannot abort the sweep.  The dimensions are taken
+    lazily from the range; with jobs > 1 they are distributed over a
+    process pool of at most one worker per dimension."""
     d_lo, d_hi = int(d_lo), int(d_hi)
     if d_lo < 2:
         raise InvalidArgumentError("certification starts at d = 2")
     if d_hi < d_lo:
         return []
     require_sizable(d_hi)
-    work = [(d, tuple(seeds), delta, tol, max_iter) for d in range(d_lo, d_hi + 1)]
+    work = ((d, tuple(seeds), delta, tol, max_iter) for d in range(d_lo, d_hi + 1))
     # the pool starts all its workers at the first submit
-    jobs = min(int(jobs), len(work))
+    jobs = min(int(jobs), d_hi - d_lo + 1)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_certify_dimension, work))
     return [_certify_dimension(item) for item in work]

@@ -345,6 +345,105 @@ def test_certificate_json_keeps_its_key_order():
     assert digest == EXACT_D4_CERTIFICATE
 
 
+def _count_routes(monkeypatch, nk_fails=lambda pair, seed: False, exact_refuses=False):
+    """Counting wrappers on the sweep's three routes: the LM solve, the NK
+    certify (failing where nk_fails(pair, seed) says) and certify_exact
+    (refusing when exact_refuses).  Returns the counts and the message of
+    the last NK refusal."""
+    calls = {"solve": 0, "certify": 0, "exact": 0, "nk_message": None}
+    real_certify, real_exact = certify_module.certify, certify_module.certify_exact
+
+    def counted_solve(d, **kwargs):
+        calls["solve"] += 1
+        return solve(d, **kwargs)
+
+    def counted_certify(pair, **kwargs):
+        calls["certify"] += 1
+        try:
+            if nk_fails(pair, kwargs["seed"]):
+                raise CertificationError("infeasible", "injected at seed %d" % kwargs["seed"])
+            return real_certify(pair, **kwargs)
+        except CertificationError as exc:
+            calls["nk_message"] = str(exc)
+            raise
+
+    def counted_exact(*args):
+        calls["exact"] += 1
+        if exact_refuses:
+            raise CertificationError("infeasible", "injected exact refusal")
+        return real_exact(*args)
+
+    monkeypatch.setattr("etfforge.solver.solve", counted_solve)
+    monkeypatch.setattr(certify_module, "certify", counted_certify)
+    monkeypatch.setattr(certify_module, "certify_exact", counted_exact)
+    return calls
+
+
+def test_sweep_proves_d4_exactly_after_its_first_failed_seed(monkeypatch):
+    # NK fails at d = 4 for every seed, so the exact route runs after
+    # seed 0 and its proof ends the search
+    calls = _count_routes(monkeypatch)
+    (result,) = certify_range(4, 4)
+    assert (calls["solve"], calls["certify"], calls["exact"]) == (1, 1, 1)
+    assert result.verified and result.certificate.method == "exact-construction"
+    digest = hashlib.sha256(dumps(result.certificate.to_obj()).encode()).hexdigest()
+    assert digest == EXACT_D4_CERTIFICATE
+    # with no seeds to try, the exact route still runs
+    (result,) = certify_range(4, 4, seeds=())
+    assert (calls["solve"], calls["certify"], calls["exact"]) == (1, 1, 2)
+    assert result.verified and result.certificate.method == "exact-construction"
+
+
+def test_sweep_tries_the_other_seeds_when_the_exact_route_refuses(monkeypatch):
+    # d = 3 is witnessed (paley_plus q = 5); with its exact route refused
+    # and seed 0 failing NK, seed 1's NK certificate proves it
+    calls = _count_routes(monkeypatch, nk_fails=lambda pair, seed: seed == 0,
+                          exact_refuses=True)
+    (result,) = certify_range(3, 3)
+    assert (calls["solve"], calls["certify"], calls["exact"]) == (2, 2, 1)
+    assert result.verified and result.certificate.method != "exact-construction"
+    assert result.certificate.seed == 1
+    # where nothing proves a witnessed d, all five seeds run, the exact
+    # route once per family, and the message is the last NK refusal
+    # followed by each family's refusal
+    calls = _count_routes(monkeypatch, exact_refuses=True)
+    (result,) = certify_range(4, 4)
+    assert (calls["solve"], calls["certify"], calls["exact"]) == (5, 5, 2)
+    assert not result.verified and result.failure_reason in ("infeasible", "rank")
+    assert result.failure_message == calls["nk_message"] + (
+        "; exact route via paley_plus q=7: injected exact refusal"
+        "; exact route via double_paley_plus q=3: injected exact refusal")
+
+
+def test_sweep_tries_every_seed_at_an_unwitnessed_d(monkeypatch):
+    assert exact_constructions(11) == []
+    calls = _count_routes(monkeypatch, nk_fails=lambda pair, seed: True)
+    (result,) = certify_range(11, 11)
+    assert (calls["solve"], calls["certify"], calls["exact"]) == (5, 5, 0)
+    assert result.failure_reason == "infeasible"
+    assert result.failure_message == "injected at seed 4"
+
+
+def test_certify_range_lists_no_work_up_front(monkeypatch):
+    # the dimensions are drawn from the range one at a time: a sweep of
+    # 10^6 dimensions stopped at its first holds no list of them
+    class Stop(Exception):
+        pass
+
+    def stop(args):
+        raise Stop
+
+    monkeypatch.setattr(certify_module, "_certify_dimension", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            certify_range(2, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_certify_exact_refuses_flipped_signature_entry():
     re, im, witness = family_signature("paley_plus", 7)  # S = i C
     assert im[0, 1] != 0
@@ -835,7 +934,8 @@ def test_certify_range_starts_at_most_one_worker_per_dimension(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(certify_module, "ProcessPoolExecutor", InProcessPool)
+    # certify_range imports the pool only when it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     results = certify_range(2, 3, seeds=(0,), jobs=5000)
     assert started == [2]
     assert [(r.d, r.verified) for r in results] == [(2, True), (3, True)]

@@ -273,7 +273,12 @@ def test_sweep_manifest_is_the_same_on_one_and_two_blas_threads(tmp_path):
         assert run.returncode == 0, run.stdout + run.stderr
         digests[threads] = read_json(cwd / "out" / "summary.json")["manifest"]["digest"]
     assert digests["1"] == digests["2"]
+    assert digests["1"] == SWEEP_2_30_MANIFEST
 
+
+# sha256 manifest digest of `sweep --d 2..30 --jobs 1 --out-dir out` on one
+# BLAS thread: the bits of every certificate and of the summary
+SWEEP_2_30_MANIFEST = "a9d1f17c251b84963da45416e537d36679939849e35463271440715b5091840c"
 
 README_SWEEP_MANIFEST = "37f4db38dd56c48b"
 
@@ -737,12 +742,15 @@ codes = [cli.main(argv) for argv in (
 )]
 assert codes == [0] * 7, codes
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+pools = sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"
+               or m.startswith("concurrent.futures"))
+assert not pools, pools
 """
 
 
 def test_no_command_loads_scipy(tmp_path):
     # every module, and every command certify and sweep included, runs on
-    # numpy alone
+    # numpy alone; and with --jobs 1 no process pool is loaded
     run = _cli_subprocess(tmp_path, code=SCIPY_GUARD)
     assert run.returncode == 0, run.stdout + run.stderr
 
