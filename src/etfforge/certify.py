@@ -51,13 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    CertificationError,
-    InvalidArgumentError,
-    NumericFailureError,
-    RankDeficiencyError,
-    ToolkitError,
-)
+from .errors import CertificationError, InvalidArgumentError, ToolkitError
 from .frames import CirculantPair
 from .rigor import (
     IntervalMatrix,
@@ -170,7 +164,8 @@ def secant_jacobian(x0, delta, d, uvc=None):
     h_l = fl(fl(x0_l + delta) - x0_l) is the float step; the slope is
     enclosed for exactly this real h_l.  Returns the matrix and the
     largest step, max h_l.  uvc is the enclosure of u, v and c at x0,
-    _correlations_interval(x0, x0, d); it is built here when None.
+    _correlations_interval(x0, x0, d); it is built here when None.  A
+    delta that moves no x0_l is refused ("infeasible").
 
     No f is evaluated at a moved point.  Each entry is enclosed from the
     exact algebraic difference quotient (an interval slope, Neumaier,
@@ -200,8 +195,10 @@ def secant_jacobian(x0, delta, d, uvc=None):
         raise InvalidArgumentError("x0 must be finite and 0 < delta < 1")
     steps = (x0 + delta) - x0
     if np.any(steps <= 0.0):
-        raise NumericFailureError(
-            "secant step vanished at coordinate %d" % int(np.argmax(steps <= 0.0))
+        raise CertificationError(
+            "infeasible",
+            "delta %.3e is too small to move x0: secant step vanished at coordinate %d"
+            % (delta, int(np.argmax(steps <= 0.0))),
         )
     u, _, c = _correlations_interval(x0, x0, d) if uvc is None else uvc
     s_lo, s_hi = _secant_rows(x0[:4 * d].reshape(4, d), steps, u, c)
@@ -252,6 +249,7 @@ def _secant_rows(parts, steps, u, c):
 
 
 _RANK_RTOL = 1e-8
+_RANK_REFUSAL = "secant Jacobian midpoint is numerically rank deficient: "
 # orders below this are inverted by np.linalg.inv (see _upper_inverse)
 _UPPER_INVERSE_BASE = 64
 
@@ -263,9 +261,10 @@ def pseudoinverse(a):
     so at least sigma_min (R and A share singular values), and at most
     the norm of R's column i, so at most sigma_max; the guard
     min |R_ii| <= _RANK_RTOL max |R_ii| thus refuses no matrix whose
-    singular value ratio exceeds _RANK_RTOL.  Raises RankDeficiencyError,
-    carrying min |R_ii|, then.  How far A @ T misses I is not checked
-    here: right_inverse reads it off the product that certify forms anyway.
+    singular value ratio exceeds _RANK_RTOL.  Raises CertificationError
+    ("rank"), worded for certify's S_mid and carrying min |R_ii|, then.
+    How far A @ T misses I is not checked here: right_inverse reads it off
+    the product that certify forms anyway.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
@@ -280,10 +279,8 @@ def pseudoinverse(a):
     diag = np.abs(np.diagonal(r))
     r_min, r_max = float(diag.min()), float(diag.max())
     if r_max == 0.0 or r_min <= _RANK_RTOL * r_max:
-        raise RankDeficiencyError(
-            "matrix is rank deficient (min |R_ii| %.3e, max |R_ii| %.3e)" % (r_min, r_max),
-            smallest_sv=r_min,
-        )
+        text = "matrix is rank deficient (min |R_ii| %.3e, max |R_ii| %.3e)" % (r_min, r_max)
+        raise CertificationError("rank", _RANK_REFUSAL + text, detail=r_min)
     return q @ _upper_inverse(r).T, r_min
 
 
@@ -308,7 +305,7 @@ def _upper_inverse(r):
 def right_inverse(s):
     """T = pseudoinverse(S_mid) for an interval matrix S, and the
     enclosure of S T - I from the one product iv_matmul(S, T).  Raises
-    RankDeficiencyError, carrying pseudoinverse's min |R_ii|, when
+    CertificationError("rank"), carrying pseudoinverse's min |R_ii|, when
     pseudoinverse does or when the enclosure's midpoint, S_mid T - I to
     within the rounding of the product, has an entry of modulus above
     1e-8 (or NaN).  That test is absolute, so near the rank threshold it
@@ -320,10 +317,8 @@ def right_inverse(s):
     defect = IntervalMatrix(*vsub(st.lo, st.hi, eye, eye))
     residual = float(np.max(np.abs(defect.mid())))
     if not residual <= 1e-8:
-        raise RankDeficiencyError(
-            "right inverse residual %.3e exceeds 1e-8 (min |R_ii| %.3e)" % (residual, r_min),
-            smallest_sv=r_min,
-        )
+        text = "right inverse residual %.3e exceeds 1e-8 (min |R_ii| %.3e)" % (residual, r_min)
+        raise CertificationError("rank", _RANK_REFUSAL + text, detail=r_min)
     return t, defect
 
 
@@ -421,20 +416,8 @@ def certify(pair, delta=1e-10, w=0.5, seed=-1):
             "infeasible", "point infinity norm %.6f leaves no room for epsilon" % norm_x0
         )
     uvc = _correlations_interval(x0, x0, d)
-    try:
-        s_mat, delta_eff = secant_jacobian(x0, delta, d, uvc)
-    except NumericFailureError as exc:
-        raise CertificationError(
-            "infeasible", "delta %.3e is too small to move x0: %s" % (delta, exc)
-        ) from exc
-    try:
-        t, defect = right_inverse(s_mat)
-    except RankDeficiencyError as exc:
-        raise CertificationError(
-            "rank",
-            "secant Jacobian midpoint is numerically rank deficient: %s" % exc,
-            detail=exc.smallest_sv,
-        ) from exc
+    s_mat, delta_eff = secant_jacobian(x0, delta, d, uvc)
+    t, defect = right_inverse(s_mat)
     a_bound = iv_norm_inf(defect).hi
     bt = norm_inf_upper(t)
     f0_lo, f0_hi = _residual_rows(uvc, x0[4 * d], x0[4 * d])
@@ -508,7 +491,8 @@ def exact_constructions(d):
     """(family, q) for each Gaussian-integer family at dimension d:
     paley_plus at q = 2d-1 and double_paley_plus at q = d-1, each when q
     is an odd prime power.  A q past galois.within_line_system_cap is
-    listed too; certify_exact refuses it, naming the cap."""
+    listed too; harmonic.family_signature refuses it, naming the cap (in
+    galois.build_line_system), before certify_exact runs."""
     from .constructions import is_odd_prime_power
 
     d = int(d)
@@ -590,26 +574,22 @@ def _certify_dimension(args):
     best_residual = math.inf
     reason = None
     message = None
-    exact_notes = None  # the exact route's refusals, once it has run
-    for seed in seeds:
-        result = solve(d, seed=seed, tol=tol, max_iter=max_iter)
-        if not result.converged:
-            best_residual = min(best_residual, result.residual_inf)
-        else:
-            try:
-                return RangeResult(d, certify(result.pair, delta=delta, seed=seed))
-            except CertificationError as exc:
-                # certification failures outrank plain non-convergence notes
-                reason = exc.reason
-                message = str(exc)
-        if exact_notes is None:
+    for seed in (*seeds[:1], None, *seeds[1:]):  # None is the exact route
+        if seed is None:
             proof, exact_notes = _prove_exactly(d)
             if proof is not None:
                 return RangeResult(d, proof)
-    if exact_notes is None:  # no seeds were given
-        proof, exact_notes = _prove_exactly(d)
-        if proof is not None:
-            return RangeResult(d, proof)
+            continue
+        result = solve(d, seed=seed, tol=tol, max_iter=max_iter)
+        if not result.converged:
+            best_residual = min(best_residual, result.residual_inf)
+            continue
+        try:
+            return RangeResult(d, certify(result.pair, delta=delta, seed=seed))
+        except CertificationError as exc:
+            # certification failures outrank plain non-convergence notes
+            reason = exc.reason
+            message = str(exc)
     if reason is None:
         reason = "no-convergence"
         message = "solver missed tolerance for d=%d over seeds %s (best residual %.3e)" % (

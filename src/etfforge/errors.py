@@ -9,18 +9,6 @@ class InvalidArgumentError(ToolkitError, ValueError):
     """A caller-supplied argument violates a precondition."""
 
 
-class RankDeficiencyError(ToolkitError):
-    """A matrix required to have full rank does not.
-
-    Carries smallest_sv: min |R_ii| of pseudoinverse's QR (>= sigma_min),
-    also when right_inverse refuses the T built from it.
-    """
-
-    def __init__(self, message, smallest_sv):
-        super().__init__(message)
-        self.smallest_sv = smallest_sv
-
-
 class IntervalDivisionError(ToolkitError, ZeroDivisionError):
     """Interval division by an interval containing zero."""
 
@@ -55,8 +43,9 @@ class ConstructionError(ToolkitError):
 class CertificationError(ToolkitError):
     """Certification could not be completed.
 
-    `reason` is "rank" or "infeasible"; `detail` carries min |R_ii| (rank,
-    see RankDeficiencyError) or the best lhs/rhs gap seen (infeasible).
+    `reason` is "rank" or "infeasible"; `detail` carries min |R_ii| of
+    certify.pseudoinverse's QR (rank, >= sigma_min) or the best lhs/rhs gap
+    seen (infeasible), else None.
     """
 
     def __init__(self, reason, message, detail=None):

@@ -155,11 +155,7 @@ class Interval:
             hi = lo
         lo = float(lo)
         hi = float(hi)
-        # _validate's checks on two floats, without its numpy calls
-        if lo != lo or hi != hi:
-            raise InvalidArgumentError("interval endpoints must not be NaN")
-        if lo > hi:
-            raise InvalidArgumentError("interval lower endpoint exceeds upper")
+        _validate(lo, hi)
         self.lo = lo
         self.hi = hi
 

@@ -522,13 +522,66 @@ def test_certify_exact_runs_no_float_recheck_of_its_proved_witness(monkeypatch):
 
 def test_certify_refuses_the_singular_exact_point_at_d7():
     # the exact route's point is a singular zero for Newton-Kantorovich:
-    # |R_nn| of S_mid's pivoted QR falls below 1e-8 |R_11|
+    # min |R_ii| of S_mid's QR falls below 1e-8 max |R_ii|
     cert = certify_exact(*family_signature("paley_plus", 13))
     assert cert.d == 7
     with pytest.raises(CertificationError) as err:
         certify(_pair_of_x0(cert), w=cert.x0[-1])
     assert err.value.reason == "rank"
     assert 0.0 < err.value.detail < 1e-9
+
+
+_RANK_PREFIX = "secant Jacobian midpoint is numerically rank deficient: "
+
+
+def _secant_mid(pair, w=0.5):
+    x0 = _pack(pair, w)
+    return secant_jacobian(x0, 1e-10, pair.d)[0]
+
+
+@pytest.mark.parametrize("family, q", [("double_paley_plus", 3), ("paley_plus", 13)])
+def test_certify_refusal_text_at_a_singular_exact_point(family, q):
+    # the QR guard refuses S_mid; the min and max |R_ii| in the text are
+    # read off the same R diagonal, whose bits depend on the BLAS build
+    cert = certify_exact(*family_signature(family, q))
+    pair, w = _pair_of_x0(cert), cert.x0[-1]
+    diag = np.abs(np.diagonal(np.linalg.qr(_secant_mid(pair, w).mid().T)[1]))
+    with pytest.raises(CertificationError) as err:
+        certify(pair, w=w)
+    assert err.value.reason == "rank"
+    assert err.value.detail == float(diag.min())
+    assert str(err.value) == _RANK_PREFIX + (
+        "matrix is rank deficient (min |R_ii| %.3e, max |R_ii| %.3e)" % (diag.min(), diag.max()))
+
+
+def test_certify_refusal_text_when_delta_cannot_move_x0():
+    pair = solve(11, seed=0).pair
+    x0 = _pack(pair, 0.5)
+    coordinate = int(np.argmax((x0 + 1e-17) - x0 <= 0.0))
+    with pytest.raises(CertificationError) as err:
+        certify(pair, delta=1e-17)
+    assert err.value.reason == "infeasible"
+    assert err.value.detail is None
+    assert str(err.value) == (
+        "delta 1.000e-17 is too small to move x0: secant step vanished at coordinate %d"
+        % coordinate)
+
+
+def test_certify_refusal_text_when_the_right_inverse_misses_identity(monkeypatch):
+    pair = solve(2, seed=0).pair
+    exact_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda r: exact_inv(r) * (1.0 + 1e-6))
+    s = _secant_mid(pair)
+    t, r_min = certify_module.pseudoinverse(s.mid())
+    st = certify_module.iv_matmul(s, t)
+    eye = np.eye(st.shape[0])
+    residual = float(np.max(np.abs(IntervalMatrix(*vsub(st.lo, st.hi, eye, eye)).mid())))
+    with pytest.raises(CertificationError) as err:
+        certify(pair)
+    assert err.value.reason == "rank"
+    assert err.value.detail == r_min
+    assert str(err.value) == _RANK_PREFIX + (
+        "right inverse residual %.3e exceeds 1e-8 (min |R_ii| %.3e)" % (residual, r_min))
 
 
 def test_certify_exact_has_no_construction_at_d11():

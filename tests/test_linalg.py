@@ -5,8 +5,8 @@ import pytest
 
 from etfforge.certify import _UPPER_INVERSE_BASE, _upper_inverse, pseudoinverse, right_inverse
 from etfforge.errors import (
+    CertificationError,
     InvalidArgumentError,
-    RankDeficiencyError,
 )
 from etfforge.harmonic import family_signature
 from etfforge.rigor import IntervalMatrix
@@ -84,9 +84,10 @@ def test_pseudoinverse_refuses_tall():
 
 def test_pseudoinverse_rank_deficiency_reports_sv():
     a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])  # rank 1
-    with pytest.raises(RankDeficiencyError) as err:
+    with pytest.raises(CertificationError) as err:
         pseudoinverse(a)
-    assert err.value.smallest_sv < 1e-12
+    assert err.value.reason == "rank"
+    assert err.value.detail < 1e-12
     with pytest.raises(InvalidArgumentError):
         pseudoinverse(np.zeros((0, 3)))
 
@@ -97,9 +98,10 @@ def test_pseudoinverse_rank_guard_reads_the_whole_r_diagonal():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((3, 5))
     a[1] = a[0]
-    with pytest.raises(RankDeficiencyError, match="rank deficient") as err:
+    with pytest.raises(CertificationError, match="rank deficient") as err:
         pseudoinverse(a)
-    assert err.value.smallest_sv < 1e-12
+    assert err.value.reason == "rank"
+    assert err.value.detail < 1e-12
 
 
 # the bound of the triangular inverse tests: max |R X - I| <= n u cond_2(R)
@@ -135,9 +137,10 @@ def test_pseudoinverse_rank_guard_against_svd_oracle(ratio):
         _assert_upper_inverse(np.linalg.qr(a.T)[1])
         try:
             t, _ = right_inverse(IntervalMatrix.from_point(a))
-        except RankDeficiencyError as err:
+        except CertificationError as err:
+            assert err.reason == "rank"
             assert sv[-1] <= 1e-8 * sv[0]
-            assert err.smallest_sv >= sv[-1] - 1e-13 * sv[0]
+            assert err.detail >= sv[-1] - 1e-13 * sv[0]
             continue
         assert np.max(np.abs(a @ t - np.eye(n))) <= 1e-8
 
@@ -169,9 +172,10 @@ def test_right_inverse_refuses_a_t_that_misses_identity(monkeypatch):
     assert np.max(defect.hi - defect.lo) < 1e-14
     exact_inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda r: exact_inv(r) * (1.0 + 1e-6))
-    with pytest.raises(RankDeficiencyError, match="right inverse residual") as err:
+    with pytest.raises(CertificationError, match="right inverse residual") as err:
         right_inverse(IntervalMatrix.from_point(a))
-    assert err.value.smallest_sv == pseudoinverse(a)[1]
+    assert err.value.reason == "rank"
+    assert err.value.detail == pseudoinverse(a)[1]
 
 
 def test_op_norm_inf_frozen():

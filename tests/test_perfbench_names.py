@@ -51,6 +51,26 @@ def test_every_import_in_src_is_used():
     assert unused == []
 
 
+def test_every_leaf_error_class_is_raised_in_src():
+    # an error type that no line of src/ raises is dead code; a base class
+    # such as ToolkitError, which other error types derive from, is exempt
+    import etfforge.errors as errors
+
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    leaves = {c.__name__ for c in classes if not any(o is not c and issubclass(o, c) for o in classes)}
+    raised = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "etfforge", "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert sorted(leaves - raised) == []
+
+
 def test_every_private_name_in_src_is_used():
     # a top-level _name that no other line of src/ mentions is dead code
     lines = {}
