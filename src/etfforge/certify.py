@@ -22,21 +22,25 @@ built from differences of residual values: each column is the exact
 difference quotient for the float step h_l = fl(fl(x0_l + delta) - x0_l),
 enclosed from its closed form as an interval slope (see
 secant_jacobian) on only the blocks and lags that can be nonzero; the
-rest (u against y, v against x) are exact point zeros.  So S costs
-O(d^2) and its entries are a few ulps wide.  T is pseudoinverse's right
-inverse of S's midpoint, Q R^-T from one numpy QR whose R diagonal also
-decides the rank, with R^-1 a blocked triangular inverse
-(_upper_inverse).  Both sums of products, S T and the correlations
-behind u, v and c (_correlations_interval), are midpoint-radius products
-on BLAS (rigor.iv_matmul).  S T is formed once, in right_inverse: its
-enclosure bounds A, and its midpoint is the residual that refuses a T
-missing I by more than 1e-8 (reason "rank").  B_T is one pass over |T|
-(rigor.norm_inf_upper).  certify encloses u, v and c at x0 once and shares
-that enclosure between S and the residual bound C0.  epsilon_search
-tests every candidate eps at once, on the same array kernels.  The
-residual row layout is solver's (solver.row_spec): f_eval_interval
-gathers its rows with solver.gather_rows, secant_jacobian fills S row
-by row from the same index, and _residual_polynomials iterates the spec.
+rest (u against y, v against x) are exact point zeros.  Each block is
+in midpoint-radius form, like iv_matmul: a float midpoint computed once
+in round-to-nearest and one a-priori radius (the radii of u and c and a
+gamma_k bound on the midpoint's rounding; _secant_rows derives it),
+nudged once.  So S costs O(d^2) and its entries are a few ulps wide.
+T is pseudoinverse's right inverse of S's midpoint, Q R^-T from one
+numpy QR whose R diagonal also decides the rank, with R^-1 a blocked
+triangular inverse (_upper_inverse).  Both sums of products, S T and
+the correlations behind u, v and c (_correlations_interval), are
+midpoint-radius products on BLAS (rigor.iv_matmul).  S T is formed
+once, in right_inverse: its enclosure bounds A, and its midpoint is the
+residual that refuses a T missing I by more than 1e-8 (reason "rank").
+B_T is one pass over |T| (rigor.norm_inf_upper).  certify encloses u, v
+and c at x0 once and shares that enclosure between S and the residual
+bound C0.  epsilon_search tests every candidate eps at once, on the same
+array kernels.  The residual row layout is solver's (solver.row_spec):
+f_eval_interval gathers its rows with solver.gather_rows,
+secant_jacobian fills S row by row from the same index, and
+_residual_polynomials iterates the spec.
 
 Where that argument cannot close (at d = 4 every zero is singular beyond
 the gauge kernel), a dimension covered by a witnessed symplectic
@@ -46,15 +50,22 @@ harmonic.family_signature.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CertificationError, InvalidArgumentError, ToolkitError
 from .frames import CirculantPair
 from .rigor import (
+    _ETA,
     IntervalMatrix,
+    _down,
+    _gamma,
+    _mid_rad,
+    _up,
     iv_matmul,
     iv_norm_inf,
     norm_inf_upper,
@@ -81,12 +92,14 @@ def _correlations_interval(lo, hi, d):
     t_(m+j) their circulants side by side (d x 4d).  Each of u, v and c
     then adds two of them and subtracts two.  certify builds this once
     at x0 and shares it between secant_jacobian and the residual bound C0.
+    At a point (hi is lo) Circ is gathered once, as a float matrix: the
+    product is the same, with no radius of Circ to form.
     """
     m = np.arange(d)
     idx = (m[:, None] + m[None, :]) % d  # idx[m, j] = m + j
     parts = IntervalMatrix(lo[:4 * d].reshape(4, d), hi[:4 * d].reshape(4, d))
-    circ = IntervalMatrix(*(e[:, idx].transpose(1, 0, 2).reshape(d, 4 * d)
-                            for e in (parts.lo, parts.hi)))
+    gather = lambda e: e[:, idx].transpose(1, 0, 2).reshape(d, 4 * d)
+    circ = gather(parts.lo) if hi is lo else IntervalMatrix(gather(parts.lo), gather(parts.hi))
     prod = iv_matmul(parts, circ)
     c_lo, c_hi = prod.lo.reshape(4, 4, d), prod.hi.reshape(4, 4, d)
     # u, v, c = sum_m f_m conj(g_(m+j)) for (f, g) = (x, x), (y, y), (y, x);
@@ -143,18 +156,40 @@ def _residual_rows(uvc, w_lo, w_hi):
     return rows_lo, rows_hi
 
 
-def _slope_abs2(z, dz, h):
-    """Enclosure of (|z + h dz|^2 - |z|^2) / h = 2 Re(conj(z) dz) + h |dz|^2,
-    for z over lags (first axis) and dz, h over lags x columns.  A part
-    of dz whose two ends are one array is a point: vscale gives vmul's
-    bits for it with two products instead of four."""
+def _slope_abs2(z, dz, h, g):
+    """The float midpoint of the slope 2 Re(conj(z) dz) + h |dz|^2 of
+    |z|^2 and its share of the radius, 2 (X_re |dz_re| + X_im |dz_im|)
+    + g t with t the midpoint's h |dz|^2 term, unnudged (see _secant_rows):
+    z as _lag_factors returns it, dz's float parts and h over lags x
+    columns."""
+    (m_re, x_re), (m_im, x_im) = z
+    dz_re, dz_im = dz
+    # in place on three buffers, in the order of
+    # t = h (dz_re^2 + dz_im^2), mid = 2 (m_re dz_re + m_im dz_im) + t
+    # and rad = 2 (x_re |dz_re| + x_im |dz_im|) + g t
+    t, buf = dz_re * dz_re, dz_im * dz_im
+    t += buf
+    t *= h
+    mid = np.multiply(m_re, dz_re)
+    mid += np.multiply(m_im, dz_im, out=buf)
+    mid *= 2.0
+    mid += t
+    rad = np.abs(dz_re)
+    rad *= x_re
+    rad += np.multiply(np.abs(dz_im, out=buf), x_im, out=buf)
+    rad *= 2.0
+    rad += np.multiply(t, g, out=buf)
+    return mid, rad
 
-    def times(zp, dzp):
-        lo, hi = zp[0][:, None], zp[1][:, None]
-        return vscale(lo, hi, dzp[0]) if dzp[0] is dzp[1] else vmul(lo, hi, *dzp)
 
-    cross = vadd(*times(z[0], dz[0]), *times(z[1], dz[1]))
-    return vadd(*vscale(*cross, 2.0), *vscale(*_abs2(*dz), h))
+def _lag_factors(z, g, k):
+    """(M, X) for each part (lo, hi) of an enclosure z over the lags: the
+    float midpoint M and X >= k (R + g |M|) for its radius R, as columns."""
+    out = []
+    for part in z:
+        mid, rad = _mid_rad(*part)
+        out.append((mid[:, None], _up(k * _up(rad + _up(g * np.abs(mid))))[:, None]))
+    return out
 
 
 def secant_jacobian(x0, delta, d, uvc=None):
@@ -163,9 +198,10 @@ def secant_jacobian(x0, delta, d, uvc=None):
     Column l holds the slope (f(x0 + h_l e_l) - f(x0)) / h_l, where
     h_l = fl(fl(x0_l + delta) - x0_l) is the float step; the slope is
     enclosed for exactly this real h_l.  Returns the matrix and the
-    largest step, max h_l.  uvc is the enclosure of u, v and c at x0,
-    _correlations_interval(x0, x0, d); it is built here when None.  A
-    delta that moves no x0_l is refused ("infeasible").
+    largest step, max h_l.  uvc is an enclosure of u, v and c at x0 as
+    _correlations_interval(x0, x0, d) returns it, built here when None;
+    S holds the slope for every u and c in it.  A delta that moves no
+    x0_l is refused ("infeasible").
 
     No f is evaluated at a moved point.  Each entry is enclosed from the
     exact algebraic difference quotient (an interval slope, Neumaier,
@@ -182,9 +218,10 @@ def secant_jacobian(x0, delta, d, uvc=None):
     that move u (x) and D on those that move v (y), at the lags 0..d/2
     that row_spec reads, and the |c_j|^2 slope, for a point change of c,
     at every lag and column.  u does not move with y nor v with x, so
-    those entries are exact point zeros, and the s and mod_u rows there
-    add the zero in interval arithmetic.  The cost is O(d^2), and the
-    entries are a few ulps wide: nothing nearly equal is subtracted.
+    those entries are exact point zeros.  Every other entry is a float
+    midpoint with one a-priori radius (midpoint-radius form; the bound
+    is derived in _secant_rows), so the cost is O(d^2) and the entries
+    are a few ulps wide: nothing nearly equal is subtracted.
     """
     x0 = np.asarray(x0, dtype=float)
     d = int(d)
@@ -208,37 +245,82 @@ def secant_jacobian(x0, delta, d, uvc=None):
 def _secant_rows(parts, steps, u, c):
     """secant_jacobian's endpoint arrays from the parts (Re x, Im x, Re y,
     Im y) of x0 as rows, the steps and u and c at x0: a function of its
-    own, so that its temporaries are freed when it returns."""
+    own, so that its temporaries are freed when it returns.
+
+    Each block is a float midpoint M, computed once in round-to-nearest,
+    and a radius r with |S - M| <= r for the exact entry S; only r is
+    nudged, and the scatter forms [_down(M - r), _up(M + r)].  With
+    u = 2^-53, eta = 2^-1074 and gamma_k = k u / (1 - k u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, chapter 3):
+
+    - D.  Each part is one rounded sum of two floats (at lag 0, 2 x_l is
+      exact and h is the one addition), so it is off by at most u |D|
+      (Higham, eq. 2.5: a op b = fl(a op b) (1 + delta), |delta| <= u),
+      and r = 0: the scatter's nudges cover that one rounding.
+    - A modulus slope 2 (z_re D_re + z_im D_im) + h (D_re^2 + D_im^2),
+      for z in [M_z - R_z, M_z + R_z] per part (R_z from u's or c's
+      enclosure) and the float D above (exact for c's change).  Replacing
+      z and the exact D by M_z and the float D moves it by at most, per
+      part,
+          2 ((1 + u) R_z + u |M_z|) |D| + (2 u + u^2) h D^2,
+      and its float evaluation, minus the pivot M_0 (lag 0 of the
+      |c_j|^2 slope), rounds each term at most 5 times: gamma_5 times
+      the sum of the terms' moduli.  With g = gamma_7 >= gamma_5 + 2u + u^2
+      a row's share of the radius is
+          2 ((1 + u) R_z + g |M_z|) |D| + g h D^2,
+      and r is the share of row j plus the pivot's.
+    - Evaluating r.  Its terms are nonnegative and each passes at most 4
+      roundings; the h D^2 term reuses the float t = fl(h (D_re^2 +
+      D_im^2)) of the midpoint, at least (1 - gamma_3) times the exact
+      value.  _lag_factors forms X >= k (R_z + g |M_z|) per lag and the
+      scalar of t is g_t >= k g, with k >= 1 + 2 gamma_8 >=
+      (1 + u) / ((1 - gamma_4) (1 - gamma_3)), so the float r bounds the
+      two shares, but for underflow.
+    - Underflow.  Each product that underflows is off by at most eta / 2,
+      grown by less than 2 in later roundings: 10 in M - M_0, 6 in r and
+      t's 3 scaled by g_t < 1, under 17 eta.  The one nudge of r adds
+      32 eta first.
+    """
     d = parts.shape[1]
-    half, col = d // 2 + 1, np.arange(4 * d)
-    block, lag = col // d, np.arange(d)[:, None]
-    # c's change: conj(e) y_(l-j) on the x columns, e conj(x_(l+j)) on the y columns
-    at = (col + np.where(col < 2 * d, -1, 1) * lag) % d
-    dc = (parts[block ^ 2, at], np.array([1.0, -1.0, -1.0, 1.0])[block] * parts[block ^ 3, at])
-    c_slope = _slope_abs2(c, tuple((p, p) for p in dc), steps[:4 * d])
-    del at, dc  # three d x 4d arrays, gone before D's are made
+    half = d // 2 + 1
+    g = _gamma(7)
+    k = float(_up(1.0 + 2.0 * _gamma(8)))
+    g_t = float(_up(k * g))
+    under = 32.0 * _ETA
     # D on each column's own generator: e conj(z_(l+j)) has the parts
     # (z_re, -z_im) for e = 1 and (z_im, z_re) for e = i, conj(e) z_(l-j)
-    # the parts (z_re, z_im) and (z_im, -z_re)
-    plus, minus = (col + lag[:half]) % d, (col - lag[:half]) % d
-    sign = np.array([1.0, -1.0, 1.0, -1.0])[block]
-    t_re = (parts[block, plus], parts[block, minus])
-    t_im = (-sign * parts[block ^ 1, plus], sign * parts[block ^ 1, minus])
-    d_re, d_im = (vadd(t1, t1, t2, t2) for t1, t2 in (t_re, t_im))
-    d_re[0][0], d_re[1][0] = vadd(d_re[0][0], d_re[1][0], steps[:4 * d], steps[:4 * d])
+    # the parts (z_re, z_im) and (z_im, -z_re); so rows 4..7 are the
+    # parts (Im x, -Re x, Im y, -Re y)
+    swapped = parts[[1, 0, 3, 2]] * np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    plus, minus = _shifted(np.concatenate([parts, swapped]))
+    flat = lambda a: a.reshape(a.shape[0], 4 * d)
+    # c's change: conj(e) y_(l-j) on the x columns, e conj(x_(l+j)) on the y columns
+    dc = (flat(np.concatenate([minus[:, 2:4], plus[:, 0:2]], axis=1)),
+          flat(np.concatenate([minus[:, 6:8], -plus[:, 4:6]], axis=1)))
+    mid_c, rad_c = _slope_abs2(_lag_factors(c, g, k), dc, steps[:4 * d], g_t)
+    del dc  # two d x 4d arrays, gone before D's are made
+    pivot_mid, pivot_rad = mid_c[0], rad_c[0]
+    mod_c = _ends(mid_c - pivot_mid, _up(rad_c + pivot_rad + under))
+    del mid_c, rad_c
+    d_re = flat(plus[:half, 0:4] + minus[:half, 0:4])
+    d_re[0] += steps[:4 * d]
+    d_im = flat(minus[:half, 4:8] - plus[:half, 4:8])
     x, y, xy = slice(0, 2 * d), slice(2 * d, 4 * d), slice(0, 4 * d)
-    cut = lambda ends, cols: tuple(e[:, cols] for e in ends)
-    u_half = tuple((lo[:half], hi[:half]) for lo, hi in u)
-    u_slope = _slope_abs2(u_half, (cut(d_re, x), cut(d_im, x)), steps[:2 * d])
-    pivot = (c_slope[0][:1], c_slope[1][:1])
-    pad = lambda e: np.concatenate([e, np.zeros_like(e)], axis=1)  # u does not move with y
+    mid_u, rad_u = _slope_abs2(
+        _lag_factors([(lo[:half], hi[:half]) for lo, hi in u], g, k),
+        (d_re[:, x], d_im[:, x]), steps[:2 * d], g_t)
+    # |u_j|^2 - |c_0|^2: u does not move with y, so there it is -|c_0|^2
+    on_y = lambda row: np.broadcast_to(row[y], mid_u.shape)
+    mod_u_mid = np.concatenate([mid_u - pivot_mid[x], on_y(-pivot_mid)], axis=1)
+    mod_u_rad = np.concatenate([rad_u + pivot_rad[x], on_y(pivot_rad)], axis=1)
+    d_re, d_im = ((_down(e), _up(e)) for e in (d_re, d_im))  # r = 0
     blocks = {
-        "u_re": (x, cut(d_re, x)),
-        "v_re": (y, cut(d_re, y)),
-        "s_re": (xy, vadd(*d_re, 0.0, 0.0)),
-        "s_im": (xy, vadd(*d_im, 0.0, 0.0)),
-        "mod_u": (xy, vsub(*map(pad, u_slope), *pivot)),
-        "mod_c": (xy, vsub(*c_slope, *pivot)),
+        "u_re": (x, tuple(e[:, x] for e in d_re)),
+        "v_re": (y, tuple(e[:, y] for e in d_re)),
+        "s_re": (xy, d_re),
+        "s_im": (xy, d_im),
+        "mod_u": (xy, _ends(mod_u_mid, _up(mod_u_rad + under))),
+        "mod_c": (xy, mod_c),
     }
     s_lo, s_hi = np.zeros((2, residual_count(d), 4 * d + 1))
     for name, rows, lags in _row_index(d):
@@ -246,6 +328,20 @@ def _secant_rows(parts, steps, u, c):
         s_lo[rows, cols], s_hi[rows, cols] = lo[lags], hi[lags]
     s_lo[2, 4 * d] = s_hi[2, 4 * d] = -4.0
     return s_lo, s_hi
+
+
+def _shifted(rows):
+    """Views plus and minus of rows (n x d), each d x n x d, with
+    plus[j, b, l] = rows[b, (l + j) mod d] and minus[j, b, l] =
+    rows[b, (l - j) mod d]: windows on the doubled rows, no index array."""
+    d = rows.shape[1]
+    win = sliding_window_view(np.concatenate([rows, rows], axis=1), d, axis=1)
+    return win[:, :d].transpose(1, 0, 2), win[:, d:0:-1].transpose(1, 0, 2)
+
+
+def _ends(mid, rad):
+    """[mid - rad, mid + rad] nudged outward."""
+    return _down(mid - rad), _up(mid + rad)
 
 
 _RANK_RTOL = 1e-8
@@ -612,7 +708,8 @@ def certify_range(d_lo, d_hi, seeds=(0, 1, 2, 3, 4), delta=1e-10, jobs=1,
     Per-dimension failures are recorded in the result, never raised, so
     one bad dimension cannot abort the sweep.  The dimensions are taken
     lazily from the range; with jobs > 1 they are distributed over a
-    process pool of at most one worker per dimension."""
+    process pool of at most one worker per dimension, with at most
+    _WINDOW_PER_WORKER of them submitted per worker at a time."""
     d_lo, d_hi = int(d_lo), int(d_hi)
     if d_lo < 2:
         raise InvalidArgumentError("certification starts at d = 2")
@@ -626,8 +723,24 @@ def certify_range(d_lo, d_hi, seeds=(0, 1, 2, 3, 4), delta=1e-10, jobs=1,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_certify_dimension, work))
+            return list(_in_order(pool, work, _WINDOW_PER_WORKER * jobs))
     return [_certify_dimension(item) for item in work]
+
+
+_WINDOW_PER_WORKER = 2
+
+
+def _in_order(pool, work, window):
+    """_certify_dimension on each item of work in pool, with at most
+    window submitted and not yet returned, the results in work's order.
+    Executor.map would submit the whole range before its first result."""
+    pending = deque()
+    for item in work:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(_certify_dimension, item))
+    while pending:
+        yield pending.popleft().result()
 
 
 def _poly_add(target, key, coeff):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import etfforge
 from etfforge import certify as certify_module
+from etfforge import rigor as rigor_module
 from etfforge.certify import (
     Certificate,
     RangeResult,
@@ -45,7 +46,15 @@ from etfforge.rigor import (
     vsub,
 )
 from etfforge.serialize import dumps
-from etfforge.solver import analytic_jacobian, gather_rows, residual, residual_count, solve, unpack
+from etfforge.solver import (
+    analytic_jacobian,
+    gather_rows,
+    residual,
+    residual_count,
+    row_spec,
+    solve,
+    unpack,
+)
 
 
 def _pack(pair, w):
@@ -632,9 +641,9 @@ def test_residual_polynomials_evaluate_to_residual():
             assert abs(val - r[row]) < 1e-9
 
 
-def _exact_residual(vec, d):
-    """solver.residual in exact rational arithmetic, from a packed point
-    of Fractions."""
+def _exact_uvc(vec, d):
+    """u, v and c in exact rational arithmetic, from a packed point of
+    Fractions: one (re, im) pair per lag for each."""
     x = [(vec[m], vec[d + m]) for m in range(d)]
     y = [(vec[2 * d + m], vec[3 * d + m]) for m in range(d)]
 
@@ -643,9 +652,13 @@ def _exact_residual(vec, d):
         im = sum(s[m][1] * t[(m + j) % d][0] - s[m][0] * t[(m + j) % d][1] for m in range(d))
         return re, im
 
-    u = [corr(x, x, j) for j in range(d)]
-    v = [corr(y, y, j) for j in range(d)]
-    c = [corr(y, x, j) for j in range(d)]
+    return tuple([corr(f, g, j) for j in range(d)] for f, g in ((x, x), (y, y), (y, x)))
+
+
+def _exact_residual(vec, d):
+    """solver.residual in exact rational arithmetic, from a packed point
+    of Fractions."""
+    u, v, c = _exact_uvc(vec, d)
     rows = [u[0][0] - 1, v[0][0] - 1, u[0][0] + v[0][0] - 4 * vec[4 * d]]
     for j in range(1, (d + 1) // 2):
         rows += [u[j][0] + v[j][0], u[j][1] + v[j][1]]
@@ -674,29 +687,120 @@ def test_residual_layout_matches_exact_reference(d):
             assert abs(Fraction(float(got)) - want) <= 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def _degenerate_point(d, delta=1e-10):
+    """A packed point with two exact zeros and three entries of modulus
+    below delta, where fl(x0_l + delta) - x0_l is often inexact and sums
+    can cancel to zero."""
+    rng = np.random.default_rng(500 + d)
+    x0 = rng.standard_normal(4 * d + 1) * 0.4
+    picks = rng.permutation(4 * d + 1)
+    x0[picks[:2]] = 0.0
+    x0[picks[2:5]] = rng.choice([-1.0, 1.0], size=3) * delta * rng.uniform(0.01, 1.0, size=3)
+    return x0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
 def test_secant_jacobian_contains_exact_rational_secant(d):
     delta = 1e-10
-    rng = np.random.default_rng(500 + d)
-    n_var = 4 * d + 1
-    x0 = rng.standard_normal(n_var) * 0.4
-    picks = rng.permutation(n_var)
-    x0[picks[:2]] = 0.0
-    # 0 < |x0_l| < delta: here fl(x0_l + delta) - x0_l is often inexact
-    x0[picks[2:5]] = rng.choice([-1.0, 1.0], size=3) * delta * rng.uniform(0.01, 1.0, size=3)
-    s, step_max = secant_jacobian(x0, delta, d)
-    steps = (x0 + delta) - x0
-    assert step_max == np.max(steps)
-    assert np.max(s.hi - s.lo) <= 1e-12
+    for x0 in (_degenerate_point(d, delta), _pack(solve(d, seed=0).pair, 0.5)):
+        n_var = 4 * d + 1
+        s, step_max = secant_jacobian(x0, delta, d)
+        steps = (x0 + delta) - x0
+        assert step_max == np.max(steps)
+        assert np.max(s.hi - s.lo) <= 1e-12
+        base = [Fraction(float(v)) for v in x0]
+        f0 = _exact_residual(base, d)
+        for col in range(n_var):
+            h = Fraction(float(steps[col]))
+            moved = list(base)
+            moved[col] += h
+            f1 = _exact_residual(moved, d)
+            for row, (a, b) in enumerate(zip(f1, f0)):
+                assert Fraction(s.lo[row, col]) <= (a - b) / h <= Fraction(s.hi[row, col])
+
+
+def _closed_form_secant(x0, delta, d, u_at, c_at):
+    """The secant Jacobian's closed form in exact rational arithmetic, with
+    u and c at x0 replaced by the points u_at and c_at (an (re, im) pair
+    of Fractions per lag): the changes D of u, v and c are exact
+    difference quotients, and a modulus row is 2 Re(conj(z) D) + h |D|^2
+    at the given z.  Any enclosure of u and c that holds the two points
+    gives an S that holds this matrix."""
     base = [Fraction(float(v)) for v in x0]
-    f0 = _exact_residual(base, d)
-    for col in range(n_var):
+    at_x0 = _exact_uvc(base, d)
+    steps = (x0 + delta) - x0
+    out = np.empty((residual_count(d), 4 * d + 1), dtype=object)
+    out[:, 4 * d] = [Fraction(-4 if row == 2 else 0) for row in range(residual_count(d))]
+    for col in range(4 * d):
         h = Fraction(float(steps[col]))
         moved = list(base)
         moved[col] += h
-        f1 = _exact_residual(moved, d)
-        for row, (a, b) in enumerate(zip(f1, f0)):
-            assert Fraction(s.lo[row, col]) <= (a - b) / h <= Fraction(s.hi[row, col])
+        du, dv, dc = ([((a[0] - b[0]) / h, (a[1] - b[1]) / h) for a, b in zip(q1, q0)]
+                      for q1, q0 in zip(_exact_uvc(moved, d), at_x0))
+
+        def slope(z, dz):
+            return 2 * (z[0] * dz[0] + z[1] * dz[1]) + h * (dz[0] ** 2 + dz[1] ** 2)
+
+        pivot = slope(c_at[0], dc[0])
+        quantity = {
+            "u_re": lambda j: du[j][0],
+            "v_re": lambda j: dv[j][0],
+            "s_re": lambda j: du[j][0] + dv[j][0],
+            "s_im": lambda j: du[j][1] + dv[j][1],
+            "mod_u": lambda j: slope(u_at[j], du[j]) - pivot,
+            "mod_c": lambda j: slope(c_at[j], dc[j]) - pivot,
+        }
+        out[:, col] = [quantity[name](j) for name, j in row_spec(d)]
+    return out
+
+
+@pytest.mark.parametrize("radius", [0.0, 1e-9])
+def test_secant_jacobian_encloses_the_slope_at_every_point_of_uvc(radius):
+    # u and c are free parameters of secant_jacobian: S must hold the
+    # closed form for every u and c in the enclosure it is given.  A point
+    # enclosure (radius 0) of full-mantissa floats leaves only the
+    # rounding of the midpoints, so dropping the gamma_k rounding bound
+    # fails here; corners of a wide enclosure fail when c's or u's radius
+    # is dropped.
+    d, delta = 5, 1e-10
+    rng = np.random.default_rng(29)
+    x0 = rng.standard_normal(4 * d + 1) * 0.4
+    mids = rng.uniform(-1.0, 1.0, (3, 2, d))
+    ends = (mids, mids) if radius == 0.0 else (mids - radius, mids + radius)
+    uvc = tuple(tuple((ends[0][k, p], ends[1][k, p]) for p in range(2)) for k in range(3))
+    s, _ = secant_jacobian(x0, delta, d, uvc)
+    lo, hi = s.lo.astype(object), s.hi.astype(object)
+    for _ in range(3):
+        pick = rng.integers(0, 2, (3, 2, d))  # a corner of the box per entry
+        corner = np.where(pick == 0, ends[0], ends[1])
+        u_at, _, c_at = ([(Fraction(float(z[0, j])), Fraction(float(z[1, j]))) for j in range(d)]
+                         for z in corner)
+        exact = _closed_form_secant(x0, delta, d, u_at, c_at)
+        assert np.all(lo <= exact) and np.all(exact <= hi)
+
+
+def test_secant_jacobian_nudges_at_most_half_the_elements_it_did(monkeypatch):
+    # Counts the elements passed to rigor's _up and _down during one
+    # secant_jacobian at d = 30.  Formed in endpoint arithmetic, with a
+    # nudge after every operation, S (9196 entries) took 108720; the
+    # midpoint-radius form nudges each block's radius once and S's ends
+    # once, 24614.  A count, not a time, so it cannot flake.
+    d = 30
+    x0 = _pack(solve(d, seed=0).pair, 0.5)
+    uvc = certify_module._correlations_interval(x0, x0, d)
+    count = [0]
+
+    def counted(fn):
+        def wrapper(a):
+            count[0] += np.size(a)
+            return fn(a)
+        return wrapper
+
+    for module in (rigor_module, certify_module):  # certify binds its own names
+        for name in ("_up", "_down"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    secant_jacobian(x0, 1e-10, d, uvc)
+    assert 0 < count[0] <= 108720 // 2
 
 
 @pytest.mark.parametrize("d", [100, 150])
@@ -710,15 +814,17 @@ def test_certify_verifies_large_dimensions(d):
 
 
 # sha256 of certify's outputs at d = 2..12: each Certificate.to_obj(), or
-# the CertificationError reason and detail.  It was pinned while
-# secant_jacobian still evaluated every lag and column, so it shows that
-# skipping S's structural zeros moved no certificate.
-PINNED_CERTIFICATES = "71c85131dde301ccd4252403c173840f7fa4d3b64a302896cf07c9284b82caf6"
+# the CertificationError reason and detail.  Re-pinned when S's entries
+# moved from endpoint arithmetic to midpoint-radius form: S's midpoint
+# moves in the last bits, and with it T, A, B_T, eps and the bounds that
+# follow; no verdict moved.
+PINNED_CERTIFICATES = "97c606a187dc6becfabb9000ddbd776e20644a43acd7126574abc0104b8ef461"
 # sha256 of the secant_jacobian endpoint bytes at d = 3, 8 and 30 and of
 # f_eval_interval boxes, with u, v and c enclosed by one midpoint-radius
-# product (rigor.iv_matmul) and S's structural zeros exact points; any
+# product (rigor.iv_matmul), S's blocks each a float midpoint with one
+# nudged a-priori radius and S's structural zeros exact points; any
 # change to how an endpoint is rounded moves it.
-PINNED_SECANT_AND_BOXES = "1180e2329d102fa5baa529c5c6d12fceb3c82c6d67d84d8ad134d24889c79793"
+PINNED_SECANT_AND_BOXES = "5a924d792523d22db96be11c9787a6fb92f1b18088b7d4af7a38c984ae97ccef"
 
 
 def _certify_outputs_digests():
@@ -831,34 +937,37 @@ def _structural_zeros(d):
     return mask
 
 
-@pytest.mark.parametrize("d", range(2, 41))
-def test_secant_jacobian_matches_dense_oracle_off_its_structural_zeros(d):
-    x0 = _pack(solve(d, seed=0).pair, 0.5)
+# S's widths against the dense endpoint oracle's, entry by entry: at most
+# 1.62 times over d = 2..40 at solver points and 1.56 at the degenerate
+# points of d = 2..6 (wider where the gamma_k bound of a modulus row
+# exceeds the oracle's per-operation nudges)
+ORACLE_WIDTH_FACTOR = 2.0
+
+
+def _assert_near_dense_oracle(x0, d):
+    """S keeps its structural zeros exact, puts its midpoint inside the
+    dense oracle's interval and is at most ORACLE_WIDTH_FACTOR as wide."""
     s, _ = secant_jacobian(x0, 1e-10, d)
     oracle = _dense_secant_oracle(x0, 1e-10, d)
     zeros = _structural_zeros(d)
-    assert np.array_equal(s.lo[~zeros], oracle.lo[~zeros])
-    assert np.array_equal(s.hi[~zeros], oracle.hi[~zeros])
     assert np.all(s.lo[zeros] == 0.0) and np.all(s.hi[zeros] == 0.0)
+    mid = s.mid()
+    assert np.all(oracle.lo <= mid) and np.all(mid <= oracle.hi)
+    assert np.all(s.hi - s.lo <= ORACLE_WIDTH_FACTOR * (oracle.hi - oracle.lo))
+    return oracle
+
+
+@pytest.mark.parametrize("d", range(2, 41))
+def test_secant_jacobian_matches_dense_oracle_off_its_structural_zeros(d):
+    oracle = _assert_near_dense_oracle(_pack(solve(d, seed=0).pair, 0.5), d)
+    zeros = _structural_zeros(d)
     assert np.all(oracle.lo[zeros] < 0.0) and np.all(oracle.hi[zeros] > 0.0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_secant_jacobian_lies_inside_dense_oracle_at_degenerate_points(d):
-    # the points of test_secant_jacobian_contains_exact_rational_secant:
-    # exact zeros and 0 < |x0_l| < delta, where sums can cancel to zero
-    # and an added interval zero can widen an entry
-    delta = 1e-10
-    rng = np.random.default_rng(500 + d)
-    x0 = rng.standard_normal(4 * d + 1) * 0.4
-    picks = rng.permutation(4 * d + 1)
-    x0[picks[:2]] = 0.0
-    x0[picks[2:5]] = rng.choice([-1.0, 1.0], size=3) * delta * rng.uniform(0.01, 1.0, size=3)
-    s, _ = secant_jacobian(x0, delta, d)
-    oracle = _dense_secant_oracle(x0, delta, d)
-    assert np.all(oracle.lo <= s.lo) and np.all(s.hi <= oracle.hi)
-    zeros = _structural_zeros(d)
-    assert np.all(s.lo[zeros] == 0.0) and np.all(s.hi[zeros] == 0.0)
+    # the degenerate points of test_secant_jacobian_contains_exact_rational_secant
+    _assert_near_dense_oracle(_degenerate_point(d), d)
 
 
 def test_certify_encloses_u_v_c_once(monkeypatch):
@@ -891,10 +1000,10 @@ def test_u_v_c_enclosure_memory_stays_quadratic_at_d300():
 
 
 def test_secant_jacobian_memory_stays_quadratic_at_d300():
-    # S is 751 x 1201, 7.2 MB per endpoint array, held twice while
-    # IntervalMatrix copies it; the |c_j|^2 slope over d x 4d entries
-    # holds a few more of 2.9 MB.  Evaluating every quantity over all
-    # lags and columns in complex temporaries took 86 MB.
+    # S is 751 x 1201, 7.2 MB per endpoint array, which IntervalMatrix
+    # wraps without a copy; the |c_j|^2 slope over d x 4d entries holds a
+    # few more of 2.9 MB.  Evaluating every quantity over all lags and
+    # columns in complex temporaries took 86 MB.
     d = 300
     x = np.random.default_rng(d).uniform(-0.1, 0.1, 4 * d + 1)
     uvc = certify_module._correlations_interval(x, x, d)
@@ -971,6 +1080,18 @@ def test_epsilon_search_matches_the_scalar_loop(a, bt, c0, delta_eff, norm_x0, d
         assert err.value.reason == "infeasible" and err.value.detail == want
 
 
+class _InProcessFuture:
+    """A future whose result is computed when it is asked for."""
+
+    def __init__(self, fn, item, on_result=None):
+        self.fn, self.item, self.on_result = fn, item, on_result
+
+    def result(self):
+        if self.on_result is not None:
+            self.on_result()
+        return self.fn(self.item)
+
+
 def test_certify_range_starts_at_most_one_worker_per_dimension(monkeypatch):
     started = []
 
@@ -984,8 +1105,8 @@ def test_certify_range_starts_at_most_one_worker_per_dimension(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, item):
+            return _InProcessFuture(fn, item)
 
     # certify_range imports the pool only when it starts one
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
@@ -995,3 +1116,33 @@ def test_certify_range_starts_at_most_one_worker_per_dimension(monkeypatch):
     # one dimension runs in-process, without a pool
     assert certify_range(2, 2, seeds=(0,), jobs=5000)[0].verified
     assert started == [2]
+
+
+def test_certify_range_submits_a_bounded_window_of_dimensions(monkeypatch):
+    # with --jobs N at most _WINDOW_PER_WORKER * N dimensions are in
+    # flight: Executor.map would have submitted all 40 before the first
+    # result came back
+    submitted, at_result = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, item):
+            submitted.append(item[0])
+            return _InProcessFuture(fn, item, lambda: at_result.append(len(submitted)))
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(certify_module, "_certify_dimension",
+                        lambda args: RangeResult(args[0], None, "no-convergence", "stub"))
+    results = certify_range(2, 41, jobs=2)
+    window = certify_module._WINDOW_PER_WORKER * 2
+    assert 0 < at_result[0] <= window < 40
+    assert all(count <= k + window for k, count in enumerate(at_result))
+    assert submitted == [r.d for r in results] == list(range(2, 42))

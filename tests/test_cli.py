@@ -228,6 +228,20 @@ def test_sweep_with_d4_reports_partial(tmp_path, capsys, monkeypatch):
     assert doc["failure_reason"] == "infeasible"
 
 
+def test_sweep_writes_the_same_documents_with_one_and_two_jobs(tmp_path):
+    # --jobs 2 keeps a bounded window of dimensions in a process pool and
+    # takes the results in order; every document but its manifest (which
+    # records the command line) is the same as with --jobs 1
+    docs = {}
+    for jobs in (1, 2):
+        out_dir = tmp_path / ("jobs%d" % jobs)
+        assert run_cli("sweep", "--d", "2..12", "--jobs", jobs, "--out-dir", out_dir) == 0
+        docs[jobs] = {path.name: {k: v for k, v in read_json(path).items() if k != "manifest"}
+                      for path in sorted(out_dir.iterdir())}
+    assert len(docs[1]) == 12 and docs[1]["summary.json"]["verified_count"] == 11
+    assert docs[1] == docs[2]
+
+
 def test_sweep_verdicts_agree_on_one_and_two_blas_threads(tmp_path):
     # at d >= 39 the LM solve's bits depend on the BLAS thread count, so
     # digests are only reproducible at a fixed count; the verdicts are not
@@ -278,9 +292,9 @@ def test_sweep_manifest_is_the_same_on_one_and_two_blas_threads(tmp_path):
 
 # sha256 manifest digest of `sweep --d 2..30 --jobs 1 --out-dir out` on one
 # BLAS thread: the bits of every certificate and of the summary
-SWEEP_2_30_MANIFEST = "a9d1f17c251b84963da45416e537d36679939849e35463271440715b5091840c"
+SWEEP_2_30_MANIFEST = "6888e7474495150874cc061e0c57d12da82c0f5e0f32154239052e3b82748f41"
 
-README_SWEEP_MANIFEST = "37f4db38dd56c48b"
+README_SWEEP_MANIFEST = "fde6d318838f2b10"
 
 
 def _readme_cli(argv, cwd):
