@@ -49,6 +49,7 @@ Certificate and certify_exact, which takes its signature and witness from
 harmonic.family_signature.
 """
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -65,6 +66,7 @@ from .rigor import (
     _down,
     _gamma,
     _mid_rad,
+    _radius_operand,
     _up,
     iv_matmul,
     iv_norm_inf,
@@ -188,7 +190,7 @@ def _lag_factors(z, g, k):
     out = []
     for part in z:
         mid, rad = _mid_rad(*part)
-        out.append((mid[:, None], _up(k * _up(rad + _up(g * np.abs(mid))))[:, None]))
+        out.append((mid[:, None], _up(k * _radius_operand(mid, rad, g))[:, None]))
     return out
 
 
@@ -709,7 +711,7 @@ def certify_range(d_lo, d_hi, seeds=(0, 1, 2, 3, 4), delta=1e-10, jobs=1,
     one bad dimension cannot abort the sweep.  The dimensions are taken
     lazily from the range; with jobs > 1 they are distributed over a
     process pool of at most one worker per dimension, with at most
-    _WINDOW_PER_WORKER of them submitted per worker at a time."""
+    _WINDOW_PER_WORKER of them submitted and unfinished per worker."""
     d_lo, d_hi = int(d_lo), int(d_hi)
     if d_lo < 2:
         raise InvalidArgumentError("certification starts at d = 2")
@@ -727,20 +729,30 @@ def certify_range(d_lo, d_hi, seeds=(0, 1, 2, 3, 4), delta=1e-10, jobs=1,
     return [_certify_dimension(item) for item in work]
 
 
+# one dimension running and one queued behind it, so a worker that finishes
+# starts the next without waiting for this process to submit it
 _WINDOW_PER_WORKER = 2
 
 
 def _in_order(pool, work, window):
     """_certify_dimension on each item of work in pool, with at most
-    window submitted and not yet returned, the results in work's order.
+    window submitted and not yet finished, the results in work's order.
+    A new item is submitted whenever any one finishes, so a slow
+    dimension at the head holds back only the yield, not the workers.
     Executor.map would submit the whole range before its first result."""
-    pending = deque()
-    for item in work:
-        if len(pending) == window:
-            yield pending.popleft().result()
-        pending.append(pool.submit(_certify_dimension, item))
-    while pending:
-        yield pending.popleft().result()
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    work = iter(work)
+    queue, running = deque(), set()
+    while True:
+        for item in itertools.islice(work, window - len(running)):
+            queue.append(pool.submit(_certify_dimension, item))
+            running.add(queue[-1])
+        if not queue:
+            return
+        running = wait(running, return_when=FIRST_COMPLETED).not_done
+        while queue and queue[0].done():
+            yield queue.popleft().result()
 
 
 def _poly_add(target, key, coeff):

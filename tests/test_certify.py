@@ -4,8 +4,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
+from concurrent.futures import Future, ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -1080,16 +1082,11 @@ def test_epsilon_search_matches_the_scalar_loop(a, bt, c0, delta_eff, norm_x0, d
         assert err.value.reason == "infeasible" and err.value.detail == want
 
 
-class _InProcessFuture:
-    """A future whose result is computed when it is asked for."""
-
-    def __init__(self, fn, item, on_result=None):
-        self.fn, self.item, self.on_result = fn, item, on_result
-
-    def result(self):
-        if self.on_result is not None:
-            self.on_result()
-        return self.fn(self.item)
+def _finished_future(fn, item):
+    """A future that already holds fn(item), as an in-process pool returns it."""
+    future = Future()
+    future.set_result(fn(item))
+    return future
 
 
 def test_certify_range_starts_at_most_one_worker_per_dimension(monkeypatch):
@@ -1106,7 +1103,7 @@ def test_certify_range_starts_at_most_one_worker_per_dimension(monkeypatch):
             return False
 
         def submit(self, fn, item):
-            return _InProcessFuture(fn, item)
+            return _finished_future(fn, item)
 
     # certify_range imports the pool only when it starts one
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
@@ -1118,31 +1115,50 @@ def test_certify_range_starts_at_most_one_worker_per_dimension(monkeypatch):
     assert started == [2]
 
 
-def test_certify_range_submits_a_bounded_window_of_dimensions(monkeypatch):
-    # with --jobs N at most _WINDOW_PER_WORKER * N dimensions are in
-    # flight: Executor.map would have submitted all 40 before the first
-    # result came back
-    submitted, at_result = [], []
+def test_certify_range_keeps_a_bounded_window_of_dimensions_in_flight(monkeypatch):
+    # with --jobs N at most _WINDOW_PER_WORKER * N dimensions are submitted
+    # and not finished: Executor.map would have submitted all 40 at once.
+    # A slow first dimension does not idle the other worker: d = 2 runs
+    # until d = 41 has started, which never happens if the window is
+    # refilled only as results are taken in order
+    window = certify_module._WINDOW_PER_WORKER * 2
+    last_started, unfinished = threading.Event(), []
 
-    class RecordingPool:
+    def certify_dimension(args):
+        if args[0] == 41:
+            last_started.set()
+        if args[0] == 2:
+            assert last_started.wait(timeout=10)
+        return RangeResult(args[0], None, "no-convergence", "stub")
+
+    class ThreadPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            super().__init__(max_workers)
+            self.futures = []
 
         def submit(self, fn, item):
-            submitted.append(item[0])
-            return _InProcessFuture(fn, item, lambda: at_result.append(len(submitted)))
+            unfinished.append(1 + sum(not f.done() for f in self.futures))
+            self.futures.append(super().submit(fn, item))
+            return self.futures[-1]
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(certify_module, "_certify_dimension",
-                        lambda args: RangeResult(args[0], None, "no-convergence", "stub"))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPool)
+    monkeypatch.setattr(certify_module, "_certify_dimension", certify_dimension)
     results = certify_range(2, 41, jobs=2)
-    window = certify_module._WINDOW_PER_WORKER * 2
-    assert 0 < at_result[0] <= window < 40
+    assert [r.d for r in results] == list(range(2, 42))
+    assert len(unfinished) == 40 and max(unfinished) <= window < 40
+
+    # when every dimension takes the same time, the first result is taken
+    # after one window of submissions
+    submitted = []
+
+    class FinishedPool:
+        def submit(self, fn, item):
+            submitted.append(item)
+            return _finished_future(lambda d: d, item)
+
+    at_result = []
+    for d in certify_module._in_order(FinishedPool(), range(40), window):
+        at_result.append(len(submitted))
+        assert d == len(at_result) - 1
+    assert at_result[0] == window
     assert all(count <= k + window for k, count in enumerate(at_result))
-    assert submitted == [r.d for r in results] == list(range(2, 42))
