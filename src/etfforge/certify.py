@@ -31,16 +31,18 @@ T is pseudoinverse's right inverse of S's midpoint, Q R^-T from one
 numpy QR whose R diagonal also decides the rank, with R^-1 a blocked
 triangular inverse (_upper_inverse).  Both sums of products, S T and
 the correlations behind u, v and c (_correlations_interval), are
-midpoint-radius products on BLAS (rigor.iv_matmul).  S T is formed
-once, in right_inverse: its enclosure bounds A, and its midpoint is the
-residual that refuses a T missing I by more than 1e-8 (reason "rank").
-B_T is one pass over |T| (rigor.norm_inf_upper).  certify encloses u, v
-and c at x0 once and shares that enclosure between S and the residual
-bound C0.  epsilon_search tests every candidate eps at once, on the same
-array kernels.  The residual row layout is solver's (solver.row_spec):
-f_eval_interval gathers its rows with solver.gather_rows,
-secant_jacobian fills S row by row from the same index, and
-_residual_polynomials iterates the spec.
+midpoint-radius products on BLAS (rigor.iv_matmul); every lagged copy of
+a generator, there and in S, is a frames.lag_windows view.  S T is
+formed once, in right_inverse: its enclosure bounds A, and its midpoint
+is the residual that refuses a T missing I by more than 1e-8 (reason
+"rank").  B_T is one pass over |T| (rigor.norm_inf_upper).  certify
+encloses u, v and c at x0 once and shares that enclosure between S and
+the residual bound C0.  epsilon_search tests every candidate eps at
+once, on the same array kernels.  The residual row layout is solver's
+(solver.row_spec): f_eval_interval gathers its rows with
+solver.gather_rows, secant_jacobian fills S row by row from the same
+index, and the coefficient audit (_residual_polynomials, on
+collections.Counter) iterates the spec.
 
 Where that argument cannot close (at d = 4 every zero is singular beyond
 the gauge kernel), a dimension covered by a witnessed symplectic
@@ -51,19 +53,19 @@ harmonic.family_signature.
 
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CertificationError, InvalidArgumentError, ToolkitError
-from .frames import CirculantPair
+from .frames import CirculantPair, lag_windows
 from .rigor import (
     _ETA,
     IntervalMatrix,
     _down,
+    _ends,
     _gamma,
     _mid_rad,
     _radius_operand,
@@ -94,15 +96,14 @@ def _correlations_interval(lo, hi, d):
     t_(m+j) their circulants side by side (d x 4d).  Each of u, v and c
     then adds two of them and subtracts two.  certify builds this once
     at x0 and shares it between secant_jacobian and the residual bound C0.
-    At a point (hi is lo) Circ is gathered once, as a float matrix: the
-    product is the same, with no radius of Circ to form.
+    Circ is read off the parts' frames.lag_windows; at a point (hi is lo)
+    as one float matrix, with no radius of Circ to form.
     """
-    m = np.arange(d)
-    idx = (m[:, None] + m[None, :]) % d  # idx[m, j] = m + j
     parts = IntervalMatrix(lo[:4 * d].reshape(4, d), hi[:4 * d].reshape(4, d))
-    gather = lambda e: e[:, idx].transpose(1, 0, 2).reshape(d, 4 * d)
-    circ = gather(parts.lo) if hi is lo else IntervalMatrix(gather(parts.lo), gather(parts.hi))
-    prod = iv_matmul(parts, circ)
+    plus, _ = lag_windows(parts.lo if hi is lo else np.stack([parts.lo, parts.hi]))
+    # Circ[..., m, t d + j] = t_(m+j) = plus[m, ..., t, j], as m + j = j + m
+    circ = np.moveaxis(plus, 0, -3).reshape(plus.shape[1:-2] + (d, 4 * d))
+    prod = iv_matmul(parts, circ if hi is lo else IntervalMatrix(*circ))
     c_lo, c_hi = prod.lo.reshape(4, 4, d), prod.hi.reshape(4, 4, d)
     # u, v, c = sum_m f_m conj(g_(m+j)) for (f, g) = (x, x), (y, y), (y, x);
     # f and g have real parts at rows f_re, g_re and imaginary parts next
@@ -294,7 +295,7 @@ def _secant_rows(parts, steps, u, c):
     # the parts (z_re, z_im) and (z_im, -z_re); so rows 4..7 are the
     # parts (Im x, -Re x, Im y, -Re y)
     swapped = parts[[1, 0, 3, 2]] * np.array([[1.0], [-1.0], [1.0], [-1.0]])
-    plus, minus = _shifted(np.concatenate([parts, swapped]))
+    plus, minus = lag_windows(np.concatenate([parts, swapped]))
     flat = lambda a: a.reshape(a.shape[0], 4 * d)
     # c's change: conj(e) y_(l-j) on the x columns, e conj(x_(l+j)) on the y columns
     dc = (flat(np.concatenate([minus[:, 2:4], plus[:, 0:2]], axis=1)),
@@ -330,20 +331,6 @@ def _secant_rows(parts, steps, u, c):
         s_lo[rows, cols], s_hi[rows, cols] = lo[lags], hi[lags]
     s_lo[2, 4 * d] = s_hi[2, 4 * d] = -4.0
     return s_lo, s_hi
-
-
-def _shifted(rows):
-    """Views plus and minus of rows (n x d), each d x n x d, with
-    plus[j, b, l] = rows[b, (l + j) mod d] and minus[j, b, l] =
-    rows[b, (l - j) mod d]: windows on the doubled rows, no index array."""
-    d = rows.shape[1]
-    win = sliding_window_view(np.concatenate([rows, rows], axis=1), d, axis=1)
-    return win[:, :d].transpose(1, 0, 2), win[:, d:0:-1].transpose(1, 0, 2)
-
-
-def _ends(mid, rad):
-    """[mid - rad, mid + rad] nudged outward."""
-    return _down(mid - rad), _up(mid + rad)
 
 
 _RANK_RTOL = 1e-8
@@ -511,7 +498,7 @@ def certify(pair, delta=1e-10, w=0.5, seed=-1):
     norm_x0 = float(np.max(np.abs(x0)))
     if norm_x0 >= 1.0:
         raise CertificationError(
-            "infeasible", "point infinity norm %.6f leaves no room for epsilon" % norm_x0
+            "infeasible", "point infinity norm %.3e leaves no room for epsilon" % norm_x0
         )
     uvc = _correlations_interval(x0, x0, d)
     s_mat, delta_eff = secant_jacobian(x0, delta, d, uvc)
@@ -755,86 +742,53 @@ def _in_order(pool, work, window):
             yield queue.popleft().result()
 
 
-def _poly_add(target, key, coeff):
-    new = target.get(key, 0.0) + coeff
-    if new == 0.0:
-        target.pop(key, None)
-    else:
-        target[key] = new
-
-
-def _poly_sum(*polys):
-    out = {}
-    for sign, poly in polys:
-        for key, coeff in poly.items():
-            _poly_add(out, key, sign * coeff)
+def _lin(plus, minus=()):
+    """The sum of the polynomials plus minus those of minus, zeros kept."""
+    out = Counter()
+    for poly in plus:
+        out.update(poly)
+    for poly in minus:
+        out.subtract(poly)
     return out
 
 
-def _poly_mul(pa, pb):
-    out = {}
-    for ka, ca in pa.items():
-        for kb, cb in pb.items():
-            _poly_add(out, tuple(sorted(ka + kb)), ca * cb)
+def _abs2_polynomial(re, im):
+    """re^2 + im^2 expanded, for polynomials re and im."""
+    out = Counter()
+    for part in (re, im):
+        for (ka, ca), (kb, cb) in itertools.product(part.items(), repeat=2):
+            out[tuple(sorted(ka + kb))] += ca * cb
     return out
 
 
 def _residual_polynomials(d):
     """The residual rows as explicit real polynomials in the 4d+1
-    variables, keyed by sorted tuples of variable indices."""
+    variables: float coefficients keyed by sorted tuples of variable
+    indices, from integer Counters whose zero terms are dropped per row."""
     d = int(d)
-    a = lambda l: l % d
-    b = lambda l: d + l % d
-    p = lambda l: 2 * d + l % d
-    q = lambda l: 3 * d + l % d
-    w_idx = 4 * d
+    x, y = (range(0, d), range(d, 2 * d)), (range(2 * d, 3 * d), range(3 * d, 4 * d))  # (Re, Im)
 
-    def corr(f_idx, g_idx, j):
-        out = {}
-        for m_ in range(d):
-            _poly_add(out, tuple(sorted((f_idx(m_), g_idx(m_ + j)))), 1.0)
-        return out
+    def parts(f, g, j):  # (Re, Im) of sum_m f_m conj(g_(m+j))
+        corr = lambda s, t: Counter(tuple(sorted((s[m], t[(m + j) % d]))) for m in range(d))
+        return _lin([corr(f[0], g[0]), corr(f[1], g[1])]), _lin([corr(f[1], g[0])], [corr(f[0], g[1])])
 
-    def u_parts(f1, f2, j):
-        re = _poly_sum((1.0, corr(f1, f1, j)), (1.0, corr(f2, f2, j)))
-        im = _poly_sum((1.0, corr(f2, f1, j)), (-1.0, corr(f1, f2, j)))
-        return re, im
-
-    def c_parts(j):
-        re = _poly_sum((1.0, corr(p, a, j)), (1.0, corr(q, b, j)))
-        im = _poly_sum((1.0, corr(q, a, j)), (-1.0, corr(p, b, j)))
-        return re, im
-
-    u = [u_parts(a, b, j) for j in range(d)]
-    v = [u_parts(p, q, j) for j in range(d)]
-    c = [c_parts(j) for j in range(d)]
-
-    def abs2(parts):
-        re, im = parts
-        return _poly_sum((1.0, _poly_mul(re, re)), (1.0, _poly_mul(im, im)))
-
-    pivot = abs2(c[0])
+    u, v, c = ([parts(f, g, j) for j in range(d)] for f, g in ((x, x), (y, y), (y, x)))
+    pivot = _abs2_polynomial(*c[0])
     quantity = {
-        "u_re": lambda j: u[j][0],
-        "v_re": lambda j: v[j][0],
-        "s_re": lambda j: _poly_sum((1.0, u[j][0]), (1.0, v[j][0])),
-        "s_im": lambda j: _poly_sum((1.0, u[j][1]), (1.0, v[j][1])),
-        "mod_u": lambda j: _poly_sum((1.0, abs2(u[j])), (-1.0, pivot)),
-        "mod_c": lambda j: _poly_sum((1.0, abs2(c[j])), (-1.0, pivot)),
+        "u_re": lambda j: _lin([u[j][0]]),
+        "v_re": lambda j: _lin([v[j][0]]),
+        "s_re": lambda j: _lin([u[j][0], v[j][0]]),
+        "s_im": lambda j: _lin([u[j][1], v[j][1]]),
+        "mod_u": lambda j: _lin([_abs2_polynomial(*u[j])], [pivot]),
+        "mod_c": lambda j: _lin([_abs2_polynomial(*c[j])], [pivot]),
     }
     rows = [quantity[name](j) for name, j in row_spec(d)]
-    for k, constant in enumerate(({(): -1.0}, {(): -1.0}, {(w_idx,): -4.0})):
-        rows[k] = _poly_sum((1.0, rows[k]), (1.0, constant))
-    return rows
+    for row, constant in zip(rows, ({(): 1}, {(): 1}, {(4 * d,): 4})):
+        row.subtract(constant)  # u_0 - 1, v_0 - 1 and s_0 - 4 w
+    return [{key: float(cf) for key, cf in row.items() if cf} for row in rows]
 
 
 def coefficient_norms(d):
-    """Per-row (total degree, coefficient 1-norm) of the residual system,
-    from the expanded polynomials."""
-    rows = _residual_polynomials(d)
-    out = []
-    for poly in rows:
-        degree = max((len(k) for k in poly), default=0)
-        norm = float(sum(abs(cf) for cf in poly.values()))
-        out.append((degree, norm))
-    return out
+    """Per-row (total degree, coefficient 1-norm) of the expanded residual."""
+    return [(max(map(len, poly), default=0), float(sum(map(abs, poly.values()))))
+            for poly in _residual_polynomials(d)]

@@ -239,17 +239,26 @@ def naimark_complement_signature(sig):
     return -s
 
 
+def lag_windows(rows):
+    """Views plus and minus of rows (..., d), each (d, ..., d), with
+    plus[j, ..., l] = rows[..., (l + j) mod d] and minus[j, ..., l] =
+    rows[..., (l - j) mod d]: windows on one doubled copy, no index array."""
+    doubled = np.concatenate([rows, rows], axis=-1)
+    d, step = doubled.shape[-1] // 2, doubled.strides[-1]
+    # win[s, ..., l] = doubled[..., s + l]
+    win = np.ndarray((d + 1, *doubled.shape[:-1], d), doubled.dtype, doubled, 0, (step, *doubled.strides))
+    return win[:d], win[d:0:-1]
+
+
 def circulant(gen):
     """d x d circulant whose column g is the g-step cyclic shift of gen; a
     stack of generators (..., d) gives the stack of their circulants."""
-    gen = np.asarray(gen, dtype=complex)
-    d = gen.shape[-1]
-    idx = (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
-    return gen[..., idx]
+    _, minus = lag_windows(np.asarray(gen, dtype=complex))
+    return np.moveaxis(minus, 0, -1).copy()
 
 
 def assemble_2circulant(pair):
     """The d x 2d frame [C_x | C_y] built from a generator pair."""
     if not isinstance(pair, CirculantPair):
         raise InvalidArgumentError("assemble_2circulant expects a CirculantPair")
-    return np.hstack([circulant(pair.x), circulant(pair.y)])
+    return np.hstack(circulant([pair.x, pair.y]))

@@ -213,7 +213,7 @@ class IntervalMatrix:
         return self.lo.shape
 
     def mid(self):
-        return 0.5 * (self.lo + self.hi)
+        return _mid(self.lo, self.hi)
 
 
 @functools.lru_cache(maxsize=256)
@@ -257,10 +257,16 @@ def norm_inf_upper(a):
     return float(_up(np.max(np.sum(np.abs(a), axis=1)) * _up(1.0 + 2.0 * _gamma(m))))
 
 
+def _mid(lo, hi):
+    """Float midpoint of [lo, hi]: the sum of the halves, which cannot
+    overflow, and on a point the point (halving an odd subnormal rounds)."""
+    return np.where(lo == hi, hi, 0.5 * lo + 0.5 * hi)
+
+
 def _mid_rad(lo, hi):
     """Float midpoint M and radius R of [lo, hi], with |x - M| <= R for
     every x in it and R = 0 exactly on point entries."""
-    mid = 0.5 * lo + 0.5 * hi
+    mid = _mid(lo, hi)
     # a float difference rounds to <= 0 only when it is exactly <= 0
     radius = np.maximum(hi - mid, mid - lo)
     return mid, np.where(radius > 0.0, _up(radius), 0.0)
@@ -272,6 +278,11 @@ def _radius_operand(mid, radius, g=None):
     exactly where M = R = 0, since R + g |M| is exactly 0 there."""
     term = np.abs(mid) if g is None else _up(g * np.abs(mid))
     return np.where((mid == 0.0) & (radius == 0.0), 0.0, _up(radius + term))
+
+
+def _ends(mid, rad):
+    """[mid - rad, mid + rad] nudged outward."""
+    return _down(mid - rad), _up(mid + rad)
 
 
 def iv_matmul(a, b):
@@ -323,7 +334,7 @@ def iv_matmul(a, b):
             p = _up(p + _up(_radius_operand(mid, radius) @ b_rad + under))
         rad = _up(_up(p / _down(1.0 - g)) + under)
         c = mid @ b_mid
-        lo, hi = _down(c - rad), _up(c + rad)
+        lo, hi = _ends(c, rad)
     bad = ~(np.isfinite(c) & np.isfinite(rad))
     lo[bad] = _NEG_INF
     hi[bad] = _POS_INF

@@ -622,6 +622,21 @@ def test_coefficient_norms_within_stated_bound(d):
         assert norm <= 16.0 * d * d
 
 
+# sha256 over repr(coefficient_norms(d)) and repr(sorted(row.items())) for
+# every row of _residual_polynomials(d), d = 2..10, from the dict-polynomial
+# expansion the Counter one replaced
+COEFFICIENT_AUDIT_DIGEST = "8814c2b78d48af4ba53bed97e514c669a623a149d23b1d48c0eaaa933524f746"
+
+
+def test_coefficient_audit_is_pinned():
+    digest = hashlib.sha256()
+    for d in range(2, 11):
+        digest.update(repr(coefficient_norms(d)).encode())
+        for row in _residual_polynomials(d):
+            digest.update(repr(sorted(row.items())).encode())
+    assert digest.hexdigest() == COEFFICIENT_AUDIT_DIGEST
+
+
 def test_residual_polynomials_evaluate_to_residual():
     rng = np.random.default_rng(31)
     for d in [2, 3, 5]:

@@ -155,6 +155,21 @@ def test_certify_hint_needs_a_construction_within_the_line_system_cap(
         assert ("is proved by exact-construction" in out) == hinted
 
 
+@pytest.mark.parametrize("field, value", [("x_re", 1e300), ("w", 1e300)])
+def test_certify_refuses_a_far_point_in_one_short_line(tmp_path, capsys, field, value):
+    doc = _generator_doc()
+    if field == "w":
+        doc["w"] = value
+    else:
+        doc[field][0] = value
+    gens = tmp_path / "far.json"
+    gens.write_text(json.dumps(doc))
+    assert run_cli("certify", "--in", gens) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200
+    assert lines[0].startswith("certification failed: reason=infeasible point infinity norm 1.000e+300")
+
+
 def test_construct_steiner_names_a_bad_m(tmp_path, capsys):
     assert run_cli("construct", "--family", "steiner", "--m", -2, "--out", tmp_path / "s.json") == 2
     assert capsys.readouterr().err == "error: m must be >= 1\n"

@@ -15,6 +15,7 @@ from etfforge.frames import (
     circulant,
     frame_from_gram,
     gram_of_signature,
+    lag_windows,
     naimark_complement_signature,
     signature_of_gram,
     welch_gamma,
@@ -204,6 +205,31 @@ def test_circulant_of_a_stack_is_the_stack_of_circulants():
     for i in range(2):
         for j in range(2):
             assert np.array_equal(stacked[i, j], circulant(gens[i, j]))
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (8,), (3, 2)])
+def test_lag_windows_match_a_modular_index(lead):
+    rng = np.random.default_rng(len(lead))
+    for d in range(1, 13):
+        rows = rng.standard_normal(lead + (d,))
+        plus, minus = lag_windows(rows)
+        lag, col = np.arange(d)[:, None], np.arange(d)
+        # oracle[j, ..., l] = rows[..., index[j, l]]
+        oracle = lambda index: np.moveaxis(rows[..., index], -2, 0)
+        assert plus.shape == minus.shape == (d,) + lead + (d,)
+        assert np.array_equal(plus, oracle((col + lag) % d))
+        assert np.array_equal(minus, oracle((col - lag) % d))
+
+
+def test_circulant_is_a_new_array_equal_to_the_modular_gather():
+    rng = np.random.default_rng(5)
+    for d in range(1, 91):
+        for lead in [(), (2,), (3, 2)]:
+            gen = rng.standard_normal(lead + (d,)) + 1j * rng.standard_normal(lead + (d,))
+            c = circulant(gen)
+            want = gen[..., (np.arange(d)[:, None] - np.arange(d)) % d]
+            assert c.flags.writeable and c.flags.c_contiguous and not np.shares_memory(c, gen)
+            assert c.shape == want.shape and c.tobytes() == want.tobytes()
 
 
 def test_assemble_identity_pair():

@@ -5,6 +5,7 @@ endpoints convert to Fraction losslessly, so containment of the exact
 rational result in the returned interval is decidable with no tolerance.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -217,6 +218,21 @@ def test_interval_matrix_refuses_nan_and_reversed_endpoints():
         IntervalMatrix(np.array([[0.0]]), np.array([[np.nan]]))
     with pytest.raises(InvalidArgumentError, match="lower endpoint exceeds upper"):
         IntervalMatrix(np.array([[0.0, 2.0]]), np.array([[1.0, 1.0]]))
+
+
+def test_midpoint_of_a_point_is_the_point_without_warnings():
+    # 0.5 * (lo + hi) overflows at +-1.7e308 and 0.5 * lo + 0.5 * hi
+    # rounds the halves of odd subnormals; a point is its own midpoint
+    tiny = np.nextafter(0.0, 1.0)
+    points = np.array([1.7e308, np.finfo(float).max, 0.0, tiny, 3 * tiny, 2.2e-308 + tiny])
+    points = np.concatenate([points, -points]).reshape(2, -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mid = IntervalMatrix.from_point(points).mid()
+        mid_rad, rad = _mid_rad(points, points)
+    for got in (mid, mid_rad):
+        assert np.array_equal(got, points) and np.array_equal(np.signbit(got), np.signbit(points))
+    assert not np.any(rad)
 
 
 def test_vsub_on_interval_matrices():
