@@ -22,27 +22,25 @@ built from differences of residual values: each column is the exact
 difference quotient for the float step h_l = fl(fl(x0_l + delta) - x0_l),
 enclosed from its closed form as an interval slope (see
 secant_jacobian) on only the blocks and lags that can be nonzero; the
-rest (u against y, v against x) are exact point zeros.  Each block is
-in midpoint-radius form, like iv_matmul: a float midpoint computed once
-in round-to-nearest and one a-priori radius (the radii of u and c and a
-gamma_k bound on the midpoint's rounding; _secant_rows derives it),
-nudged once.  So S costs O(d^2) and its entries are a few ulps wide.
-T is pseudoinverse's right inverse of S's midpoint, Q R^-T from one
-numpy QR whose R diagonal also decides the rank, with R^-1 a blocked
-triangular inverse (_upper_inverse).  Both sums of products, S T and
-the correlations behind u, v and c (_correlations_interval), are
-midpoint-radius products on BLAS (rigor.iv_matmul); every lagged copy of
-a generator, there and in S, is a frames.lag_windows view.  S T is
-formed once, in right_inverse: its enclosure bounds A, and its midpoint
-is the residual that refuses a T missing I by more than 1e-8 (reason
-"rank").  B_T is one pass over |T| (rigor.norm_inf_upper).  certify
-encloses u, v and c at x0 once and shares that enclosure between S and
-the residual bound C0.  epsilon_search tests every candidate eps at
-once, on the same array kernels.  The residual row layout is solver's
-(solver.row_spec): f_eval_interval gathers its rows with
-solver.gather_rows, secant_jacobian fills S row by row from the same
-index, and the coefficient audit (_residual_polynomials, on
-collections.Counter) iterates the spec.
+rest (u against y, v against x) are exact point zeros.  S is a float
+midpoint M and one a-priori radius (rigor.MidRadMatrix) from its blocks
+to A.  T is pseudoinverse's right inverse of M, Q R^-T from one numpy QR
+whose R diagonal also decides the rank, with R^-1 a blocked triangular
+inverse (_upper_inverse).  Both sums of products, S T and the
+correlations behind u, v and c (_correlations_interval), are
+midpoint-radius products on BLAS (rigor._mid_rad_product); every lagged
+copy of a generator, there and in S, is a frames.lag_windows view.  S T
+is formed once, in right_inverse, with no endpoint array: its midpoint
+minus I refuses a T missing I by more than 1e-8 (reason "rank") and,
+with its radius, bounds A.  B_T is one pass over |T|
+(rigor.norm_inf_upper).  certify encloses u, v and c at x0 once and
+shares that enclosure between S and the residual bound C0.
+epsilon_search tests every candidate eps at once, on the same array
+kernels.  The residual row layout is solver's (solver.row_spec):
+f_eval_interval gathers its rows with solver.gather_rows,
+secant_jacobian fills S row by row from the same index, and the
+coefficient audit (_residual_polynomials, on collections.Counter)
+iterates the spec.
 
 Where that argument cannot close (at d = 4 every zero is singular beyond
 the gauge kernel), a dimension covered by a witnessed symplectic
@@ -63,15 +61,15 @@ from .errors import CertificationError, InvalidArgumentError, ToolkitError
 from .frames import CirculantPair, lag_windows
 from .rigor import (
     _ETA,
+    _PHI,
     IntervalMatrix,
-    _down,
-    _ends,
+    MidRadMatrix,
     _gamma,
     _mid_rad,
+    _mid_rad_product,
     _radius_operand,
     _up,
     iv_matmul,
-    iv_norm_inf,
     norm_inf_upper,
     vadd,
     vdiv,
@@ -80,8 +78,8 @@ from .rigor import (
     vsqr,
     vsub,
 )
-# certify calls none of these; perfbench/spans.py counts them on this module
-from .rigor import iv_add, iv_div, iv_mul, iv_sub  # noqa: F401
+# certify calls none of these; perfbench/spans.py counts or times them on this module
+from .rigor import iv_add, iv_div, iv_mul, iv_norm_inf, iv_sub  # noqa: F401
 from .solver import _row_index, gather_rows, pack, require_sizable, residual_count, row_spec
 
 
@@ -200,11 +198,11 @@ def secant_jacobian(x0, delta, d, uvc=None):
 
     Column l holds the slope (f(x0 + h_l e_l) - f(x0)) / h_l, where
     h_l = fl(fl(x0_l + delta) - x0_l) is the float step; the slope is
-    enclosed for exactly this real h_l.  Returns the matrix and the
-    largest step, max h_l.  uvc is an enclosure of u, v and c at x0 as
-    _correlations_interval(x0, x0, d) returns it, built here when None;
-    S holds the slope for every u and c in it.  A delta that moves no
-    x0_l is refused ("infeasible").
+    enclosed for exactly this real h_l.  Returns the matrix, a
+    rigor.MidRadMatrix, and the largest step, max h_l.  uvc is an
+    enclosure of u, v and c at x0 as _correlations_interval(x0, x0, d)
+    returns it, built here when None; S holds the slope for every u and
+    c in it.  A delta that moves no x0_l is refused ("infeasible").
 
     No f is evaluated at a moved point.  Each entry is enclosed from the
     exact algebraic difference quotient (an interval slope, Neumaier,
@@ -241,25 +239,24 @@ def secant_jacobian(x0, delta, d, uvc=None):
             % (delta, int(np.argmax(steps <= 0.0))),
         )
     u, _, c = _correlations_interval(x0, x0, d) if uvc is None else uvc
-    s_lo, s_hi = _secant_rows(x0[:4 * d].reshape(4, d), steps, u, c)
-    return IntervalMatrix(s_lo, s_hi), float(np.max(steps))
+    return MidRadMatrix(*_secant_rows(x0[:4 * d].reshape(4, d), steps, u, c)), float(np.max(steps))
 
 
 def _secant_rows(parts, steps, u, c):
-    """secant_jacobian's endpoint arrays from the parts (Re x, Im x, Re y,
-    Im y) of x0 as rows, the steps and u and c at x0: a function of its
-    own, so that its temporaries are freed when it returns.
+    """secant_jacobian's midpoint and radius arrays from the parts (Re x,
+    Im x, Re y, Im y) of x0 as rows, the steps and u and c at x0: a
+    function of its own, so that its temporaries are freed when it returns.
 
     Each block is a float midpoint M, computed once in round-to-nearest,
-    and a radius r with |S - M| <= r for the exact entry S; only r is
-    nudged, and the scatter forms [_down(M - r), _up(M + r)].  With
+    and a radius r with |S - M| <= r for the exact entry S, nudged once;
+    exact point zeros and the -4 of the w column have r = 0.  With
     u = 2^-53, eta = 2^-1074 and gamma_k = k u / (1 - k u) (Higham,
     Accuracy and Stability of Numerical Algorithms, chapter 3):
 
-    - D.  Each part is one rounded sum of two floats (at lag 0, 2 x_l is
-      exact and h is the one addition), so it is off by at most u |D|
-      (Higham, eq. 2.5: a op b = fl(a op b) (1 + delta), |delta| <= u),
-      and r = 0: the scatter's nudges cover that one rounding.
+    - D.  Each part is one rounded sum M = fl(a + b) of two floats (at
+      lag 0, 2 x_l is exact and h is the one addition), so
+      a + b = M (1 + delta), |delta| <= u (Higham, eq. 2.5; exact where
+      subnormal): |S - M| <= u |M| <= r = _up(phi |M|), phi = u (1 + 2 u).
     - A modulus slope 2 (z_re D_re + z_im D_im) + h (D_re^2 + D_im^2),
       for z in [M_z - R_z, M_z + R_z] per part (R_z from u's or c's
       enclosure) and the float D above (exact for c's change).  Replacing
@@ -303,7 +300,7 @@ def _secant_rows(parts, steps, u, c):
     mid_c, rad_c = _slope_abs2(_lag_factors(c, g, k), dc, steps[:4 * d], g_t)
     del dc  # two d x 4d arrays, gone before D's are made
     pivot_mid, pivot_rad = mid_c[0], rad_c[0]
-    mod_c = _ends(mid_c - pivot_mid, _up(rad_c + pivot_rad + under))
+    mod_c = (mid_c - pivot_mid, _up(rad_c + pivot_rad + under))
     del mid_c, rad_c
     d_re = flat(plus[:half, 0:4] + minus[:half, 0:4])
     d_re[0] += steps[:4 * d]
@@ -316,21 +313,21 @@ def _secant_rows(parts, steps, u, c):
     on_y = lambda row: np.broadcast_to(row[y], mid_u.shape)
     mod_u_mid = np.concatenate([mid_u - pivot_mid[x], on_y(-pivot_mid)], axis=1)
     mod_u_rad = np.concatenate([rad_u + pivot_rad[x], on_y(pivot_rad)], axis=1)
-    d_re, d_im = ((_down(e), _up(e)) for e in (d_re, d_im))  # r = 0
+    d_re, d_im = ((e, _up(_PHI * np.abs(e))) for e in (d_re, d_im))
     blocks = {
         "u_re": (x, tuple(e[:, x] for e in d_re)),
         "v_re": (y, tuple(e[:, y] for e in d_re)),
         "s_re": (xy, d_re),
         "s_im": (xy, d_im),
-        "mod_u": (xy, _ends(mod_u_mid, _up(mod_u_rad + under))),
+        "mod_u": (xy, (mod_u_mid, _up(mod_u_rad + under))),
         "mod_c": (xy, mod_c),
     }
-    s_lo, s_hi = np.zeros((2, residual_count(d), 4 * d + 1))
+    mid, rad = np.zeros((2, residual_count(d), 4 * d + 1))
     for name, rows, lags in _row_index(d):
-        cols, (lo, hi) = blocks[name]
-        s_lo[rows, cols], s_hi[rows, cols] = lo[lags], hi[lags]
-    s_lo[2, 4 * d] = s_hi[2, 4 * d] = -4.0
-    return s_lo, s_hi
+        cols, (m, r) = blocks[name]
+        mid[rows, cols], rad[rows, cols] = m[lags], r[lags]
+    mid[2, 4 * d] = -4.0
+    return mid, rad
 
 
 _RANK_RTOL = 1e-8
@@ -388,23 +385,26 @@ def _upper_inverse(r):
 
 
 def right_inverse(s):
-    """T = pseudoinverse(S_mid) for an interval matrix S, and the
-    enclosure of S T - I from the one product iv_matmul(S, T).  Raises
-    CertificationError("rank"), carrying pseudoinverse's min |R_ii|, when
-    pseudoinverse does or when the enclosure's midpoint, S_mid T - I to
-    within the rounding of the product, has an entry of modulus above
-    1e-8 (or NaN).  That test is absolute, so near the rank threshold it
-    can still refuse a matrix the R guard passed (a singular value ratio
-    of 1.1e-8 can leave 1.2e-8)."""
-    t, r_min = pseudoinverse(s.mid())
-    st = iv_matmul(s, t)
-    eye = np.eye(st.shape[0])
-    defect = IntervalMatrix(*vsub(st.lo, st.hi, eye, eye))
-    residual = float(np.max(np.abs(defect.mid())))
+    """T = pseudoinverse(M) for the midpoint M and radius R of an interval
+    matrix S, and A >= ||S' T - I||_inf for every point matrix S' in S.
+    With C, rad = rigor._mid_rad_product(M, R, T), |S' T - C| <= rad, and
+    E = fl(C - I) is C - I: off the diagonal trivially, and on it once
+    max |E| <= 1e-8, as C_ii is then in [1/2, 2] (Sterbenz's lemma).  So
+    A = norm_inf_upper(_up(|E| + rad)), NaN or inf if rad is, which
+    epsilon_search never accepts.  Raises CertificationError("rank"),
+    carrying min |R_ii|, when pseudoinverse does or when max |E| > 1e-8
+    (or NaN): an absolute test, so near the rank threshold it can still
+    refuse a matrix the R guard passed (a singular value ratio of 1.1e-8
+    can leave 1.2e-8)."""
+    mid, rad = s.mid_rad()
+    t, r_min = pseudoinverse(mid)
+    e, e_rad = _mid_rad_product(mid, rad, t)
+    e[np.diag_indices_from(e)] -= 1.0
+    residual = float(np.max(np.abs(e, out=e)))
     if not residual <= 1e-8:
         text = "right inverse residual %.3e exceeds 1e-8 (min |R_ii| %.3e)" % (residual, r_min)
         raise CertificationError("rank", _RANK_REFUSAL + text, detail=r_min)
-    return t, defect
+    return t, norm_inf_upper(_up(e + e_rad))
 
 
 METHOD_NK = "newton-kantorovich"
@@ -502,8 +502,7 @@ def certify(pair, delta=1e-10, w=0.5, seed=-1):
         )
     uvc = _correlations_interval(x0, x0, d)
     s_mat, delta_eff = secant_jacobian(x0, delta, d, uvc)
-    t, defect = right_inverse(s_mat)
-    a_bound = iv_norm_inf(defect).hi
+    t, a_bound = right_inverse(s_mat)
     bt = norm_inf_upper(t)
     f0_lo, f0_hi = _residual_rows(uvc, x0[4 * d], x0[4 * d])
     c0 = float(np.max(np.maximum(np.abs(f0_lo), np.abs(f0_hi))))

@@ -22,14 +22,14 @@ Infinities may appear only as the result of overflow; NaN is rejected.
 
 The two matrix reductions do not nudge term by term.  They evaluate in
 round-to-nearest, with any summation order, and inflate the result by an
-a-priori error bound: iv_matmul is a midpoint-radius product on BLAS
-(Rump, "Fast and parallel interval arithmetic", BIT 39, 1999; Rump,
-"Fast interval matrix multiplication", Numer. Algorithms 61, 2012) whose
-right factor is a float or an interval matrix, the package's one
-enclosure of sums of products, and iv_norm_inf sums each row with
-np.sum.  Both rest on the classical bound for a length-k dot product
-in any order, with or without FMA (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., chapter 3):
+a-priori error bound: _mid_rad_product is a midpoint-radius product on
+BLAS (Rump, "Fast and parallel interval arithmetic", BIT 39, 1999; Rump,
+"Fast interval matrix multiplication", Numer. Algorithms 61, 2012), the
+package's one enclosure of sums of products, which iv_matmul wraps and a
+MidRadMatrix feeds without forming endpoints, and iv_norm_inf sums each
+row with np.sum.  Both rest on the classical bound for a length-k dot
+product in any order, with or without FMA (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., chapter 3):
 
     |fl(x . y) - x . y| <= gamma_k |x| . |y| + k eta,
     gamma_k = k u / (1 - k u),  u = 2^-53,  eta = 2^-1074.
@@ -41,10 +41,11 @@ roundings.
 Additions alone are exact in the subnormal range, so a sum of m terms
 needs only gamma_(m-1).
 
-One rule keeps subnormal operands out of iv_matmul's radius products
-without changing the FPU mode: where an entry of the left factor is an
-exact point zero (midpoint M = 0 and radius R = 0), R + g |M| and R + |M|
-are exactly 0, so 0 is stored there, not the nudged _up(_up(0)) = 2 eta.
+One rule keeps subnormal operands out of _mid_rad_product's radius
+products without changing the FPU mode: where an entry of the left
+factor is an exact point zero (midpoint M = 0 and radius R = 0),
+R + g |M| and R + |M| are exactly 0, so 0 is stored there, not the
+nudged _up(_up(0)) = 2 eta.
 Every other entry keeps its outward nudges, so a subnormal operand that
 stands for a nonzero bound is never lowered.
 """
@@ -215,6 +216,9 @@ class IntervalMatrix:
     def mid(self):
         return _mid(self.lo, self.hi)
 
+    def mid_rad(self):
+        return _mid_rad(self.lo, self.hi)
+
 
 @functools.lru_cache(maxsize=256)
 def _gamma(k):
@@ -273,68 +277,77 @@ def _mid_rad(lo, hi):
 
 
 def _radius_operand(mid, radius, g=None):
-    """iv_matmul's X >= R + g |M| (Y >= R + |M| when g is None) for the
-    midpoint M and radius R of its left factor, nudged upward, and 0
-    exactly where M = R = 0, since R + g |M| is exactly 0 there."""
+    """_mid_rad_product's X >= R + g |M| (Y >= R + |M| when g is None)
+    for the midpoint M and radius R of its left factor, nudged upward,
+    and 0 exactly where M = R = 0, since R + g |M| is exactly 0 there."""
     term = np.abs(mid) if g is None else _up(g * np.abs(mid))
     return np.where((mid == 0.0) & (radius == 0.0), 0.0, _up(radius + term))
 
 
-def _ends(mid, rad):
-    """[mid - rad, mid + rad] nudged outward."""
-    return _down(mid - rad), _up(mid + rad)
+class MidRadMatrix(IntervalMatrix):
+    """An interval matrix as a float midpoint M and radius R >= 0, both
+    wrapped: [M - R, M + R], exact where R = 0, its ends formed if read."""
+
+    __slots__ = ("_mid", "_rad")
+
+    def __init__(self, mid, rad):
+        self._mid, self._rad = mid, rad
+
+    lo = property(lambda self: np.where(self._rad == 0.0, self._mid, _down(self._mid - self._rad)))
+    hi = property(lambda self: np.where(self._rad == 0.0, self._mid, _up(self._mid + self._rad)))
+    shape = property(lambda self: self._mid.shape)
+    mid = lambda self: self._mid
+    mid_rad = lambda self: (self._mid, self._rad)
 
 
-def iv_matmul(a, b):
-    """Product of an interval matrix with a float or interval matrix.
-
-    Midpoint-radius form on BLAS products (Rump 1999, 2012; see the
-    module docstring).  With k the inner dimension, g >= gamma_k, M and R
-    a float midpoint and radius of `a` (|A - M| <= R for every point
-    matrix A in `a`), N and Q those of `b` (Q = 0 for a float `b`) and
-    C = fl(M @ N), for every such A and B
+def _mid_rad_product(mid, radius, b, b_rad=0.0):
+    """C = fl(M @ N) and rad >= |A B - C| for every A with |A - M| <= R
+    and B with |B - N| <= Q, for float midpoints M, N and radii R, Q
+    (Q = 0 for a float B): Rump's midpoint-radius product (see the module
+    docstring).  With k the inner dimension and g >= gamma_k,
 
         |A B - C| <= R |N| + (R + |M|) Q + gamma_k |M| |N| + k eta
-                  <= X |N| + Y Q + k eta,
+                  <= X |N| + Y Q + k eta
 
-    where X >= R + g |M| and Y >= R + |M| entrywise are formed with
-    outward nudges, except at an exact point zero of `a` (M = R = 0),
-    where both are stored as 0: there R + g |M| = R + |M| = 0 exactly.
-    So no subnormal 2 eta from nudging a zero enters the BLAS products.
-    The nonnegative product P = fl(X @ |N|) has
-    |P - X |N|| <= gamma_k X |N| + k eta, so X |N| <= (P + k eta) / (1 - g),
-    and likewise Y Q with P' = fl(Y @ Q); the radius
+    for X >= R + g |M| and Y >= R + |M| (_radius_operand).  The
+    nonnegative P = fl(X @ |N|) has |P - X |N|| <= gamma_k X |N| + k eta,
+    so X |N| <= (P + k eta) / (1 - g), and likewise Y Q with
+    P' = fl(Y @ Q), formed only when Q has a nonzero entry; so
 
         rad = (P + k eta + P' + k eta) / (1 - g) + k eta,
 
-    each operation nudged upward, bounds |A B - C|.  The P' terms are
-    added only when Q has a nonzero entry, so a float or point `b` costs
-    two products.  The result is [C - rad, C + rad], nudged outward.
-    This holds for any summation order the BLAS chooses, with or without
-    FMA, in round-to-nearest (it assumes only that each entry is a sum of
-    the k products, not a Strassen-like scheme).  Entries where C or rad
-    overflow become [-inf, inf].
+    each operation nudged upward.  This holds for any summation order the
+    BLAS chooses, with or without FMA, in round-to-nearest (it assumes
+    only that each entry is a sum of the k products, not a Strassen-like
+    scheme).  C and rad may overflow; an inf or NaN radius bounds nothing.
     """
+    k = mid.shape[1]
+    g = _gamma(k)
+    under = k * _ETA
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _up(_radius_operand(mid, radius, g) @ np.abs(b) + under)
+        if np.any(b_rad):
+            p = _up(p + _up(_radius_operand(mid, radius) @ b_rad + under))
+        return mid @ b, _up(_up(p / _down(1.0 - g)) + under)
+
+
+def iv_matmul(a, b):
+    """Product of an interval matrix with a float or interval matrix:
+    [C - rad, C + rad] nudged outward, for C and rad the _mid_rad_product
+    of the midpoints and radii of `a` and `b` (IntervalMatrix.mid_rad).
+    Entries where C or rad overflow become [-inf, inf]."""
     if not isinstance(a, IntervalMatrix):
         raise InvalidArgumentError("iv_matmul expects an IntervalMatrix left factor")
     if not isinstance(b, IntervalMatrix):
         b = np.asarray(b, dtype=float)
     if len(b.shape) != 2 or a.shape[1] != b.shape[0]:
         raise InvalidArgumentError("inner dimensions disagree")
-    k = a.shape[1]
-    if k == 0:
+    if a.shape[1] == 0:
         return IntervalMatrix.from_point(np.zeros((a.shape[0], b.shape[1])))
-    g = _gamma(k)
-    under = k * _ETA
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is mapped below
-        mid, radius = _mid_rad(a.lo, a.hi)
-        b_mid, b_rad = _mid_rad(b.lo, b.hi) if isinstance(b, IntervalMatrix) else (b, 0.0)
-        p = _up(_radius_operand(mid, radius, g) @ np.abs(b_mid) + under)
-        if np.any(b_rad):
-            p = _up(p + _up(_radius_operand(mid, radius) @ b_rad + under))
-        rad = _up(_up(p / _down(1.0 - g)) + under)
-        c = mid @ b_mid
-        lo, hi = _ends(c, rad)
+        factor = b.mid_rad() if isinstance(b, IntervalMatrix) else (b,)
+        c, rad = _mid_rad_product(*a.mid_rad(), *factor)
+        lo, hi = _down(c - rad), _up(c + rad)
     bad = ~(np.isfinite(c) & np.isfinite(rad))
     lo[bad] = _NEG_INF
     hi[bad] = _POS_INF

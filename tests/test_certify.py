@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -126,9 +127,10 @@ def test_secant_jacobian_encloses_exact_quadratic_secant():
     x0[4 * d] = 0.5
     delta = 1e-10
     s, step_max = secant_jacobian(x0, delta, d)
+    mid, rad = s.mid_rad()
     step = (1.0 + delta) - 1.0  # the representable step actually taken
     exact = 2 * Fraction(1) + Fraction(step)
-    assert Fraction(s.lo[0, 0]) <= exact <= Fraction(s.hi[0, 0])
+    assert abs(exact - Fraction(mid[0, 0])) <= rad[0, 0]
     assert step_max >= step
     with pytest.raises(InvalidArgumentError):
         secant_jacobian(x0, 0.0, d)
@@ -595,6 +597,30 @@ def test_certify_refusal_text_when_the_right_inverse_misses_identity(monkeypatch
         "right inverse residual %.3e exceeds 1e-8 (min |R_ii| %.3e)" % (residual, r_min))
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_right_inverse_bound_holds_in_rational_arithmetic(d):
+    # A bounds ||S' T - I||_inf, computed in Fractions, for S' the midpoint
+    # M of S and corners of [M - R, M + R]: one whose signs raise each
+    # row's sum of |S' T - I| to first order, and two at random.  A bound
+    # that drops S's radius fails at every corner.  A is also no larger
+    # than the endpoint form it replaced: S's nudged ends, their interval
+    # product with T, minus I, and that enclosure's row-sum bound.
+    s, _ = secant_jacobian(_pack(solve(d, seed=0).pair, 0.5), 1e-10, d)
+    mid, rad = s.mid_rad()
+    t, a_bound = certify_module.right_inverse(s)
+    st = certify_module.iv_matmul(IntervalMatrix(s.lo, s.hi), t)
+    eye = np.eye(st.shape[0])
+    assert a_bound <= certify_module.iv_norm_inf(IntervalMatrix(*vsub(st.lo, st.hi, eye, eye))).hi
+    rng = np.random.default_rng(d)
+    push = np.sign(np.sign(mid @ t - eye) @ t.T)
+    t_q = _fractions(t)
+    for signs in (np.zeros(mid.shape), push, *rng.choice([-1.0, 1.0], (2, *mid.shape))):
+        corner = _fractions(mid) + signs.astype(int).astype(object) * _fractions(rad)
+        defect = corner @ t_q
+        defect[np.diag_indices_from(defect)] -= 1
+        assert max(sum(map(abs, row)) for row in defect) <= a_bound
+
+
 def test_certify_exact_has_no_construction_at_d11():
     assert exact_constructions(11) == []
 
@@ -722,9 +748,10 @@ def test_secant_jacobian_contains_exact_rational_secant(d):
     for x0 in (_degenerate_point(d, delta), _pack(solve(d, seed=0).pair, 0.5)):
         n_var = 4 * d + 1
         s, step_max = secant_jacobian(x0, delta, d)
+        mid, rad = s.mid_rad()
         steps = (x0 + delta) - x0
         assert step_max == np.max(steps)
-        assert np.max(s.hi - s.lo) <= 1e-12
+        assert 2.0 * np.max(rad) <= 1e-12
         base = [Fraction(float(v)) for v in x0]
         f0 = _exact_residual(base, d)
         for col in range(n_var):
@@ -733,7 +760,12 @@ def test_secant_jacobian_contains_exact_rational_secant(d):
             moved[col] += h
             f1 = _exact_residual(moved, d)
             for row, (a, b) in enumerate(zip(f1, f0)):
-                assert Fraction(s.lo[row, col]) <= (a - b) / h <= Fraction(s.hi[row, col])
+                assert abs((a - b) / h - Fraction(mid[row, col])) <= rad[row, col]
+
+
+def _fractions(a):
+    """An object array of the exact values of a float array."""
+    return np.frompyfunc(Fraction, 1, 1)(a)
 
 
 def _closed_form_secant(x0, delta, d, u_at, c_at):
@@ -785,23 +817,24 @@ def test_secant_jacobian_encloses_the_slope_at_every_point_of_uvc(radius):
     mids = rng.uniform(-1.0, 1.0, (3, 2, d))
     ends = (mids, mids) if radius == 0.0 else (mids - radius, mids + radius)
     uvc = tuple(tuple((ends[0][k, p], ends[1][k, p]) for p in range(2)) for k in range(3))
-    s, _ = secant_jacobian(x0, delta, d, uvc)
-    lo, hi = s.lo.astype(object), s.hi.astype(object)
+    mid, rad = secant_jacobian(x0, delta, d, uvc)[0].mid_rad()
+    mid, rad = _fractions(mid), rad.astype(object)
     for _ in range(3):
         pick = rng.integers(0, 2, (3, 2, d))  # a corner of the box per entry
         corner = np.where(pick == 0, ends[0], ends[1])
         u_at, _, c_at = ([(Fraction(float(z[0, j])), Fraction(float(z[1, j]))) for j in range(d)]
                          for z in corner)
         exact = _closed_form_secant(x0, delta, d, u_at, c_at)
-        assert np.all(lo <= exact) and np.all(exact <= hi)
+        assert np.all(np.abs(exact - mid) <= rad)
 
 
 def test_secant_jacobian_nudges_at_most_half_the_elements_it_did(monkeypatch):
     # Counts the elements passed to rigor's _up and _down during one
     # secant_jacobian at d = 30.  Formed in endpoint arithmetic, with a
     # nudge after every operation, S (9196 entries) took 108720; the
-    # midpoint-radius form nudges each block's radius once and S's ends
-    # once, 24614.  A count, not a time, so it cannot flake.
+    # midpoint-radius form nudges each block's radius once, 9734, and
+    # forms no ends of S (24614 when it did).  A count, not a time, so it
+    # cannot flake.
     d = 30
     x0 = _pack(solve(d, seed=0).pair, 0.5)
     uvc = certify_module._correlations_interval(x0, x0, d)
@@ -815,7 +848,8 @@ def test_secant_jacobian_nudges_at_most_half_the_elements_it_did(monkeypatch):
 
     for module in (rigor_module, certify_module):  # certify binds its own names
         for name in ("_up", "_down"):
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
     secant_jacobian(x0, 1e-10, d, uvc)
     assert 0 < count[0] <= 108720 // 2
 
@@ -830,18 +864,42 @@ def test_certify_verifies_large_dimensions(d):
     assert cert.lhs_upper < cert.rhs_lower
 
 
+def test_every_dimension_up_to_165_is_proved():
+    # the paper's theorem: a d x 2d ETF of two circulant blocks exists for
+    # every d <= 165.  Every d in 2..165 is proved, by Newton-Kantorovich
+    # but d = 4, which only the exact route proves.  Verdicts and methods
+    # only: solve's bits move with the BLAS thread count from d = 39.  The
+    # README's table and smallest margin are read off this same run.
+    results = certify_range(2, 165)
+    assert [r.d for r in results] == list(range(2, 166))
+    assert all(r.verified for r in results)
+    methods = {r.d: r.certificate.method for r in results}
+    assert methods == {d: "exact-construction" if d == 4 else "newton-kantorovich"
+                       for d in range(2, 166)}
+    margin, at = min((r.certificate.rhs_lower - r.certificate.lhs_upper, r.d)
+                     for r in results if r.d != 4)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    table = dict(re.findall(r"^\| `(newton-kantorovich|exact-construction)` \| (\d+) ", readme, re.M))
+    assert table == {"newton-kantorovich": "163", "exact-construction": "1"}
+    assert ("smallest margin rhs_lower - lhs_upper is %.3f, at d = %d" % (margin, at)
+            in " ".join(readme.split()))
+
+
 # sha256 of certify's outputs at d = 2..12: each Certificate.to_obj(), or
-# the CertificationError reason and detail.  Re-pinned when S's entries
-# moved from endpoint arithmetic to midpoint-radius form: S's midpoint
-# moves in the last bits, and with it T, A, B_T, eps and the bounds that
-# follow; no verdict moved.
-PINNED_CERTIFICATES = "97c606a187dc6becfabb9000ddbd776e20644a43acd7126574abc0104b8ef461"
-# sha256 of the secant_jacobian endpoint bytes at d = 3, 8 and 30 and of
-# f_eval_interval boxes, with u, v and c enclosed by one midpoint-radius
-# product (rigor.iv_matmul), S's blocks each a float midpoint with one
-# nudged a-priori radius and S's structural zeros exact points; any
-# change to how an endpoint is rounded moves it.
-PINNED_SECANT_AND_BOXES = "5a924d792523d22db96be11c9787a6fb92f1b18088b7d4af7a38c984ae97ccef"
+# the CertificationError reason and detail.  Re-pinned when S was kept
+# as its midpoint and radius up to A: T keeps its bits, A only falls, and
+# eps, lhs_upper and the d = 4 gap move in the last digits; no verdict
+# moved.
+PINNED_CERTIFICATES = "6de2059cc287f510f75b769a9e91e220069c036ce17a13d6fa0353b1f922bab7"
+# sha256 of the secant_jacobian midpoint and radius bytes at d = 3, 8 and
+# 30 and of f_eval_interval boxes, with u, v and c enclosed by one
+# midpoint-radius product (rigor.iv_matmul), S's blocks each a float
+# midpoint with one nudged a-priori radius and S's structural zeros exact
+# points (radius 0); any change to how a radius or an endpoint is rounded
+# moves it.
+PINNED_SECANT_AND_BOXES = "b6773103904ac7b8d92a13ef103f625dd7c8d6b2dea8a9b1aebb550e03035da2"
 
 
 def _certify_outputs_digests():
@@ -856,8 +914,8 @@ def _certify_outputs_digests():
     for d in (3, 8, 30):
         x0 = _pack(solve(d, seed=0).pair, 0.5)
         s_mat, step = secant_jacobian(x0, 1e-10, d)
-        boxes.update(s_mat.lo.tobytes())
-        boxes.update(s_mat.hi.tobytes())
+        for part in s_mat.mid_rad():
+            boxes.update(part.tobytes())
         boxes.update(np.float64(step).tobytes())
         center = np.random.default_rng(d).uniform(-0.5, 0.5, 4 * d + 1)
         lo, hi = f_eval_interval((center - 1e-6, center + 1e-6), d)

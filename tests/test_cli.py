@@ -307,9 +307,9 @@ def test_sweep_manifest_is_the_same_on_one_and_two_blas_threads(tmp_path):
 
 # sha256 manifest digest of `sweep --d 2..30 --jobs 1 --out-dir out` on one
 # BLAS thread: the bits of every certificate and of the summary
-SWEEP_2_30_MANIFEST = "6888e7474495150874cc061e0c57d12da82c0f5e0f32154239052e3b82748f41"
+SWEEP_2_30_MANIFEST = "fa3b5ff170dc4fe67e09eba37ff35724301a96cda092081e811438f887e27ac6"
 
-README_SWEEP_MANIFEST = "fde6d318838f2b10"
+README_SWEEP_MANIFEST = "ef052d0bce8153b9"
 
 
 def _readme_cli(argv, cwd):

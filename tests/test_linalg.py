@@ -164,12 +164,14 @@ def test_upper_inverse_against_lu_inverse(n, ratio):
 
 
 def test_right_inverse_refuses_a_t_that_misses_identity(monkeypatch):
-    # the residual refusal reads S T off the one interval product
+    # the residual refusal reads S T off the one midpoint-radius product
+    # that also bounds A; at a point S, A exceeds ||S T - I|| by rounding only
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 9))
-    t, defect = right_inverse(IntervalMatrix.from_point(a))
+    t, a_bound = right_inverse(IntervalMatrix.from_point(a))
     assert np.max(np.abs(a @ t - np.eye(5))) < 1e-12
-    assert np.max(defect.hi - defect.lo) < 1e-14
+    norm = np.max(np.sum(np.abs(a @ t - np.eye(5)), axis=1))
+    assert norm <= a_bound < norm + 1e-14
     exact_inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda r: exact_inv(r) * (1.0 + 1e-6))
     with pytest.raises(CertificationError, match="right inverse residual") as err:
