@@ -33,8 +33,9 @@ copy of a generator, there and in S, is a frames.lag_windows view.  S T
 is formed once, in right_inverse, with no endpoint array: its midpoint
 minus I refuses a T missing I by more than 1e-8 (reason "rank") and,
 with its radius, bounds A.  B_T is one pass over |T|
-(rigor.norm_inf_upper).  certify encloses u, v and c at x0 once and
-shares that enclosure between S and the residual bound C0.
+(rigor.norm_inf_upper).  certify encloses u, v and c at x0 once, as
+midpoints and radii, and shares them between S and the residual bound
+C0, which alone forms their ends (rigor._ends).
 epsilon_search tests every candidate eps at once, on the same array
 kernels.  The residual row layout is solver's (solver.row_spec):
 f_eval_interval gathers its rows with solver.gather_rows,
@@ -62,14 +63,13 @@ from .frames import CirculantPair, lag_windows
 from .rigor import (
     _ETA,
     _PHI,
-    IntervalMatrix,
     MidRadMatrix,
+    _ends,
     _gamma,
     _mid_rad,
     _mid_rad_product,
     _radius_operand,
     _up,
-    iv_matmul,
     norm_inf_upper,
     vadd,
     vdiv,
@@ -79,37 +79,40 @@ from .rigor import (
     vsub,
 )
 # certify calls none of these; perfbench/spans.py counts or times them on this module
-from .rigor import iv_add, iv_div, iv_mul, iv_norm_inf, iv_sub  # noqa: F401
+from .rigor import iv_add, iv_div, iv_matmul, iv_mul, iv_norm_inf, iv_sub  # noqa: F401
 from .solver import _row_index, gather_rows, pack, require_sizable, residual_count, row_spec
 
 
 def _correlations_interval(lo, hi, d):
-    """Interval enclosures of u, v and c (see solver) over the box
-    [lo, hi] of packed points, each as (re, im) with re and im (lo, hi)
-    pairs over the lags 0..d-1.
+    """Enclosures of u, v and c (see solver) over the box [lo, hi] of
+    packed points, each as (re, im), each part a float midpoint M and
+    radius R over the lags 0..d-1: the exact part lies in [M - R, M + R].
 
     All sixteen correlations sum_m s_m t_(m+j) of the parts s, t of
-    (Re x, Im x, Re y, Im y) are one midpoint-radius product P Circ
-    (rigor.iv_matmul): P holds the parts (4 x d) and Circ[m, t d + j] =
-    t_(m+j) their circulants side by side (d x 4d).  Each of u, v and c
-    then adds two of them and subtracts two.  certify builds this once
-    at x0 and shares it between secant_jacobian and the residual bound C0.
-    Circ is read off the parts' frames.lag_windows; at a point (hi is lo)
-    as one float matrix, with no radius of Circ to form.
+    (Re x, Im x, Re y, Im y) are one rigor._mid_rad_product P Circ: P the
+    parts' midpoints and radii (4 x d; R = 0 at a point, where no product
+    of radii is formed), Circ[m, t d + j] = t_(m+j) their circulants side
+    by side (d x 4d), read off one frames.lag_windows of both.  Each part
+    of u, v and c is a +- b for two of them, (M_a, R_a) and (M_b, R_b):
+    M_a +- M_b = M (1 + delta) for M = fl(M_a +- M_b), |delta| <= u =
+    2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, eq.
+    2.5; exact where subnormal), so |a +- b - M| <= R_a + R_b + u |M|,
+    which R bounds with each operation nudged upward.  One product of
+    inner length 2d for the +- would double gamma_k and so the radius.
     """
-    parts = IntervalMatrix(lo[:4 * d].reshape(4, d), hi[:4 * d].reshape(4, d))
-    plus, _ = lag_windows(parts.lo if hi is lo else np.stack([parts.lo, parts.hi]))
+    mid, rad = _mid_rad(lo[:4 * d].reshape(4, d), hi[:4 * d].reshape(4, d))
+    plus, _ = lag_windows(np.stack([mid, rad]))
     # Circ[..., m, t d + j] = t_(m+j) = plus[m, ..., t, j], as m + j = j + m
-    circ = np.moveaxis(plus, 0, -3).reshape(plus.shape[1:-2] + (d, 4 * d))
-    prod = iv_matmul(parts, circ if hi is lo else IntervalMatrix(*circ))
-    c_lo, c_hi = prod.lo.reshape(4, 4, d), prod.hi.reshape(4, 4, d)
-    # u, v, c = sum_m f_m conj(g_(m+j)) for (f, g) = (x, x), (y, y), (y, x);
-    # f and g have real parts at rows f_re, g_re and imaginary parts next
-    f_re, g_re = np.array([0, 2, 2]), np.array([0, 2, 0])
-    f_im, g_im = f_re + 1, g_re + 1
-    re_lo, re_hi = vadd(c_lo[f_re, g_re], c_hi[f_re, g_re], c_lo[f_im, g_im], c_hi[f_im, g_im])
-    im_lo, im_hi = vsub(c_lo[f_im, g_re], c_hi[f_im, g_re], c_lo[f_re, g_im], c_hi[f_re, g_im])
-    return tuple(((re_lo[k], re_hi[k]), (im_lo[k], im_hi[k])) for k in range(3))
+    circ = np.moveaxis(plus, 0, -3).reshape(2, d, 4 * d)
+    c_mid, c_rad = (p.reshape(4, 4, d) for p in _mid_rad_product(mid, rad, *circ))
+    # u, v, c = sum_m f_m conj(g_(m+j)) for (f, g) = (x, x), (y, y), (y, x), real parts
+    # at rows f, g and imaginary next: re = f_re g_re + f_im g_im, im = f_im g_re - f_re g_im
+    f, g = np.array([0, 2, 2]), np.array([0, 2, 0])
+    a, b = (np.stack([f, f + 1]), g), (np.stack([f + 1, f]), g + 1)
+    with np.errstate(invalid="ignore"):  # inf - inf where the product overflowed
+        m = c_mid[a] + np.array([1.0, -1.0])[:, None, None] * c_mid[b]
+    r = _radius_operand(m, _up(c_rad[a] + c_rad[b]), _PHI)
+    return tuple(((m[0, k], r[0, k]), (m[1, k], r[1, k])) for k in range(3))
 
 
 def _abs2(re, im):
@@ -135,9 +138,9 @@ def f_eval_interval(z, d):
 def _residual_rows(uvc, w_lo, w_hi):
     """f_eval_interval's rows from an enclosure uvc of u, v and c, as
     _correlations_interval returns it, and the interval [w_lo, w_hi]:
-    solver._float_rows in interval arithmetic, then the constants of
-    rows 0..2."""
-    (u_re, u_im), (v_re, v_im), c = uvc
+    the ends of uvc (rigor._ends), then solver._float_rows in interval
+    arithmetic and the constants of rows 0..2."""
+    (u_re, u_im), (v_re, v_im), c = (tuple(_ends(*part) for part in q) for q in uvc)
     abs2_c = _abs2(*c)
     pivot = (abs2_c[0][0], abs2_c[1][0])
     data = {
@@ -184,13 +187,9 @@ def _slope_abs2(z, dz, h, g):
 
 
 def _lag_factors(z, g, k):
-    """(M, X) for each part (lo, hi) of an enclosure z over the lags: the
-    float midpoint M and X >= k (R + g |M|) for its radius R, as columns."""
-    out = []
-    for part in z:
-        mid, rad = _mid_rad(*part)
-        out.append((mid[:, None], _up(k * _radius_operand(mid, rad, g))[:, None]))
-    return out
+    """(M, X) for each part (M, R) of an enclosure z over the lags: the
+    float midpoint M and X >= k (R + g |M|), as columns."""
+    return [(mid[:, None], _up(k * _radius_operand(mid, rad, g))[:, None]) for mid, rad in z]
 
 
 def secant_jacobian(x0, delta, d, uvc=None):
@@ -307,7 +306,7 @@ def _secant_rows(parts, steps, u, c):
     d_im = flat(minus[:half, 4:8] - plus[:half, 4:8])
     x, y, xy = slice(0, 2 * d), slice(2 * d, 4 * d), slice(0, 4 * d)
     mid_u, rad_u = _slope_abs2(
-        _lag_factors([(lo[:half], hi[:half]) for lo, hi in u], g, k),
+        _lag_factors([(m[:half], r[:half]) for m, r in u], g, k),
         (d_re[:, x], d_im[:, x]), steps[:2 * d], g_t)
     # |u_j|^2 - |c_0|^2: u does not move with y, so there it is -|c_0|^2
     on_y = lambda row: np.broadcast_to(row[y], mid_u.shape)
@@ -577,11 +576,11 @@ def exact_constructions(d):
     is an odd prime power.  A q past galois.within_line_system_cap is
     listed too; harmonic.family_signature refuses it, naming the cap (in
     galois.build_line_system), before certify_exact runs."""
-    from .constructions import is_odd_prime_power
+    from .constructions import FAMILY_TABLE, is_odd_prime_power
 
     d = int(d)
-    families = (("paley_plus", 2 * d - 1), ("double_paley_plus", d - 1))
-    return [(family, q) for family, q in families if is_odd_prime_power(q)]
+    return [(family, q) for _, q_of, family in FAMILY_TABLE
+            if family and is_odd_prime_power(q := q_of(d))]
 
 
 def certify_exact(sig_re, sig_im, witness):

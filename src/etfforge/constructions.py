@@ -472,9 +472,13 @@ def zauner_2x4_signature():
     return re + 1j * im
 
 
-LABEL_HALF = "G_%d+1"
-LABEL_DOUBLE = "2·G_%d"
-LABEL_DOUBLE_PLUS = "2·(G_%d+1)"
+# (label, q at d, which must be an odd prime power, and the family of
+# harmonic.family_signature that proves it exactly, or None) per family
+FAMILY_TABLE = (
+    ("G_%d+1", lambda d: 2 * d - 1, "paley_plus"),
+    ("2·G_%d", lambda d: d, None),
+    ("2·(G_%d+1)", lambda d: d - 1, "double_paley_plus"),
+)
 
 
 def table_dispatch(d):
@@ -487,11 +491,4 @@ def table_dispatch(d):
     d = int(d)
     if not 1 <= d <= 1000:
         raise InvalidArgumentError("dispatch covers 1 <= d <= 1000")
-    labels = []
-    if is_odd_prime_power(2 * d - 1):
-        labels.append(LABEL_HALF % (2 * d - 1))
-    if is_odd_prime_power(d):
-        labels.append(LABEL_DOUBLE % d)
-    if is_odd_prime_power(d - 1):
-        labels.append(LABEL_DOUBLE_PLUS % (d - 1))
-    return labels
+    return [label % q for label, q_of, _ in FAMILY_TABLE if is_odd_prime_power(q := q_of(d))]

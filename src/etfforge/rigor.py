@@ -25,11 +25,11 @@ round-to-nearest, with any summation order, and inflate the result by an
 a-priori error bound: _mid_rad_product is a midpoint-radius product on
 BLAS (Rump, "Fast and parallel interval arithmetic", BIT 39, 1999; Rump,
 "Fast interval matrix multiplication", Numer. Algorithms 61, 2012), the
-package's one enclosure of sums of products, which iv_matmul wraps and a
-MidRadMatrix feeds without forming endpoints, and iv_norm_inf sums each
-row with np.sum.  Both rest on the classical bound for a length-k dot
-product in any order, with or without FMA (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., chapter 3):
+package's one enclosure of sums of products (iv_matmul returns it as a
+MidRadMatrix, whose ends _ends forms), and iv_norm_inf sums each row with
+np.sum.  Both rest on the classical bound for a length-k dot product in
+any order, with or without FMA (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., chapter 3):
 
     |fl(x . y) - x . y| <= gamma_k |x| . |y| + k eta,
     gamma_k = k u / (1 - k u),  u = 2^-53,  eta = 2^-1074.
@@ -276,6 +276,16 @@ def _mid_rad(lo, hi):
     return mid, np.where(radius > 0.0, _up(radius), 0.0)
 
 
+def _ends(mid, rad):
+    """The ends of [M - R, M + R] for a float midpoint M and radius R >= 0:
+    M exactly where R = 0, [-inf, inf] where M or R is not finite (an
+    overflowed or NaN bound), else M - R and M + R nudged outward."""
+    exact, bad = rad == 0.0, ~(np.isfinite(mid) & np.isfinite(rad))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.where(bad, _NEG_INF, np.where(exact, mid, _down(mid - rad))),
+                np.where(bad, _POS_INF, np.where(exact, mid, _up(mid + rad))))
+
+
 def _radius_operand(mid, radius, g=None):
     """_mid_rad_product's X >= R + g |M| (Y >= R + |M| when g is None)
     for the midpoint M and radius R of its left factor, nudged upward,
@@ -293,8 +303,8 @@ class MidRadMatrix(IntervalMatrix):
     def __init__(self, mid, rad):
         self._mid, self._rad = mid, rad
 
-    lo = property(lambda self: np.where(self._rad == 0.0, self._mid, _down(self._mid - self._rad)))
-    hi = property(lambda self: np.where(self._rad == 0.0, self._mid, _up(self._mid + self._rad)))
+    lo = property(lambda self: _ends(self._mid, self._rad)[0])
+    hi = property(lambda self: _ends(self._mid, self._rad)[1])
     shape = property(lambda self: self._mid.shape)
     mid = lambda self: self._mid
     mid_rad = lambda self: (self._mid, self._rad)
@@ -332,10 +342,9 @@ def _mid_rad_product(mid, radius, b, b_rad=0.0):
 
 
 def iv_matmul(a, b):
-    """Product of an interval matrix with a float or interval matrix:
-    [C - rad, C + rad] nudged outward, for C and rad the _mid_rad_product
-    of the midpoints and radii of `a` and `b` (IntervalMatrix.mid_rad).
-    Entries where C or rad overflow become [-inf, inf]."""
+    """Product of an interval matrix with a float or interval matrix: the
+    _mid_rad_product of the midpoints and radii of `a` and `b`
+    (IntervalMatrix.mid_rad) as a MidRadMatrix."""
     if not isinstance(a, IntervalMatrix):
         raise InvalidArgumentError("iv_matmul expects an IntervalMatrix left factor")
     if not isinstance(b, IntervalMatrix):
@@ -344,11 +353,5 @@ def iv_matmul(a, b):
         raise InvalidArgumentError("inner dimensions disagree")
     if a.shape[1] == 0:
         return IntervalMatrix.from_point(np.zeros((a.shape[0], b.shape[1])))
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is mapped below
-        factor = b.mid_rad() if isinstance(b, IntervalMatrix) else (b,)
-        c, rad = _mid_rad_product(*a.mid_rad(), *factor)
-        lo, hi = _down(c - rad), _up(c + rad)
-    bad = ~(np.isfinite(c) & np.isfinite(rad))
-    lo[bad] = _NEG_INF
-    hi[bad] = _POS_INF
-    return IntervalMatrix(lo, hi)
+    factor = b.mid_rad() if isinstance(b, IntervalMatrix) else (b,)
+    return MidRadMatrix(*_mid_rad_product(*a.mid_rad(), *factor))

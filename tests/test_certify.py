@@ -38,6 +38,8 @@ from etfforge.harmonic import AutomorphismWitness, family_signature
 from etfforge.rigor import (
     Interval,
     IntervalMatrix,
+    _ends,
+    _mid_rad,
     iv_add,
     iv_div,
     iv_mul,
@@ -816,7 +818,7 @@ def test_secant_jacobian_encloses_the_slope_at_every_point_of_uvc(radius):
     x0 = rng.standard_normal(4 * d + 1) * 0.4
     mids = rng.uniform(-1.0, 1.0, (3, 2, d))
     ends = (mids, mids) if radius == 0.0 else (mids - radius, mids + radius)
-    uvc = tuple(tuple((ends[0][k, p], ends[1][k, p]) for p in range(2)) for k in range(3))
+    uvc = tuple(tuple(_mid_rad(ends[0][k, p], ends[1][k, p]) for p in range(2)) for k in range(3))
     mid, rad = secant_jacobian(x0, delta, d, uvc)[0].mid_rad()
     mid, rad = _fractions(mid), rad.astype(object)
     for _ in range(3):
@@ -888,18 +890,18 @@ def test_every_dimension_up_to_165_is_proved():
 
 
 # sha256 of certify's outputs at d = 2..12: each Certificate.to_obj(), or
-# the CertificationError reason and detail.  Re-pinned when S was kept
-# as its midpoint and radius up to A: T keeps its bits, A only falls, and
-# eps, lhs_upper and the d = 4 gap move in the last digits; no verdict
-# moved.
-PINNED_CERTIFICATES = "6de2059cc287f510f75b769a9e91e220069c036ce17a13d6fa0353b1f922bab7"
+# the CertificationError reason and detail.  Re-pinned when u, v and c
+# were kept as midpoints and radii from their product to S and C0: A,
+# B_T, C0, eps, lhs_upper and the d = 4 gap move in the last digits; no
+# verdict moved.
+PINNED_CERTIFICATES = "be7768fc2ef6e87f158f2172d96d400d347089553108fcd1509f8b8203748d88"
 # sha256 of the secant_jacobian midpoint and radius bytes at d = 3, 8 and
 # 30 and of f_eval_interval boxes, with u, v and c enclosed by one
-# midpoint-radius product (rigor.iv_matmul), S's blocks each a float
+# midpoint-radius product (rigor._mid_rad_product), S's blocks each a float
 # midpoint with one nudged a-priori radius and S's structural zeros exact
 # points (radius 0); any change to how a radius or an endpoint is rounded
 # moves it.
-PINNED_SECANT_AND_BOXES = "b6773103904ac7b8d92a13ef103f625dd7c8d6b2dea8a9b1aebb550e03035da2"
+PINNED_SECANT_AND_BOXES = "f38862a42fc1f0fdb288583ee71b6367ae9a62a1afb670472361af5d93038b3f"
 
 
 def _certify_outputs_digests():
@@ -965,7 +967,7 @@ def _dense_secant_oracle(x0, delta, d):
 
     steps = (x0 + delta) - x0
     pair, _ = unpack(x0, d)
-    u, v, c = certify_module._correlations_interval(x0, x0, d)
+    u, v, c = ([_ends(*part) for part in q] for q in certify_module._correlations_interval(x0, x0, d))
     h = steps[None, :4 * d]
     lag = np.arange(d)[:, None]
     col = np.arange(4 * d)[None, :]
@@ -1057,6 +1059,63 @@ def test_certify_encloses_u_v_c_once(monkeypatch):
     pair = solve(5, seed=0).pair
     assert certify(pair).verified
     assert calls == [5]
+
+
+def test_certify_forms_the_parts_midpoints_and_radii_once(monkeypatch):
+    # u, v and c stay midpoints and radii from their product to S and C0:
+    # the one _mid_rad is of the parts of x0, none turns ends back
+    calls = []
+    mid_rad = certify_module._mid_rad
+
+    def counted(*args):
+        calls.append(np.shape(args[0]))
+        return mid_rad(*args)
+
+    monkeypatch.setattr(certify_module, "_mid_rad", counted)
+    assert certify(solve(5, seed=0).pair).verified
+    assert calls == [(4, 5)]
+
+
+def _assert_encloses_exactly(lo, hi, d, points):
+    """_correlations_interval over the box [lo, hi] holds the exact u, v
+    and c, and f_eval_interval's rows the exact residual rows, at each
+    packed point of the box."""
+    uvc = certify_module._correlations_interval(lo, hi, d)
+    rows_lo, rows_hi = f_eval_interval((lo, hi), d)
+    for x in points:
+        vec = [Fraction(float(v)) for v in x]
+        for enclosure, exact in zip(uvc, _exact_uvc(vec, d)):
+            for part, (mid, rad) in enumerate(enclosure):
+                for j in range(d):
+                    assert abs(exact[j][part] - Fraction(float(mid[j]))) <= Fraction(float(rad[j]))
+        for row_lo, want, row_hi in zip(rows_lo, _exact_residual(vec, d), rows_hi):
+            assert Fraction(float(row_lo)) <= want <= Fraction(float(row_hi))
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_u_v_c_and_rows_contain_the_exact_values(d):
+    # at full-mantissa random points, solver points and degenerate points,
+    # then at corners of small boxes; the radius of the correlation product
+    # and of each sum or difference of two correlations are what hold these
+    rng = np.random.default_rng(900 + d)
+    for x in (rng.uniform(-1.0, 1.0, 4 * d + 1), _pack(solve(d, seed=0).pair, 0.5),
+              _degenerate_point(d)):
+        _assert_encloses_exactly(x, x, d, [x])
+    for radius in (1e-12, 1e-6):
+        center = rng.uniform(-0.5, 0.5, 4 * d + 1)
+        lo, hi = center - radius, center + radius
+        corners = [np.where(rng.integers(0, 2, 4 * d + 1) == 0, lo, hi) for _ in range(4)]
+        _assert_encloses_exactly(lo, hi, d, corners)
+
+
+def test_f_eval_interval_maps_overflow_to_the_real_line():
+    # the correlations of 1e200 entries overflow, and their differences
+    # (inf - inf) are NaN: every row must read [-inf, inf], none NaN
+    d = 3
+    big = np.full(4 * d + 1, 1e200)
+    for lo, hi in ((big, big), (0.5 * big, big)):
+        rows_lo, rows_hi = f_eval_interval((lo, hi), d)
+        assert np.all(rows_lo == -np.inf) and np.all(rows_hi == np.inf)
 
 
 def test_u_v_c_enclosure_memory_stays_quadratic_at_d300():

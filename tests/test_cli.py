@@ -307,9 +307,9 @@ def test_sweep_manifest_is_the_same_on_one_and_two_blas_threads(tmp_path):
 
 # sha256 manifest digest of `sweep --d 2..30 --jobs 1 --out-dir out` on one
 # BLAS thread: the bits of every certificate and of the summary
-SWEEP_2_30_MANIFEST = "fa3b5ff170dc4fe67e09eba37ff35724301a96cda092081e811438f887e27ac6"
+SWEEP_2_30_MANIFEST = "ec1bf65582e36e4a8ea343c253d70f016f3e79545e9067062f837149e2fb9fb6"
 
-README_SWEEP_MANIFEST = "ef052d0bce8153b9"
+README_SWEEP_MANIFEST = "1b074ce7475d36f4"
 
 
 def _readme_cli(argv, cwd):
