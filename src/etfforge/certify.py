@@ -52,7 +52,7 @@ harmonic.family_signature.
 
 import itertools
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -693,10 +693,13 @@ def certify_range(d_lo, d_hi, seeds=(0, 1, 2, 3, 4), delta=1e-10, jobs=1,
     float-free, so it ends the search, and the remaining seeds run only
     when the exact route refuses (past the line-system cap, say).
     Per-dimension failures are recorded in the result, never raised, so
-    one bad dimension cannot abort the sweep.  The dimensions are taken
-    lazily from the range; with jobs > 1 they are distributed over a
-    process pool of at most one worker per dimension, with at most
-    _WINDOW_PER_WORKER of them submitted and unfinished per worker."""
+    one bad dimension cannot abort the sweep.  With jobs = 1 the
+    dimensions are drawn lazily from the range.  With jobs > 1 the range
+    goes through ProcessPoolExecutor.map on at most one worker per
+    dimension: the results come in range order; a slow dimension at the
+    head idles no worker, since each takes the next queued dimension as
+    it frees up; and map submits the whole range up front, at about 2 KB
+    per dimension."""
     d_lo, d_hi = int(d_lo), int(d_hi)
     if d_lo < 2:
         raise InvalidArgumentError("certification starts at d = 2")
@@ -710,34 +713,8 @@ def certify_range(d_lo, d_hi, seeds=(0, 1, 2, 3, 4), delta=1e-10, jobs=1,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(_in_order(pool, work, _WINDOW_PER_WORKER * jobs))
+            return list(pool.map(_certify_dimension, work))
     return [_certify_dimension(item) for item in work]
-
-
-# one dimension running and one queued behind it, so a worker that finishes
-# starts the next without waiting for this process to submit it
-_WINDOW_PER_WORKER = 2
-
-
-def _in_order(pool, work, window):
-    """_certify_dimension on each item of work in pool, with at most
-    window submitted and not yet finished, the results in work's order.
-    A new item is submitted whenever any one finishes, so a slow
-    dimension at the head holds back only the yield, not the workers.
-    Executor.map would submit the whole range before its first result."""
-    from concurrent.futures import FIRST_COMPLETED, wait
-
-    work = iter(work)
-    queue, running = deque(), set()
-    while True:
-        for item in itertools.islice(work, window - len(running)):
-            queue.append(pool.submit(_certify_dimension, item))
-            running.add(queue[-1])
-        if not queue:
-            return
-        running = wait(running, return_when=FIRST_COMPLETED).not_done
-        while queue and queue[0].done():
-            yield queue.popleft().result()
 
 
 def _lin(plus, minus=()):

@@ -567,7 +567,8 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--delta", type=float, default=1e-10)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: ETFFORGE_THREADS, else 1)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(func=cmd_sweep)
 

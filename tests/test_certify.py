@@ -8,7 +8,7 @@ import sys
 import threading
 import tracemalloc
 import types
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -1214,28 +1214,17 @@ def test_epsilon_search_matches_the_scalar_loop(a, bt, c0, delta_eff, norm_x0, d
         assert err.value.reason == "infeasible" and err.value.detail == want
 
 
-def _finished_future(fn, item):
-    """A future that already holds fn(item), as an in-process pool returns it."""
-    future = Future()
-    future.set_result(fn(item))
-    return future
-
-
 def test_certify_range_starts_at_most_one_worker_per_dimension(monkeypatch):
     started = []
 
-    class InProcessPool:
+    class InProcessPool(Executor):
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def submit(self, fn, item):
-            return _finished_future(fn, item)
+            future = Future()
+            future.set_result(fn(item))
+            return future
 
     # certify_range imports the pool only when it starts one
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
@@ -1247,14 +1236,10 @@ def test_certify_range_starts_at_most_one_worker_per_dimension(monkeypatch):
     assert started == [2]
 
 
-def test_certify_range_keeps_a_bounded_window_of_dimensions_in_flight(monkeypatch):
-    # with --jobs N at most _WINDOW_PER_WORKER * N dimensions are submitted
-    # and not finished: Executor.map would have submitted all 40 at once.
-    # A slow first dimension does not idle the other worker: d = 2 runs
-    # until d = 41 has started, which never happens if the window is
-    # refilled only as results are taken in order
-    window = certify_module._WINDOW_PER_WORKER * 2
-    last_started, unfinished = threading.Event(), []
+def test_certify_range_keeps_order_and_idles_no_worker(monkeypatch):
+    # a slow first dimension does not idle the other worker: d = 2 runs
+    # until d = 41 has started, and the results still come in range order
+    last_started = threading.Event()
 
     def certify_dimension(args):
         if args[0] == 41:
@@ -1263,34 +1248,25 @@ def test_certify_range_keeps_a_bounded_window_of_dimensions_in_flight(monkeypatc
             assert last_started.wait(timeout=10)
         return RangeResult(args[0], None, "no-convergence", "stub")
 
-    class ThreadPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers)
-            self.futures = []
-
-        def submit(self, fn, item):
-            unfinished.append(1 + sum(not f.done() for f in self.futures))
-            self.futures.append(super().submit(fn, item))
-            return self.futures[-1]
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
     monkeypatch.setattr(certify_module, "_certify_dimension", certify_dimension)
     results = certify_range(2, 41, jobs=2)
     assert [r.d for r in results] == list(range(2, 42))
-    assert len(unfinished) == 40 and max(unfinished) <= window < 40
 
-    # when every dimension takes the same time, the first result is taken
-    # after one window of submissions
-    submitted = []
 
-    class FinishedPool:
-        def submit(self, fn, item):
-            submitted.append(item)
-            return _finished_future(lambda d: d, item)
+def test_certify_range_submits_a_long_range_in_little_memory(monkeypatch):
+    # Executor.map submits the whole range before its first result, at
+    # about 2 KB per dimension; d = 3000 is ROADMAP item 10's reach
+    def certify_dimension(args):
+        return RangeResult(args[0], None, "no-convergence", "stub")
 
-    at_result = []
-    for d in certify_module._in_order(FinishedPool(), range(40), window):
-        at_result.append(len(submitted))
-        assert d == len(at_result) - 1
-    assert at_result[0] == window
-    assert all(count <= k + window for k, count in enumerate(at_result))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(certify_module, "_certify_dimension", certify_dimension)
+    tracemalloc.start()
+    try:
+        results = certify_range(2, 3001, jobs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.d for r in results] == list(range(2, 3002))
+    assert peak < 16 * 2**20
